@@ -523,13 +523,13 @@ let suite_parallel () =
       (fun s -> List.find_opt (fun (p : Oskernel.Program.t) -> p.Oskernel.Program.name = s) progs)
       [ "cmdOpen"; "cmdClose"; "cmdRead"; "cmdWrite"; "cmdDup" ]
   in
-  let run_asp enabled =
-    Asp.Memo.set_enabled enabled;
+  let run_asp memo =
+    let config =
+      { asp_config with Provmark.Config.opts = { Gmatch.Match_opts.default with memo } }
+    in
     Asp.Memo.clear ();
     Asp.Memo.reset_stats ();
-    let _, t =
-      timed (fun () -> Provmark.Parallel_runner.run_all ~jobs:1 asp_config asp_subset)
-    in
+    let _, t = timed (fun () -> Provmark.Parallel_runner.run_all ~jobs:1 config asp_subset) in
     t
   in
   let t_cold = run_asp false in
@@ -541,7 +541,6 @@ let suite_parallel () =
        (List.map
           (fun (tag, { Asp.Memo.hits; misses }) -> (tag, hits, misses))
           (Asp.Memo.stats ())));
-  Asp.Memo.set_enabled true;
   Asp.Memo.clear ();
   Asp.Memo.reset_stats ()
 
@@ -575,9 +574,8 @@ let match_scale_rows ~sizes =
         (fun (task_name, task, find_optimal) ->
           List.map
             (fun pruned ->
-              Gmatch.Asp_backend.set_prune pruned;
               let (program, facts), t_prepare =
-                timed (fun () -> Gmatch.Asp_backend.instance task g1 g2)
+                timed (fun () -> Gmatch.Asp_backend.instance ~prune:pruned task g1 g2)
               in
               let rules = Asp.Parser.parse_program program in
               let ground, t_ground = timed (fun () -> Asp.Ground.ground rules facts) in
@@ -610,12 +608,7 @@ let match_scale_rows ~sizes =
 
 let match_scale_run ~sizes =
   section "match-scale: matching pipeline on synthetic graph pairs (pruned vs unpruned)";
-  let prune0 = Gmatch.Asp_backend.prune_enabled () in
-  let rows =
-    Fun.protect
-      ~finally:(fun () -> Gmatch.Asp_backend.set_prune prune0)
-      (fun () -> match_scale_rows ~sizes)
-  in
+  let rows = match_scale_rows ~sizes in
   Printf.printf "%-6s %-15s %-8s %10s %10s %8s %8s %12s %10s %-8s %s\n" "nodes" "task" "pruned"
     "ground(s)" "solve(s)" "atoms" "h-atoms" "propagations" "decisions" "status" "cost";
   List.iter
@@ -676,106 +669,97 @@ let match_scale_quick () = match_scale_run ~sizes:[ 4; 6; 8 ]
      fresh names — canonical instance keys hit, raw keys miss. *)
 let canon_run ~sizes =
   section "canon: canonical-form fast path (solver bypass, rename-invariant memo)";
-  let canon0 = Pgraph.Canon.is_enabled () in
-  Fun.protect
-    ~finally:(fun () ->
-      Pgraph.Canon.set_enabled canon0;
-      Asp.Memo.set_enabled true;
-      Asp.Memo.clear ();
-      Asp.Memo.reset_stats ())
-    (fun () ->
-      Asp.Memo.set_enabled false;
-      let cost = function
-        | None -> -1
-        | Some (m : Gmatch.Matching.t) -> m.Gmatch.Matching.cost
-      in
-      Printf.printf "%-6s %12s %12s %10s\n" "nodes" "cold(s)" "bypass(s)" "speedup";
-      let bypass_rows =
-        List.map
-          (fun nodes ->
-            let g1, _ = Provmark.Bench_gen.match_pair ~nodes ~seed:(41 + nodes) in
-            let g2 = Pgraph.Graph.map_ids (fun id -> "r:" ^ id) g1 in
-            (* Best of three: sub-millisecond timings at the small sizes
-               are dominated by allocator noise otherwise.  The canon
-               cache is cleared before every bypass run, so its timing
-               always includes computing both canonical forms. *)
-            let best_of f =
-              let vt = List.init 3 (fun _ -> timed f) in
-              (fst (List.hd vt), List.fold_left (fun acc (_, t) -> Float.min acc t) infinity vt)
-            in
-            Pgraph.Canon.set_enabled false;
-            let cold, t_cold =
-              best_of (fun () ->
-                  Gmatch.Engine.generalization_matching ~backend:Gmatch.Engine.Asp g1 g2)
-            in
-            Pgraph.Canon.set_enabled true;
-            let fast, t_fast =
-              best_of (fun () ->
-                  Pgraph.Canon.clear ();
-                  Gmatch.Engine.generalization_matching ~backend:Gmatch.Engine.Asp g1 g2)
-            in
-            if cost cold <> cost fast then
-              failwith "canon bench: bypass disagrees with cold solve";
-            let speedup = t_cold /. Float.max 1e-9 t_fast in
-            Printf.printf "%-6d %12.5f %12.6f %9.1fx\n" nodes t_cold t_fast speedup;
-            (nodes, t_cold, t_fast, speedup))
-          sizes
-      in
-      Printf.printf "\n%-6s %26s %26s\n" "nodes" "renamed hits (canon on)" "renamed hits (canon off)";
-      let memo_rows =
-        List.map
-          (fun nodes ->
-            let g1, g2 = Provmark.Bench_gen.match_pair ~nodes ~seed:(41 + nodes) in
-            let renamed p g = Pgraph.Graph.map_ids (fun id -> p ^ id) g in
-            let hits canon =
-              Pgraph.Canon.set_enabled canon;
-              Asp.Memo.set_enabled true;
-              Asp.Memo.clear ();
-              Asp.Memo.reset_stats ();
-              ignore (Gmatch.Asp_backend.iso_min_cost g1 g2);
-              ignore (Gmatch.Asp_backend.iso_min_cost (renamed "a:" g1) (renamed "b:" g2));
-              let h =
-                match List.assoc_opt "generalization" (Asp.Memo.stats ()) with
-                | Some s -> s.Asp.Memo.hits
-                | None -> 0
-              in
-              Asp.Memo.set_enabled false;
-              h
-            in
-            let h_on = hits true and h_off = hits false in
-            Printf.printf "%-6d %26d %26d\n" nodes h_on h_off;
-            (nodes, h_on, h_off))
-          sizes
-      in
-      let num f = Minijson.Json.Number f in
-      let int_j n = num (float_of_int n) in
-      bench_json_update "canon"
-        (Minijson.Json.Object
-           [
-             ( "bypass",
-               Minijson.Json.Array
-                 (List.map
-                    (fun (nodes, t_cold, t_fast, speedup) ->
-                      Minijson.Json.Object
-                        [
-                          ("nodes", int_j nodes);
-                          ("cold_solve_s", num t_cold);
-                          ("canon_bypass_s", num t_fast);
-                          ("speedup", num speedup);
-                        ])
-                    bypass_rows) );
-             ( "memo",
-               Minijson.Json.Array
-                 (List.map
-                    (fun (nodes, h_on, h_off) ->
-                      Minijson.Json.Object
-                        [
-                          ("nodes", int_j nodes);
-                          ("renamed_hits_canon_on", int_j h_on);
-                          ("renamed_hits_canon_off", int_j h_off);
-                        ])
-                    memo_rows) );
-           ]))
+  (* The solve memo stays out of the timed solves; the memo rows turn it
+     on explicitly. *)
+  let no_memo canon = { Gmatch.Match_opts.default with canon; memo = false } in
+  let cost = function
+    | None -> -1
+    | Some (m : Gmatch.Matching.t) -> m.Gmatch.Matching.cost
+  in
+  Printf.printf "%-6s %12s %12s %10s\n" "nodes" "cold(s)" "bypass(s)" "speedup";
+  let bypass_rows =
+    List.map
+      (fun nodes ->
+        let g1, _ = Provmark.Bench_gen.match_pair ~nodes ~seed:(41 + nodes) in
+        let g2 = Pgraph.Graph.map_ids (fun id -> "r:" ^ id) g1 in
+        (* Best of three: sub-millisecond timings at the small sizes
+           are dominated by allocator noise otherwise.  The canon
+           cache is cleared before every bypass run, so its timing
+           always includes computing both canonical forms. *)
+        let best_of f =
+          let vt = List.init 3 (fun _ -> timed f) in
+          (fst (List.hd vt), List.fold_left (fun acc (_, t) -> Float.min acc t) infinity vt)
+        in
+        let cold, t_cold =
+          best_of (fun () ->
+              Gmatch.Engine.generalization_matching ~opts:(no_memo false)
+                ~backend:Gmatch.Engine.Asp g1 g2)
+        in
+        let fast, t_fast =
+          best_of (fun () ->
+              Pgraph.Canon.clear ();
+              Gmatch.Engine.generalization_matching ~opts:(no_memo true)
+                ~backend:Gmatch.Engine.Asp g1 g2)
+        in
+        if cost cold <> cost fast then
+          failwith "canon bench: bypass disagrees with cold solve";
+        let speedup = t_cold /. Float.max 1e-9 t_fast in
+        Printf.printf "%-6d %12.5f %12.6f %9.1fx\n" nodes t_cold t_fast speedup;
+        (nodes, t_cold, t_fast, speedup))
+      sizes
+  in
+  Printf.printf "\n%-6s %26s %26s\n" "nodes" "renamed hits (canon on)" "renamed hits (canon off)";
+  let memo_rows =
+    List.map
+      (fun nodes ->
+        let g1, g2 = Provmark.Bench_gen.match_pair ~nodes ~seed:(41 + nodes) in
+        let renamed p g = Pgraph.Graph.map_ids (fun id -> p ^ id) g in
+        let hits canon =
+          let opts = { Gmatch.Match_opts.default with canon } in
+          Asp.Memo.clear ();
+          Asp.Memo.reset_stats ();
+          ignore (Gmatch.Asp_backend.iso_min_cost ~opts g1 g2);
+          ignore (Gmatch.Asp_backend.iso_min_cost ~opts (renamed "a:" g1) (renamed "b:" g2));
+          match List.assoc_opt "generalization" (Asp.Memo.stats ()) with
+          | Some s -> s.Asp.Memo.hits
+          | None -> 0
+        in
+        let h_on = hits true and h_off = hits false in
+        Printf.printf "%-6d %26d %26d\n" nodes h_on h_off;
+        (nodes, h_on, h_off))
+      sizes
+  in
+  let num f = Minijson.Json.Number f in
+  let int_j n = num (float_of_int n) in
+  bench_json_update "canon"
+    (Minijson.Json.Object
+       [
+         ( "bypass",
+           Minijson.Json.Array
+             (List.map
+                (fun (nodes, t_cold, t_fast, speedup) ->
+                  Minijson.Json.Object
+                    [
+                      ("nodes", int_j nodes);
+                      ("cold_solve_s", num t_cold);
+                      ("canon_bypass_s", num t_fast);
+                      ("speedup", num speedup);
+                    ])
+                bypass_rows) );
+         ( "memo",
+           Minijson.Json.Array
+             (List.map
+                (fun (nodes, h_on, h_off) ->
+                  Minijson.Json.Object
+                    [
+                      ("nodes", int_j nodes);
+                      ("renamed_hits_canon_on", int_j h_on);
+                      ("renamed_hits_canon_off", int_j h_off);
+                    ])
+                memo_rows) );
+       ]);
+  Asp.Memo.clear ();
+  Asp.Memo.reset_stats ()
 
 let canon_bench () = canon_run ~sizes:[ 4; 6; 8; 10; 12 ]
 let canon_quick () = canon_run ~sizes:[ 4; 8; 12 ]
@@ -817,105 +801,89 @@ type corpus_row = {
 
 let corpus_scale_run ~sizes =
   section "corpus-scale: stage costs on ProvGen graphs (fingerprint/canon/ground/parse/store/match)";
-  let prune0 = Gmatch.Asp_backend.prune_enabled () in
-  let canon0 = Pgraph.Canon.is_enabled () in
-  let min0 = Gmatch.Engine.segment_min_nodes () in
-  let seg0 = Gmatch.Engine.segmentation_enabled () in
   let store_dir = Filename.concat (Filename.get_temp_dir_name ()) "provmark-bench-store" in
   let store = Provmark.Artifact_store.create ~dir:store_dir in
+  (* The match column: floor at zero so every size decomposes (no pair
+     is ever solved whole), canon off so the digest bypass cannot
+     answer without solving. *)
+  let match_opts = { Gmatch.Match_opts.default with canon = false; segment_min_nodes = Some 0 } in
   let rows =
-    Fun.protect
-      ~finally:(fun () ->
-        Gmatch.Asp_backend.set_prune prune0;
-        Pgraph.Canon.set_enabled canon0;
-        Gmatch.Engine.set_segmentation seg0;
-        Gmatch.Engine.set_segment_min_nodes min0)
-      (fun () ->
-        Gmatch.Asp_backend.set_prune true;
-        Pgraph.Canon.set_enabled true;
-        Gmatch.Engine.set_segmentation true;
-        (* floor at zero so every size decomposes: the point of the
-           match column is that no pair is ever solved whole *)
-        Gmatch.Engine.set_segment_min_nodes 0;
-        List.map
-          (fun nodes ->
-            let spec = Pgraph.Provgen.default_spec ~nodes in
-            let (g1, g2), t_generate =
-              timed (fun () -> Pgraph.Provgen.match_pair ~seed:(41 + nodes) spec)
-            in
-            let _, t_fingerprint = timed (fun () -> Pgraph.Fingerprint.of_graph g1) in
-            Pgraph.Canon.clear ();
-            let _, t_canon = timed (fun () -> Pgraph.Canon.digest g1) in
-            let (program, facts), t_instance =
-              timed (fun () -> Gmatch.Asp_backend.instance Gmatch.Asp_backend.Similarity g1 g2)
-            in
-            let rules = Asp.Parser.parse_program program in
-            let ground, t_ground = timed (fun () -> Asp.Ground.ground rules facts) in
-            let text, t_serialize = timed (fun () -> Recorders.Provjson.to_string g1) in
-            let _, t_parse = timed (fun () -> Recorders.Provjson.of_string text) in
-            let _, t_stream =
-              timed (fun () ->
-                  Recorders.Provjson.of_stream
-                    ~read:(Recorders.Chunk_reader.of_string ~chunk:65536 text))
-            in
-            let key =
-              Provmark.Artifact_store.generated_input_key ~generator:"bench"
-                ~spec:(Pgraph.Provgen.spec_to_string spec) ~seed:(41 + nodes) ~run:1
-                ~format:"provjson"
-            in
-            let _, t_store = timed (fun () -> Provmark.Artifact_store.write store ~stage:"corpus" ~key text) in
-            (* Plan the pair to size the per-segment grounded instances
-               (the bound the segmented solver actually pays), then run
-               the segmented pruned-ASP similarity match with canon off —
-               the digest bypass would otherwise answer without solving. *)
-            let segments, max_segment_nodes, segment_atoms =
-              match Pgraph.Summarize.plan g1 g2 with
-              | Pgraph.Summarize.Segmented p ->
-                  let seg_atoms =
-                    List.fold_left
-                      (fun acc (s : Pgraph.Summarize.segment) ->
-                        let program, facts =
-                          Gmatch.Asp_backend.instance Gmatch.Asp_backend.Similarity
-                            s.Pgraph.Summarize.left s.Pgraph.Summarize.right
-                        in
-                        let rules = Asp.Parser.parse_program program in
-                        max acc (Asp.Ground.ground rules facts).Asp.Ground.atom_count)
-                      0 p.Pgraph.Summarize.segments
-                  in
-                  ( List.length p.Pgraph.Summarize.segments,
-                    Pgraph.Summarize.max_segment_nodes p,
-                    seg_atoms )
-              | Pgraph.Summarize.Whole | Pgraph.Summarize.Mismatch ->
-                  (0, Pgraph.Graph.node_count g1, ground.Asp.Ground.atom_count)
-            in
-            Pgraph.Canon.set_enabled false;
-            Asp.Solver.reset_stats ();
-            let ok, t_match =
-              timed (fun () -> Gmatch.Engine.similar ~backend:Gmatch.Engine.Asp g1 g2)
-            in
-            let sstats = Asp.Solver.stats () in
-            Pgraph.Canon.set_enabled true;
-            {
-              cr_nodes = nodes;
-              cr_edges = Pgraph.Graph.edge_count g1;
-              cr_generate_s = t_generate;
-              cr_fingerprint_s = t_fingerprint;
-              cr_canon_s = t_canon;
-              cr_ground_s = t_instance +. t_ground;
-              cr_atoms = ground.Asp.Ground.atom_count;
-              cr_serialize_s = t_serialize;
-              cr_parse_s = t_parse;
-              cr_stream_s = t_stream;
-              cr_store_s = t_store;
-              cr_match_s = t_match;
-              cr_match_ok = ok;
-              cr_propagations = sstats.Asp.Solver.propagations;
-              cr_decisions = sstats.Asp.Solver.decisions;
-              cr_segments = segments;
-              cr_max_segment_nodes = max_segment_nodes;
-              cr_segment_atoms = segment_atoms;
-            })
-          sizes)
+    List.map
+      (fun nodes ->
+        let spec = Pgraph.Provgen.default_spec ~nodes in
+        let (g1, g2), t_generate =
+          timed (fun () -> Pgraph.Provgen.match_pair ~seed:(41 + nodes) spec)
+        in
+        let _, t_fingerprint = timed (fun () -> Pgraph.Fingerprint.of_graph g1) in
+        Pgraph.Canon.clear ();
+        let _, t_canon = timed (fun () -> Pgraph.Canon.digest g1) in
+        let (program, facts), t_instance =
+          timed (fun () -> Gmatch.Asp_backend.instance Gmatch.Asp_backend.Similarity g1 g2)
+        in
+        let rules = Asp.Parser.parse_program program in
+        let ground, t_ground = timed (fun () -> Asp.Ground.ground rules facts) in
+        let text, t_serialize = timed (fun () -> Recorders.Provjson.to_string g1) in
+        let _, t_parse = timed (fun () -> Recorders.Provjson.of_string text) in
+        let _, t_stream =
+          timed (fun () ->
+              Recorders.Provjson.of_stream
+                ~read:(Recorders.Chunk_reader.of_string ~chunk:65536 text))
+        in
+        let key =
+          Provmark.Artifact_store.generated_input_key ~generator:"bench"
+            ~spec:(Pgraph.Provgen.spec_to_string spec) ~seed:(41 + nodes) ~run:1
+            ~format:"provjson"
+        in
+        let _, t_store = timed (fun () -> Provmark.Artifact_store.write store ~stage:"corpus" ~key text) in
+        (* Plan the pair to size the per-segment grounded instances
+           (the bound the segmented solver actually pays), then run
+           the segmented pruned-ASP similarity match. *)
+        let segments, max_segment_nodes, segment_atoms =
+          match Pgraph.Summarize.plan g1 g2 with
+          | Pgraph.Summarize.Segmented p ->
+              let seg_atoms =
+                List.fold_left
+                  (fun acc (s : Pgraph.Summarize.segment) ->
+                    let program, facts =
+                      Gmatch.Asp_backend.instance Gmatch.Asp_backend.Similarity
+                        s.Pgraph.Summarize.left s.Pgraph.Summarize.right
+                    in
+                    let rules = Asp.Parser.parse_program program in
+                    max acc (Asp.Ground.ground rules facts).Asp.Ground.atom_count)
+                  0 p.Pgraph.Summarize.segments
+              in
+              ( List.length p.Pgraph.Summarize.segments,
+                Pgraph.Summarize.max_segment_nodes p,
+                seg_atoms )
+          | Pgraph.Summarize.Whole | Pgraph.Summarize.Mismatch ->
+              (0, Pgraph.Graph.node_count g1, ground.Asp.Ground.atom_count)
+        in
+        Asp.Solver.reset_stats ();
+        let ok, t_match =
+          timed (fun () -> Gmatch.Engine.similar ~opts:match_opts ~backend:Gmatch.Engine.Asp g1 g2)
+        in
+        let sstats = Asp.Solver.stats () in
+        {
+          cr_nodes = nodes;
+          cr_edges = Pgraph.Graph.edge_count g1;
+          cr_generate_s = t_generate;
+          cr_fingerprint_s = t_fingerprint;
+          cr_canon_s = t_canon;
+          cr_ground_s = t_instance +. t_ground;
+          cr_atoms = ground.Asp.Ground.atom_count;
+          cr_serialize_s = t_serialize;
+          cr_parse_s = t_parse;
+          cr_stream_s = t_stream;
+          cr_store_s = t_store;
+          cr_match_s = t_match;
+          cr_match_ok = ok;
+          cr_propagations = sstats.Asp.Solver.propagations;
+          cr_decisions = sstats.Asp.Solver.decisions;
+          cr_segments = segments;
+          cr_max_segment_nodes = max_segment_nodes;
+          cr_segment_atoms = segment_atoms;
+        })
+      sizes
   in
   Printf.printf "%-6s %-7s %10s %10s %10s %9s %10s %10s %10s %8s %6s %8s %9s %12s %10s\n" "nodes"
     "edges" "gen(s)" "fp(s)" "ground(s)" "atoms" "parse(s)" "stream(s)" "match(s)" "segs"
@@ -971,103 +939,89 @@ let corpus_scale_quick () = corpus_scale_run ~sizes:[ 16; 32; 64 ]
    whole-graph witness — is timed with solver-effort counters. *)
 let segment_run ~sizes =
   section "segment: hierarchical matching prepass (quotient plan, per-segment grounding, stitched ASP solve)";
-  let prune0 = Gmatch.Asp_backend.prune_enabled () in
-  let canon0 = Pgraph.Canon.is_enabled () in
-  let seg0 = Gmatch.Engine.segmentation_enabled () in
-  let min0 = Gmatch.Engine.segment_min_nodes () in
+  (* canon off: the digest bypass would answer these pairs without ever
+     reaching the solver *)
+  let opts = { Gmatch.Match_opts.default with canon = false; segment_min_nodes = Some 0 } in
   let rows =
-    Fun.protect
-      ~finally:(fun () ->
-        Gmatch.Asp_backend.set_prune prune0;
-        Pgraph.Canon.set_enabled canon0;
-        Gmatch.Engine.set_segmentation seg0;
-        Gmatch.Engine.set_segment_min_nodes min0)
-      (fun () ->
-        Gmatch.Asp_backend.set_prune true;
-        (* canon off: the digest bypass would answer these pairs without
-           ever reaching the solver *)
-        Pgraph.Canon.set_enabled false;
-        Gmatch.Engine.set_segmentation true;
-        Gmatch.Engine.set_segment_min_nodes 0;
-        List.map
-          (fun nodes ->
-            let spec = Pgraph.Provgen.default_spec ~nodes in
-            let g1, g2 = Pgraph.Provgen.match_pair ~seed:(41 + nodes) spec in
-            let outcome, t_plan = timed (fun () -> Pgraph.Summarize.plan g1 g2) in
-            let forced, nsegs, pieces, maxseg, frontier, seg_atoms_sum, seg_atoms_max, t_seg_ground
-                =
-              match outcome with
-              | Pgraph.Summarize.Segmented p ->
-                  let atoms, t =
-                    timed (fun () ->
-                        List.map
-                          (fun (s : Pgraph.Summarize.segment) ->
-                            let program, facts =
-                              Gmatch.Asp_backend.instance Gmatch.Asp_backend.Generalization
-                                s.Pgraph.Summarize.left s.Pgraph.Summarize.right
-                            in
-                            let rules = Asp.Parser.parse_program program in
-                            (Asp.Ground.ground rules facts).Asp.Ground.atom_count)
-                          p.Pgraph.Summarize.segments)
-                  in
-                  ( List.length p.Pgraph.Summarize.forced_nodes,
-                    List.length p.Pgraph.Summarize.segments,
-                    List.fold_left
-                      (fun a (s : Pgraph.Summarize.segment) -> a + s.Pgraph.Summarize.pieces)
-                      0 p.Pgraph.Summarize.segments,
-                    Pgraph.Summarize.max_segment_nodes p,
-                    p.Pgraph.Summarize.frontier_edges,
-                    List.fold_left ( + ) 0 atoms,
-                    List.fold_left max 0 atoms,
-                    t )
-              | Pgraph.Summarize.Whole ->
-                  (0, 0, 0, Pgraph.Graph.node_count g1, 0, 0, 0, 0.)
-              | Pgraph.Summarize.Mismatch -> (0, 0, 0, 0, 0, 0, 0, 0.)
+    List.map
+      (fun nodes ->
+        let spec = Pgraph.Provgen.default_spec ~nodes in
+        let g1, g2 = Pgraph.Provgen.match_pair ~seed:(41 + nodes) spec in
+        let outcome, t_plan = timed (fun () -> Pgraph.Summarize.plan g1 g2) in
+        let forced, nsegs, pieces, maxseg, frontier, seg_atoms_sum, seg_atoms_max, t_seg_ground
+            =
+          match outcome with
+          | Pgraph.Summarize.Segmented p ->
+              let atoms, t =
+                timed (fun () ->
+                    List.map
+                      (fun (s : Pgraph.Summarize.segment) ->
+                        let program, facts =
+                          Gmatch.Asp_backend.instance Gmatch.Asp_backend.Generalization
+                            s.Pgraph.Summarize.left s.Pgraph.Summarize.right
+                        in
+                        let rules = Asp.Parser.parse_program program in
+                        (Asp.Ground.ground rules facts).Asp.Ground.atom_count)
+                      p.Pgraph.Summarize.segments)
+              in
+              ( List.length p.Pgraph.Summarize.forced_nodes,
+                List.length p.Pgraph.Summarize.segments,
+                List.fold_left
+                  (fun a (s : Pgraph.Summarize.segment) -> a + s.Pgraph.Summarize.pieces)
+                  0 p.Pgraph.Summarize.segments,
+                Pgraph.Summarize.max_segment_nodes p,
+                p.Pgraph.Summarize.frontier_edges,
+                List.fold_left ( + ) 0 atoms,
+                List.fold_left max 0 atoms,
+                t )
+          | Pgraph.Summarize.Whole ->
+              (0, 0, 0, Pgraph.Graph.node_count g1, 0, 0, 0, 0.)
+          | Pgraph.Summarize.Mismatch -> (0, 0, 0, 0, 0, 0, 0, 0.)
+        in
+        (* the avoided cost: grounding the whole generalization
+           instance, which past 256 nodes stops being bench-friendly *)
+        let whole_atoms, t_whole_ground =
+          if nodes <= 256 then
+            let program, facts =
+              Gmatch.Asp_backend.instance Gmatch.Asp_backend.Generalization g1 g2
             in
-            (* the avoided cost: grounding the whole generalization
-               instance, which past 256 nodes stops being bench-friendly *)
-            let whole_atoms, t_whole_ground =
-              if nodes <= 256 then
-                let program, facts =
-                  Gmatch.Asp_backend.instance Gmatch.Asp_backend.Generalization g1 g2
-                in
-                let rules = Asp.Parser.parse_program program in
-                let ground, t = timed (fun () -> Asp.Ground.ground rules facts) in
-                (ground.Asp.Ground.atom_count, t)
-              else (-1, -1.)
-            in
-            Asp.Solver.reset_stats ();
-            Gmatch.Engine.reset_segment_stats ();
-            let m, t_solve =
-              timed (fun () ->
-                  Gmatch.Engine.generalization_matching ~backend:Gmatch.Engine.Asp g1 g2)
-            in
-            let stats = Asp.Solver.stats () in
-            let solves = Gmatch.Engine.segment_solves () in
-            let status, cost =
-              match m with
-              | Some m -> ("model", m.Gmatch.Matching.cost)
-              | None -> ("none", -1)
-            in
-            ( nodes,
-              t_plan,
-              forced,
-              nsegs,
-              pieces,
-              maxseg,
-              frontier,
-              seg_atoms_sum,
-              seg_atoms_max,
-              t_seg_ground,
-              whole_atoms,
-              t_whole_ground,
-              t_solve,
-              solves,
-              stats.Asp.Solver.propagations,
-              stats.Asp.Solver.decisions,
-              status,
-              cost ))
-          sizes)
+            let rules = Asp.Parser.parse_program program in
+            let ground, t = timed (fun () -> Asp.Ground.ground rules facts) in
+            (ground.Asp.Ground.atom_count, t)
+          else (-1, -1.)
+        in
+        Asp.Solver.reset_stats ();
+        Gmatch.Engine.reset_segment_stats ();
+        let m, t_solve =
+          timed (fun () ->
+              Gmatch.Engine.generalization_matching ~opts ~backend:Gmatch.Engine.Asp g1 g2)
+        in
+        let stats = Asp.Solver.stats () in
+        let solves = Gmatch.Engine.segment_solves () in
+        let status, cost =
+          match m with
+          | Some m -> ("model", m.Gmatch.Matching.cost)
+          | None -> ("none", -1)
+        in
+        ( nodes,
+          t_plan,
+          forced,
+          nsegs,
+          pieces,
+          maxseg,
+          frontier,
+          seg_atoms_sum,
+          seg_atoms_max,
+          t_seg_ground,
+          whole_atoms,
+          t_whole_ground,
+          t_solve,
+          solves,
+          stats.Asp.Solver.propagations,
+          stats.Asp.Solver.decisions,
+          status,
+          cost ))
+      sizes
   in
   Printf.printf "%-6s %8s %7s %5s %7s %7s %9s %10s %10s %11s %10s %9s %7s %12s %10s %-6s %s\n"
     "nodes" "plan(s)" "forced" "segs" "pieces" "maxseg" "segatoms" "maxsegat" "wholeat"
@@ -1126,57 +1080,51 @@ let segment_quick () = segment_run ~sizes:[ 64; 128 ]
    and delta hit rates. *)
 let planner_run ~sizes =
   section "planner: cost-based dispatch (calibrated argmin, delta re-solve vs fixed backends)";
-  let canon0 = Pgraph.Canon.is_enabled () in
-  let prune0 = Gmatch.Asp_backend.prune_enabled () in
   let num f = Minijson.Json.Number f in
   Gmatch.Planner.reset ();
   Gmatch.Incremental.reset_delta ();
   let gen_rows =
-    Fun.protect
-      ~finally:(fun () -> Pgraph.Canon.set_enabled canon0)
-      (fun () ->
-        Pgraph.Canon.set_enabled true;
-        List.map
-          (fun nodes ->
-            let g = Provmark.Bench_gen.rigid_trace ~nodes ~seed:(41 + nodes) in
-            let trial k = Provmark.Bench_gen.transient_variant ~seed:(1000 + (nodes * 17) + k) g in
-            let trials = 5 in
-            let cold backend =
-              let total = ref 0. in
-              for k = 1 to trials do
-                let v = trial k in
-                let m, t = timed (fun () -> Gmatch.Engine.generalization_matching ~backend g v) in
-                ignore m;
-                total := !total +. t
-              done;
-              !total /. float_of_int trials
-            in
-            let t_direct = cold Gmatch.Engine.Direct in
-            let t_incr = cold Gmatch.Engine.Incremental in
-            Gmatch.Incremental.reset_delta ();
-            let auto k =
-              snd
-                (timed (fun () ->
-                     Gmatch.Engine.generalization_matching ~backend:Gmatch.Engine.Auto g (trial k)))
-            in
-            let t_auto_first = auto 1 in
-            let t_auto_warm =
-              let total = ref 0. in
-              for k = 2 to trials do
-                total := !total +. auto k
-              done;
-              !total /. float_of_int (trials - 1)
-            in
-            let certified, fallbacks, cache_hits = Gmatch.Incremental.delta_stats () in
-            let best_fixed = Float.min t_direct t_incr in
-            let speedup = if t_auto_warm > 0. then best_fixed /. t_auto_warm else 0. in
-            (* the acceptance ratio: warm delta trials vs a cold solve
-               of the same pair (trial 1 pays the rigidity refinement,
-               trials 2..N ride the cached verdict) *)
-            let cold_over_warm = if t_auto_warm > 0. then t_auto_first /. t_auto_warm else 0. in
-            (nodes, t_direct, t_incr, t_auto_first, t_auto_warm, speedup, cold_over_warm, certified,
-             fallbacks, cache_hits))
-          sizes)
+    List.map
+      (fun nodes ->
+        let g = Provmark.Bench_gen.rigid_trace ~nodes ~seed:(41 + nodes) in
+        let trial k = Provmark.Bench_gen.transient_variant ~seed:(1000 + (nodes * 17) + k) g in
+        let trials = 5 in
+        let cold backend =
+          let total = ref 0. in
+          for k = 1 to trials do
+            let v = trial k in
+            let m, t = timed (fun () -> Gmatch.Engine.generalization_matching ~backend g v) in
+            ignore m;
+            total := !total +. t
+          done;
+          !total /. float_of_int trials
+        in
+        let t_direct = cold Gmatch.Engine.Direct in
+        let t_incr = cold Gmatch.Engine.Incremental in
+        Gmatch.Incremental.reset_delta ();
+        let auto k =
+          snd
+            (timed (fun () ->
+                 Gmatch.Engine.generalization_matching ~backend:Gmatch.Engine.Auto g (trial k)))
+        in
+        let t_auto_first = auto 1 in
+        let t_auto_warm =
+          let total = ref 0. in
+          for k = 2 to trials do
+            total := !total +. auto k
+          done;
+          !total /. float_of_int (trials - 1)
+        in
+        let certified, fallbacks, cache_hits = Gmatch.Incremental.delta_stats () in
+        let best_fixed = Float.min t_direct t_incr in
+        let speedup = if t_auto_warm > 0. then best_fixed /. t_auto_warm else 0. in
+        (* the acceptance ratio: warm delta trials vs a cold solve
+           of the same pair (trial 1 pays the rigidity refinement,
+           trials 2..N ride the cached verdict) *)
+        let cold_over_warm = if t_auto_warm > 0. then t_auto_first /. t_auto_warm else 0. in
+        (nodes, t_direct, t_incr, t_auto_first, t_auto_warm, speedup, cold_over_warm, certified,
+         fallbacks, cache_hits))
+      sizes
   in
   Printf.printf "generalization: transient-only trials (canon on, delta path live)\n";
   Printf.printf "%-6s %12s %12s %12s %12s %9s %9s %9s %9s %9s\n" "nodes" "direct(s)" "incr(s)"
@@ -1186,53 +1134,47 @@ let planner_run ~sizes =
       Printf.printf "%-6d %12.6f %12.6f %12.6f %12.6f %9.1f %9.1f %9d %9d %9d\n" nodes td ti ta1
         tan sp cw cert fall hits)
     gen_rows;
+  (* canon off: the digest gate would answer every pair before the
+     calibrated path ever ran *)
+  let opts = { Gmatch.Match_opts.default with canon = false } in
   let sim_rows =
-    Fun.protect
-      ~finally:(fun () ->
-        Pgraph.Canon.set_enabled canon0;
-        Gmatch.Asp_backend.set_prune prune0)
-      (fun () ->
-        (* canon off: the digest gate would answer every pair before the
-           calibrated path ever ran *)
-        Pgraph.Canon.set_enabled false;
-        Gmatch.Asp_backend.set_prune true;
-        List.map
-          (fun nodes ->
-            let g1, g2 = Provmark.Bench_gen.match_pair ~nodes ~seed:(61 + nodes) in
-            (* Warm the table on this very shape before measuring the
-               calibrated choice. *)
-            for _ = 1 to 10 do
-              ignore (Gmatch.Engine.similar ~backend:Gmatch.Engine.Auto g1 g2)
-            done;
-            (* Sub-millisecond solves drift more than the margins being
-               measured, so interleave the candidates round-robin (one
-               call each per rep) instead of timing sequential blocks —
-               GC and cache drift then hits everyone equally. *)
-            let reps = 20 in
-            let t_direct = ref 0. and t_incr = ref 0. and t_asp = ref 0. and t_auto = ref 0. in
-            (* whole-instance ASP grounding past 32 nodes is not
-               bench-friendly with canon off *)
-            let asp_ok = nodes <= 32 in
-            let measure cell backend =
-              let _, t = timed (fun () -> Gmatch.Engine.similar ~backend g1 g2) in
-              cell := !cell +. t
-            in
-            for _ = 1 to reps do
-              measure t_direct Gmatch.Engine.Direct;
-              measure t_incr Gmatch.Engine.Incremental;
-              if asp_ok then measure t_asp Gmatch.Engine.Asp;
-              measure t_auto Gmatch.Engine.Auto
-            done;
-            let avg cell = !cell /. float_of_int reps in
-            let t_direct = avg t_direct and t_incr = avg t_incr and t_auto = avg t_auto in
-            let t_asp = if asp_ok then avg t_asp else -1. in
-            let best_fixed =
-              List.fold_left
-                (fun acc t -> if t >= 0. && t < acc then t else acc)
-                infinity [ t_direct; t_incr; t_asp ]
-            in
-            (nodes, t_asp, t_direct, t_incr, t_auto, t_auto /. best_fixed))
-          sizes)
+    List.map
+      (fun nodes ->
+        let g1, g2 = Provmark.Bench_gen.match_pair ~nodes ~seed:(61 + nodes) in
+        (* Warm the table on this very shape before measuring the
+           calibrated choice. *)
+        for _ = 1 to 10 do
+          ignore (Gmatch.Engine.similar ~opts ~backend:Gmatch.Engine.Auto g1 g2)
+        done;
+        (* Sub-millisecond solves drift more than the margins being
+           measured, so interleave the candidates round-robin (one
+           call each per rep) instead of timing sequential blocks —
+           GC and cache drift then hits everyone equally. *)
+        let reps = 20 in
+        let t_direct = ref 0. and t_incr = ref 0. and t_asp = ref 0. and t_auto = ref 0. in
+        (* whole-instance ASP grounding past 32 nodes is not
+           bench-friendly with canon off *)
+        let asp_ok = nodes <= 32 in
+        let measure cell backend =
+          let _, t = timed (fun () -> Gmatch.Engine.similar ~opts ~backend g1 g2) in
+          cell := !cell +. t
+        in
+        for _ = 1 to reps do
+          measure t_direct Gmatch.Engine.Direct;
+          measure t_incr Gmatch.Engine.Incremental;
+          if asp_ok then measure t_asp Gmatch.Engine.Asp;
+          measure t_auto Gmatch.Engine.Auto
+        done;
+        let avg cell = !cell /. float_of_int reps in
+        let t_direct = avg t_direct and t_incr = avg t_incr and t_auto = avg t_auto in
+        let t_asp = if asp_ok then avg t_asp else -1. in
+        let best_fixed =
+          List.fold_left
+            (fun acc t -> if t >= 0. && t < acc then t else acc)
+            infinity [ t_direct; t_incr; t_asp ]
+        in
+        (nodes, t_asp, t_direct, t_incr, t_auto, t_auto /. best_fixed))
+      sizes
   in
   Printf.printf "\nsimilarity: calibrated dispatch (canon off, verdict-only)\n";
   Printf.printf "%-6s %12s %12s %12s %12s %10s\n" "nodes" "asp(s)" "direct(s)" "incr(s)" "auto(s)"
@@ -1344,6 +1286,7 @@ let serve_load_run ~clients ~per_client () =
             queue_bound = 4 * clients * per_client;
             store = None;
             trace = None;
+            opts = Gmatch.Match_opts.default;
             (* A short idle timeout keeps the stalled-read faults of the
                faulted phase from dominating its wall clock. *)
             limits =
@@ -1506,6 +1449,7 @@ let serve_chaos () =
             queue_bound = 4 * clients * per_client;
             store = None;
             trace = None;
+            opts = Gmatch.Match_opts.default;
             limits =
               {
                 Serve.Daemon.default_limits with

@@ -3,6 +3,12 @@
 
 open Cmdliner
 
+(* Invalid-configuration errors share one reporting path (and one exit
+   code) across subcommands. *)
+let invalid_config msg =
+  Printf.eprintf "%s\n" msg;
+  Provmark.Exit_code.exit Provmark.Exit_code.Invalid_config
+
 let tool_conv =
   let parse s = Result.map_error (fun m -> `Msg m) (Recorders.Recorder.tool_of_string s) in
   let print ppf t = Format.pp_print_string ppf (Recorders.Recorder.tool_name t) in
@@ -17,46 +23,24 @@ let tool_arg =
   let doc = "Capture tool: spg (SPADE+Graphviz), opu (OPUS) or cam (CamFlow)." in
   Arg.(required & pos 0 (some tool_conv) None & info [] ~docv:"TOOL" ~doc)
 
+(* A non-positive count is rejected up front: the retry policy would
+   otherwise grow it into a count the user never asked for. *)
 let trials_arg =
-  let doc = "Number of trials per variant (default: per-tool)." in
-  Arg.(value & opt (some int) None & info [ "trials"; "t" ] ~docv:"N" ~doc)
-
-(* The backend is optional so planner mode can tell "the user chose a
-   backend" from "use the default": with no explicit --backend and
-   planner mode auto (the default), matches dispatch through the
-   per-instance cost planner; --planner fixed or --no-planner restores
-   the historical fixed default. *)
-let backend_opt_arg =
-  let doc = "Graph matching backend: asp (the paper's Listing 3/4 specifications \
-             through the mini answer-set solver), direct (native matcher), \
-             incremental (creation-order fast path with exact fallback) or auto \
-             (per-instance cost-based planner). Defaults to auto unless \
-             $(b,--planner fixed) / $(b,--no-planner) is given." in
-  Arg.(value & opt (some backend_conv) None & info [ "backend" ] ~docv:"B" ~doc)
-
-let planner_arg =
-  let doc = "Backend planning mode: auto (default — when no explicit $(b,--backend) \
-             is given, every match instance dispatches through the cost-based \
-             planner: sound bypasses first, calibrated argmin where the answer \
-             cannot depend on the choice) or fixed (keep the flag-selected \
-             backend for every instance, today's behaviour)." in
-  Arg.(value & opt (Arg.enum [ ("auto", `Auto); ("fixed", `Fixed) ]) `Auto
-       & info [ "planner" ] ~docv:"MODE" ~doc)
-
-let no_planner_arg =
-  let doc = "Escape hatch: synonym for $(b,--planner fixed)." in
-  Arg.(value & flag & info [ "no-planner" ] ~doc)
-
-(* One composed term so every subcommand that used to take a backend
-   now resolves (backend, planner flags) the same way. *)
-let backend_arg =
-  let resolve backend planner no_planner =
-    match backend with
-    | Some b -> b
-    | None ->
-        if no_planner || planner = `Fixed then Gmatch.Engine.default_backend else Gmatch.Engine.Auto
+  let doc = "Number of trials per variant (default: per-tool); must be positive." in
+  let check = function
+    | Some n when n <= 0 -> invalid_config (Printf.sprintf "--trials must be positive (got %d)" n)
+    | trials -> trials
   in
-  Term.(const resolve $ backend_opt_arg $ planner_arg $ no_planner_arg)
+  Term.(const check $ Arg.(value & opt (some int) None & info [ "trials"; "t" ] ~docv:"N" ~doc))
+
+let backend_arg =
+  let doc = "Graph matching backend: auto (default; per-instance cost-based planner: \
+             sound bypasses first, calibrated argmin where the answer cannot depend \
+             on the choice), asp (the paper's Listing 3/4 specifications through the \
+             mini answer-set solver), direct (native matcher, the same backend for \
+             every instance) or incremental (creation-order fast path with exact \
+             fallback)." in
+  Arg.(value & opt backend_conv Gmatch.Engine.Auto & info [ "backend" ] ~docv:"B" ~doc)
 
 let seed_arg =
   let doc = "Base seed for transient-value derivation." in
@@ -76,38 +60,6 @@ let no_cache_arg =
      re-grounded and re-solved instead of served from cache)."
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
-
-let apply_cache_flag no_cache = Asp.Memo.set_enabled (not no_cache)
-
-let no_prune_arg =
-  let doc =
-    "Disable candidate pruning in the ASP matching backend (run the paper's \
-     Listing 3/4 encodings verbatim, with choice generators over the full \
-     node/edge cross product instead of colour-compatible pairs)."
-  in
-  Arg.(value & flag & info [ "no-prune" ] ~doc)
-
-let apply_prune_flag no_prune = Gmatch.Asp_backend.set_prune (not no_prune)
-
-let no_canon_arg =
-  let doc =
-    "Disable canonical-form fast paths in the matching engine (always ground \
-     and solve instead of deciding isomorphic pairs by canonical digest, and \
-     key the solve cache on raw rather than canonically relabelled instances)."
-  in
-  Arg.(value & flag & info [ "no-canon" ] ~doc)
-
-let apply_canon_flag no_canon = Pgraph.Canon.set_enabled (not no_canon)
-
-let no_segment_arg =
-  let doc =
-    "Disable the hierarchical matching prepass (always solve pairs whole \
-     instead of refuting them by quotient-graph comparison and splitting \
-     large ones into independently solved segments)."
-  in
-  Arg.(value & flag & info [ "no-segment" ] ~doc)
-
-let apply_segment_flag no_segment = Gmatch.Engine.set_segmentation (not no_segment)
 
 let plan_conv =
   let parse s = Result.map_error (fun m -> `Msg m) (Faults.Plan.of_string s) in
@@ -151,9 +103,14 @@ let fallback_arg =
   in
   Arg.(value & opt (enum [ ("on", true); ("off", false) ]) true & info [ "fallback" ] ~docv:"on|off" ~doc)
 
-let apply_fault_flags faults fallback =
-  Faults.Injector.set_plan faults;
-  Gmatch.Engine.set_fallback fallback
+(* The run's matching options: [--no-cache], plus [--fallback] on the
+   subcommands that take it.  Every other field keeps its default; the
+   non-default paths are reference oracles for the tests, not modes a
+   user picks. *)
+let opts_arg ~takes_fallback =
+  let make no_cache fallback = { Gmatch.Match_opts.default with memo = not no_cache; fallback } in
+  if takes_fallback then Term.(const make $ no_cache_arg $ fallback_arg)
+  else Term.(const (fun no_cache -> make no_cache true) $ no_cache_arg)
 
 (* Suite epilogue for robustness accounting.  The fault-outcome line and
    quarantine report go to stdout (both are deterministic for a fixed
@@ -175,12 +132,6 @@ let unknown_benchmark syscall known =
   Printf.eprintf "unknown syscall benchmark %S\nknown benchmarks: %s\n" syscall
     (String.concat " " known);
   Provmark.Exit_code.exit Provmark.Exit_code.Unknown_benchmark
-
-(* Invalid-configuration errors share one reporting path (and one exit
-   code) across subcommands. *)
-let invalid_config msg =
-  Printf.eprintf "%s\n" msg;
-  Provmark.Exit_code.exit Provmark.Exit_code.Invalid_config
 
 let store_arg =
   let doc =
@@ -264,7 +215,8 @@ let result_type_arg =
              written to finalResult/)." in
   Arg.(value & opt string "rb" & info [ "result-type"; "r" ] ~docv:"TYPE" ~doc)
 
-let config_of ?store ?deadline ?retries tool trials backend seed =
+let config_of ?store ?deadline ?retries ?(opts = Gmatch.Match_opts.default) tool trials backend
+    seed =
   let base = Provmark.Config.default tool in
   let retry =
     match retries with
@@ -275,6 +227,7 @@ let config_of ?store ?deadline ?retries tool trials backend seed =
     base with
     Provmark.Config.trials = Option.value trials ~default:base.Provmark.Config.trials;
     backend;
+    opts;
     seed;
     store;
     retry;
@@ -314,15 +267,11 @@ let run_cmd =
     let doc = "Syscall benchmark to run (e.g. open, rename, vfork)." in
     Arg.(required & pos 1 (some string) None & info [] ~docv:"SYSCALL" ~doc)
   in
-  let run tool syscall trials backend seed no_cache no_prune no_canon no_segment result_type
-      store no_store trace faults deadline retries fallback =
-    apply_cache_flag no_cache;
-    apply_prune_flag no_prune;
-    apply_canon_flag no_canon;
-    apply_segment_flag no_segment;
-    apply_fault_flags faults fallback;
+  let run tool syscall trials backend seed opts result_type store no_store trace faults deadline
+      retries =
+    Faults.Injector.set_plan faults;
     let store = store_of ~store ~no_store in
-    let config = config_of ?store ?deadline ?retries tool trials backend seed in
+    let config = config_of ?store ?deadline ?retries ~opts tool trials backend seed in
     match Provmark.Runner.run_syscall config syscall with
     | Error known -> unknown_benchmark syscall known
     | Ok r ->
@@ -334,9 +283,9 @@ let run_cmd =
   in
   let term =
     Term.(
-      const run $ tool_arg $ syscall_arg $ trials_arg $ backend_arg $ seed_arg $ no_cache_arg
-      $ no_prune_arg $ no_canon_arg $ no_segment_arg $ result_type_arg $ store_arg
-      $ no_store_arg $ trace_arg $ faults_arg $ deadline_arg $ retries_arg $ fallback_arg)
+      const run $ tool_arg $ syscall_arg $ trials_arg $ backend_arg $ seed_arg
+      $ opts_arg ~takes_fallback:true $ result_type_arg $ store_arg $ no_store_arg $ trace_arg
+      $ faults_arg $ deadline_arg $ retries_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Benchmark a single syscall (like fullAutomation.py).") term
 
@@ -353,16 +302,11 @@ let batch_cmd =
     let doc = "Also write per-stage timing CSV to this file (sampleResult format)." in
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
   in
-  let run tools trials backend seed jobs no_cache no_prune no_canon no_segment csv store
-      no_store trace faults deadline retries fallback =
-    apply_cache_flag no_cache;
-    apply_prune_flag no_prune;
-    apply_canon_flag no_canon;
-    apply_segment_flag no_segment;
-    apply_fault_flags faults fallback;
+  let run tools trials backend seed jobs opts csv store no_store trace faults deadline retries =
+    Faults.Injector.set_plan faults;
     let store = store_of ~store ~no_store in
     let configs =
-      List.map (fun tool -> config_of ?store ?deadline ?retries tool trials backend seed) tools
+      List.map (fun tool -> config_of ?store ?deadline ?retries ~opts tool trials backend seed) tools
     in
     let matrix = Provmark.Parallel_runner.run_matrix ~jobs ~on_result:progress configs in
     List.iter (fun (_, results) -> List.iter append_time_log results) matrix;
@@ -384,9 +328,9 @@ let batch_cmd =
   in
   let term =
     Term.(
-      const run $ tools_arg $ trials_arg $ backend_arg $ seed_arg $ jobs_arg $ no_cache_arg
-      $ no_prune_arg $ no_canon_arg $ no_segment_arg $ csv_arg $ store_arg $ no_store_arg
-      $ trace_arg $ faults_arg $ deadline_arg $ retries_arg $ fallback_arg)
+      const run $ tools_arg $ trials_arg $ backend_arg $ seed_arg $ jobs_arg
+      $ opts_arg ~takes_fallback:true $ csv_arg $ store_arg $ no_store_arg $ trace_arg
+      $ faults_arg $ deadline_arg $ retries_arg)
   in
   Cmd.v
     (Cmd.info "batch"
@@ -406,16 +350,11 @@ let report_cmd =
     let doc = "Output HTML file." in
     Arg.(value & opt string "finalResult/index.html" & info [ "out"; "o" ] ~docv:"FILE" ~doc)
   in
-  let run tools trials backend seed jobs no_cache no_prune no_canon no_segment out store
-      no_store faults deadline retries fallback =
-    apply_cache_flag no_cache;
-    apply_prune_flag no_prune;
-    apply_canon_flag no_canon;
-    apply_segment_flag no_segment;
-    apply_fault_flags faults fallback;
+  let run tools trials backend seed jobs opts out store no_store faults deadline retries =
+    Faults.Injector.set_plan faults;
     let store = store_of ~store ~no_store in
     let configs =
-      List.map (fun tool -> config_of ?store ?deadline ?retries tool trials backend seed) tools
+      List.map (fun tool -> config_of ?store ?deadline ?retries ~opts tool trials backend seed) tools
     in
     let matrix = Provmark.Parallel_runner.run_matrix ~jobs ~on_result:progress configs in
     List.iter (fun (_, results) -> List.iter append_time_log results) matrix;
@@ -427,9 +366,9 @@ let report_cmd =
   in
   let term =
     Term.(
-      const run $ tools_arg $ trials_arg $ backend_arg $ seed_arg $ jobs_arg $ no_cache_arg
-      $ no_prune_arg $ no_canon_arg $ no_segment_arg $ out_arg $ store_arg $ no_store_arg
-      $ faults_arg $ deadline_arg $ retries_arg $ fallback_arg)
+      const run $ tools_arg $ trials_arg $ backend_arg $ seed_arg $ jobs_arg
+      $ opts_arg ~takes_fallback:true $ out_arg $ store_arg $ no_store_arg $ faults_arg
+      $ deadline_arg $ retries_arg)
   in
   Cmd.v
     (Cmd.info "report"
@@ -654,11 +593,7 @@ let match_cmd =
     let doc = "Second graph file." in
     Arg.(required & pos 2 (some string) None & info [] ~docv:"FILE_B" ~doc)
   in
-  let run kind file_a file_b format backend no_cache no_prune no_canon no_segment =
-    apply_cache_flag no_cache;
-    apply_prune_flag no_prune;
-    apply_canon_flag no_canon;
-    apply_segment_flag no_segment;
+  let run kind file_a file_b format backend opts =
     let kind =
       match Provmark.Match_op.kind_of_string kind with
       | Ok k -> k
@@ -679,12 +614,12 @@ let match_cmd =
     in
     let ga = parse file_a in
     let gb = parse file_b in
-    print_string (Provmark.Match_op.run ~backend kind ga gb)
+    print_string (Provmark.Match_op.run ~opts ~backend kind ga gb)
   in
   let term =
     Term.(
-      const run $ kind_arg $ file_a_arg $ file_b_arg $ format_arg $ backend_arg $ no_cache_arg
-      $ no_prune_arg $ no_canon_arg $ no_segment_arg)
+      const run $ kind_arg $ file_a_arg $ file_b_arg $ format_arg $ backend_arg
+      $ opts_arg ~takes_fallback:false)
   in
   Cmd.v
     (Cmd.info "match"
@@ -781,14 +716,8 @@ let serve_cmd =
       & opt float Serve.Daemon.default_limits.breaker_cooldown_s
       & info [ "breaker-cooldown" ] ~docv:"SECONDS" ~doc)
   in
-  let run socket jobs queue_bound no_cache no_prune no_canon no_segment store no_store trace
-      fallback deadline idle_timeout max_line_bytes max_conns drain breaker_threshold
-      breaker_cooldown =
-    apply_cache_flag no_cache;
-    apply_prune_flag no_prune;
-    apply_canon_flag no_canon;
-    apply_segment_flag no_segment;
-    Gmatch.Engine.set_fallback fallback;
+  let run socket jobs queue_bound opts store no_store trace deadline idle_timeout max_line_bytes
+      max_conns drain breaker_threshold breaker_cooldown =
     let store = store_of ~store ~no_store in
     let endpoint = endpoint_of socket in
     if max_line_bytes <= 0 then invalid_config "--max-line-bytes must be positive";
@@ -805,9 +734,7 @@ let serve_cmd =
         breaker_cooldown_s = breaker_cooldown;
       }
     in
-    let cfg =
-      { Serve.Daemon.endpoint; jobs; queue_bound; store; trace; limits }
-    in
+    let cfg = { Serve.Daemon.endpoint; jobs; queue_bound; store; trace; limits; opts } in
     let on_ready () =
       Printf.eprintf "provmark serve: listening on %s (%d worker%s)\n%!"
         (Serve.Protocol.endpoint_to_string endpoint)
@@ -821,9 +748,8 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ socket_arg $ jobs_arg $ queue_bound_arg $ no_cache_arg $ no_prune_arg
-      $ no_canon_arg $ no_segment_arg $ store_arg $ no_store_arg $ trace_arg $ fallback_arg
-      $ deadline_arg $ idle_timeout_arg $ max_line_bytes_arg $ max_conns_arg $ drain_arg
+      const run $ socket_arg $ jobs_arg $ queue_bound_arg $ opts_arg ~takes_fallback:true
+      $ store_arg $ no_store_arg $ trace_arg $ deadline_arg $ idle_timeout_arg $ max_line_bytes_arg $ max_conns_arg $ drain_arg
       $ breaker_threshold_arg $ breaker_cooldown_arg)
   in
   Cmd.v

@@ -23,7 +23,7 @@ let compute_rules ?max_steps ?find_optimal ~rules ~facts () =
 let run ?max_steps ?find_optimal ?memo ~program ~facts () =
   let rules = Parser.parse_program program in
   match memo with
-  | Some tag when Memo.is_enabled () ->
+  | Some tag ->
       (* Key on the facts the program can actually read: transient
          properties (pids, timestamps) vary between trials, but a
          shape-only program like Listings.similarity never consults
@@ -36,11 +36,7 @@ let run ?max_steps ?find_optimal ?memo ~program ~facts () =
       in
       Memo.find_or_compute ~tag ~key (fun () ->
           compute_rules ?max_steps ?find_optimal ~rules ~facts ())
-  | Some _ | None ->
-      (* With the memo disabled, [find_or_compute] would compute anyway
-         (without even counting), so skip building the key — digesting
-         the program and fact base is pure waste under --no-cache. *)
-      compute_rules ?max_steps ?find_optimal ~rules ~facts ()
+  | None -> compute_rules ?max_steps ?find_optimal ~rules ~facts ()
 
 let matching_of_atoms atoms =
   List.filter_map

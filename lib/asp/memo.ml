@@ -25,10 +25,6 @@
 
 type stats = { hits : int; misses : int }
 
-let enabled = Atomic.make true
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
-
 let mutex = Mutex.create ()
 let done_cond = Condition.create ()
 
@@ -85,65 +81,62 @@ let key ~program ~facts ~max_steps ~find_optimal =
 type role = Cached of Solver.outcome | Lead
 
 let find_or_compute ~tag ~key compute =
-  if not (Atomic.get enabled) then compute ()
-  else begin
-    let quiet = !(Domain.DLS.get quiet_key) in
-    let rec acquire ~joined =
-      let role =
-        with_lock (fun () ->
-            (* [counter_of] creates the tag's (0, 0) entry on first
-               touch, which alone is enough to make [stats] nonempty —
-               so a muted caller must not even look it up. *)
-            match Hashtbl.find_opt table key with
-            | Some v ->
-                if not quiet then incr (fst (counter_of tag));
-                Some (Cached v)
-            | None ->
-                if Hashtbl.mem in_flight key then begin
-                  if (not joined) && not quiet then incr coalesced_count;
-                  None (* wait outside, then re-examine *)
-                end
-                else begin
-                  if not quiet then incr (snd (counter_of tag));
-                  Hashtbl.replace in_flight key ();
-                  Some Lead
-                end)
-      in
-      match role with
-      | Some r -> r
-      | None ->
-          (* Block until some leader finishes (any key — spurious
-             wakeups just loop), then look again: the outcome is now
-             cached, or the leader failed and leadership is open. *)
-          with_lock (fun () ->
-              while Hashtbl.mem in_flight key && not (Hashtbl.mem table key) do
-                Condition.wait done_cond mutex
-              done);
-          acquire ~joined:true
+  let quiet = !(Domain.DLS.get quiet_key) in
+  let rec acquire ~joined =
+    let role =
+      with_lock (fun () ->
+          (* [counter_of] creates the tag's (0, 0) entry on first
+             touch, which alone is enough to make [stats] nonempty —
+             so a muted caller must not even look it up. *)
+          match Hashtbl.find_opt table key with
+          | Some v ->
+              if not quiet then incr (fst (counter_of tag));
+              Some (Cached v)
+          | None ->
+              if Hashtbl.mem in_flight key then begin
+                if (not joined) && not quiet then incr coalesced_count;
+                None (* wait outside, then re-examine *)
+              end
+              else begin
+                if not quiet then incr (snd (counter_of tag));
+                Hashtbl.replace in_flight key ();
+                Some Lead
+              end)
     in
-    match acquire ~joined:false with
-    | Cached v -> v
-    | Lead ->
-        let finish store =
-          with_lock (fun () ->
-              (match store with
-              | Some v ->
-                  if Hashtbl.length table >= max_entries then Hashtbl.reset table;
-                  Hashtbl.replace table key v
-              | None -> ());
-              Hashtbl.remove in_flight key;
-              Condition.broadcast done_cond)
-        in
-        let v =
-          match compute () with
-          | v -> v
-          | exception e ->
-              finish None;
-              raise e
-        in
-        finish (Some v);
-        v
-  end
+    match role with
+    | Some r -> r
+    | None ->
+        (* Block until some leader finishes (any key — spurious
+           wakeups just loop), then look again: the outcome is now
+           cached, or the leader failed and leadership is open. *)
+        with_lock (fun () ->
+            while Hashtbl.mem in_flight key && not (Hashtbl.mem table key) do
+              Condition.wait done_cond mutex
+            done);
+        acquire ~joined:true
+  in
+  match acquire ~joined:false with
+  | Cached v -> v
+  | Lead ->
+      let finish store =
+        with_lock (fun () ->
+            (match store with
+            | Some v ->
+                if Hashtbl.length table >= max_entries then Hashtbl.reset table;
+                Hashtbl.replace table key v
+            | None -> ());
+            Hashtbl.remove in_flight key;
+            Condition.broadcast done_cond)
+      in
+      let v =
+        match compute () with
+        | v -> v
+        | exception e ->
+            finish None;
+            raise e
+      in
+      finish (Some v);
+      v
 
 let clear () = with_lock (fun () -> Hashtbl.reset table)
 

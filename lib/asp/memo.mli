@@ -11,18 +11,14 @@
     Concurrent solves of the same key are coalesced (single-flight):
     one leader computes while later arrivals block until the outcome is
     broadcast.  Keys are built from canonically relabelled instances
-    when {!Pgraph.Canon} is enabled, so concurrent requests for renamed
-    variants of one pair — the serve daemon's hot case — collapse to a
-    single solve; each caller still maps the shared canonical witness
-    back through its own relabelling. *)
+    when the caller's matching options enable canonicalization, so
+    concurrent requests for renamed variants of one pair — the serve
+    daemon's hot case — collapse to a single solve; each caller still
+    maps the shared canonical witness back through its own relabelling.
+    A run without caching (the CLI's [--no-cache]) never comes here: it
+    solves without a memo tag. *)
 
 type stats = { hits : int; misses : int }
-
-(** Caching is on by default; [set_enabled false] (the CLI's
-    [--no-cache]) makes {!find_or_compute} always recompute. *)
-val set_enabled : bool -> unit
-
-val is_enabled : unit -> bool
 
 (** Canonical cache key.  [facts] are rendered in sorted order, so the
     key is invariant under fact insertion order. *)

@@ -86,10 +86,10 @@ let graph_digest g =
    generalization: digesting the canonically relabelled rendering lets
    a re-run whose recorder handed out fresh ids replay the solve-heavy
    stages warm.  The "canon" prefix keeps the keyspace disjoint from
-   [graph_digest] (which [Config.backend_fp]'s canon flag separates
+   [graph_digest] (which [Config.backend_fp]'s canon field separates
    again at the key level). *)
-let canonical_graph_digest g =
-  match if Pgraph.Canon.is_enabled () then Pgraph.Canon.form g else None with
+let canonical_graph_digest ?(opts = Gmatch.Match_opts.default) g =
+  match if opts.Gmatch.Match_opts.canon then Pgraph.Canon.form g else None with
   | Some f ->
       digest ("canon\x00" ^ Datalog.Encode.graph_to_string ~gid:"d" (Pgraph.Canon.relabel g f))
   | None -> graph_digest g

@@ -59,8 +59,8 @@ val generated_input_key :
 val graph_digest : Pgraph.Graph.t -> string
 
 (** Like {!graph_digest}, but computed on the canonically relabelled
-    graph when {!Pgraph.Canon} is enabled (falling back to
-    {!graph_digest} when it is disabled or the graph exceeds the
+    graph when [opts.canon] is set (default [Gmatch.Match_opts.default];
+    falling back to {!graph_digest} when it is not, or the graph exceeds the
     canonicalization budget).  Equal for renamed copies of the same
     graph, so solve-heavy stage artifacts replay warm across runs that
     mint fresh identifiers.  The trade-off: properties still
@@ -68,7 +68,7 @@ val graph_digest : Pgraph.Graph.t -> string
     share entries whose stored payload carries the {e first} run's ids
     — callers must only key artifacts whose payloads are id-insensitive
     or whose ids they re-derive (see DESIGN.md). *)
-val canonical_graph_digest : Pgraph.Graph.t -> string
+val canonical_graph_digest : ?opts:Gmatch.Match_opts.t -> Pgraph.Graph.t -> string
 
 (** {2 Artifact IO}
 

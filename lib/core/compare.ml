@@ -9,8 +9,8 @@ type outcome = {
   matching_cost : int;
 }
 
-let compare ~backend ~bg ~fg =
-  match Gmatch.Engine.subgraph_matching ~backend bg fg with
+let compare_with opts ~backend ~bg ~fg =
+  match Gmatch.Engine.subgraph_matching ~opts ~backend bg fg with
   | None -> Error Background_not_embeddable
   | Some m ->
       let matched_nodes = List.map snd m.Gmatch.Matching.node_map in
@@ -20,3 +20,5 @@ let compare ~backend ~bg ~fg =
           target = Pgraph.Graph.subtract_matched fg ~matched_nodes ~matched_edges;
           matching_cost = m.Gmatch.Matching.cost;
         }
+
+let compare ~backend ~bg ~fg = compare_with Gmatch.Match_opts.default ~backend ~bg ~fg

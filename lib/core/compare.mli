@@ -18,6 +18,16 @@ type outcome = {
   matching_cost : int;  (** residual property mismatches of the embedding *)
 }
 
+(** [compare_with opts ~backend ~bg ~fg] runs the stage under the
+    matching options [opts]. *)
+val compare_with :
+  Gmatch.Match_opts.t ->
+  backend:Gmatch.Engine.backend ->
+  bg:Pgraph.Graph.t ->
+  fg:Pgraph.Graph.t ->
+  (outcome, failure) result
+
+(** {!compare_with} under [Gmatch.Match_opts.default]. *)
 val compare :
   backend:Gmatch.Engine.backend ->
   bg:Pgraph.Graph.t ->

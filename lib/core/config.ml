@@ -18,6 +18,7 @@ type t = {
   filter_graphs : bool;
   pair_choice : pair_choice;
   backend : Gmatch.Engine.backend;
+  opts : Gmatch.Match_opts.t;
   seed : int;
   flakiness : float;
   spade : Recorders.Spade.config;
@@ -41,6 +42,7 @@ let default tool =
     filter_graphs = (tool = Recorders.Recorder.Camflow);
     pair_choice = Smallest;
     backend = Gmatch.Engine.default_backend;
+    opts = Gmatch.Match_opts.default;
     seed = 1;
     flakiness = 0.08;
     spade = Recorders.Spade.default_config;
@@ -78,28 +80,29 @@ let recording_fingerprint t =
 (* Pruned and unpruned ASP encodings are pinned to the same verdicts
    and optimal costs, but not to the same optimal *witness*, and the
    generalized graph depends on which witness the solver returns — so
-   the prune toggle is part of the matching fingerprint.  The canon
-   toggle is there for the same reason: the canonical fast path (and
+   [opts.prune] is part of the matching fingerprint.  [opts.canon] is
+   there for the same reason: the canonical fast path (and
    the canonically relabelled ASP instances behind it) preserves
-   verdicts and costs but may pick a different optimal witness.  The
-   segmentation mode (and its size threshold, which decides *which*
-   pairs decompose) joins them for the same reason again: stitched
+   verdicts and costs but may pick a different optimal witness.
+   [opts.segment_min_nodes] (whose threshold decides *which* pairs
+   decompose) joins them for the same reason again: stitched
    witnesses are cost-optimal but need not coincide with the
    whole-graph solver's choice.  The planner needs no field of its
    own: Auto is a backend, so "auto" lands in the fingerprint through
    backend_to_string like any fixed choice — and the calibration state
    behind it deliberately never influences a cached artifact (the
    planner's timing-sensitive choices are confined to instances where
-   every candidate returns identical bytes). *)
+   every candidate returns identical bytes).  [opts.memo] never changes
+   an answer and stays out.  The rendering is part of every stored
+   key: changing it orphans the stores already on disk. *)
 let backend_fp t =
+  let o = t.opts in
   Printf.sprintf "%s,prune=%b,fallback=%b,canon=%b,segment=%s"
     (Gmatch.Engine.backend_to_string t.backend)
-    (Gmatch.Asp_backend.prune_enabled ())
-    (Gmatch.Engine.fallback_enabled ())
-    (Pgraph.Canon.is_enabled ())
-    (if Gmatch.Engine.segmentation_enabled () then
-       Printf.sprintf "on@%d" (Gmatch.Engine.segment_min_nodes ())
-     else "off")
+    o.Gmatch.Match_opts.prune o.Gmatch.Match_opts.fallback o.Gmatch.Match_opts.canon
+    (match o.Gmatch.Match_opts.segment_min_nodes with
+    | Some n -> Printf.sprintf "on@%d" n
+    | None -> "off")
 
 let generalization_fingerprint t =
   Printf.sprintf "backend=%s;filter=%b;pair=%s" (backend_fp t) t.filter_graphs

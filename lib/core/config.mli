@@ -34,6 +34,9 @@ type t = {
           the original default is true for CamFlow only *)
   pair_choice : pair_choice;
   backend : Gmatch.Engine.backend;
+  opts : Gmatch.Match_opts.t;
+      (** matching options; [Gmatch.Match_opts.default] unless a test or
+          bench selects another mode (CLI: [--no-cache], [--fallback]) *)
   seed : int;  (** base of the per-run transient-value derivation *)
   flakiness : float;  (** probability a SPADE/CamFlow run is perturbed *)
   spade : Recorders.Spade.config;
@@ -53,7 +56,8 @@ type t = {
 
 (** Per-tool defaults: 3 trials for SPADE, 2 for OPUS, 5 for CamFlow
     (the appendix batch runs used more trials for CamFlow than the
-    others), [filter_graphs] on for CamFlow only.  [store] is [None]. *)
+    others), [filter_graphs] on for CamFlow only.  [store] is [None],
+    [opts] is [Gmatch.Match_opts.default]. *)
 val default : Recorders.Recorder.tool -> t
 
 val default_trials : Recorders.Recorder.tool -> int
@@ -73,11 +77,17 @@ val tool_name : t -> string
     the per-tool recorder settings. *)
 val recording_fingerprint : t -> string
 
-(** Fields the generalization stage reads: backend (including the
-    global ASP prune and VF2-fallback toggles), [filter_graphs],
-    [pair_choice]. *)
+(** The matching part of the generalization and comparison keys:
+    backend plus the [prune], [fallback], [canon] and
+    [segment_min_nodes] options, e.g.
+    ["direct,prune=true,fallback=true,canon=true,segment=on@64"].  A
+    pure function of its argument whose rendering is part of the
+    on-disk cache contract. *)
+val backend_fp : t -> string
+
+(** Fields the generalization stage reads: {!backend_fp},
+    [filter_graphs], [pair_choice]. *)
 val generalization_fingerprint : t -> string
 
-(** Fields the comparison stage reads: backend (including the global
-    ASP prune and VF2-fallback toggles). *)
+(** Fields the comparison stage reads: {!backend_fp}. *)
 val comparison_fingerprint : t -> string

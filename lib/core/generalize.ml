@@ -38,7 +38,7 @@ let filter_incomplete graphs =
   in
   List.filter (fun g -> signature g = best_sig) graphs
 
-(* Partition into similarity classes.  With canonicalization enabled
+(* Partition into similarity classes.  With [opts.canon] set
    (and every graph in budget) the classes are exactly the canonical
    digest buckets — similarity is digest equality, no solver confirms
    anything.  Otherwise fingerprints bucket candidates cheaply and the
@@ -64,8 +64,8 @@ let digest_classes graphs digests =
     graphs digests;
   List.map (fun (_, members) -> List.rev !members) !classes
 
-let similarity_classes ~backend graphs =
-  let digests = if Canon.is_enabled () then List.map Canon.digest graphs else [] in
+let similarity_classes ~opts ~backend graphs =
+  let digests = if opts.Gmatch.Match_opts.canon then List.map Canon.digest graphs else [] in
   if digests <> [] && List.for_all Option.is_some digests then
     digest_classes graphs (List.map Option.get digests)
   else begin
@@ -78,7 +78,7 @@ let similarity_classes ~backend graphs =
           | (fp', members) :: rest ->
               if
                 Fingerprint.equal fp fp'
-                && (match !members with m :: _ -> Gmatch.Engine.similar ~backend g m | [] -> false)
+                && (match !members with m :: _ -> Gmatch.Engine.similar ~opts ~backend g m | [] -> false)
               then members := g :: !members
               else place rest
         in
@@ -108,12 +108,12 @@ let intersect_props g1 g2 (m : Gmatch.Matching.t) =
       | _ -> acc)
     g m.Gmatch.Matching.edge_map
 
-let generalize ~backend ~filter ~pair_choice graphs =
+let generalize ?(opts = Gmatch.Match_opts.default) ~backend ~filter ~pair_choice graphs =
   match graphs with
   | [] -> Error No_trials
   | _ ->
       let kept = if filter then filter_incomplete graphs else graphs in
-      let classes = similarity_classes ~backend kept in
+      let classes = similarity_classes ~opts ~backend kept in
       let eligible = List.filter (fun c -> List.length c >= 2) classes in
       let discarded = List.length graphs - List.length kept
                       + List.length (List.filter (fun c -> List.length c < 2) classes)
@@ -133,7 +133,7 @@ let generalize ~backend ~filter ~pair_choice graphs =
           in
           match chosen with
           | g1 :: g2 :: _ -> (
-              match Gmatch.Engine.generalization_matching ~backend g1 g2 with
+              match Gmatch.Engine.generalization_matching ~opts ~backend g1 g2 with
               | None -> Error (Alignment_failed "similar graphs failed to align")
               | Some m ->
                   Ok

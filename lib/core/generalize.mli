@@ -21,13 +21,15 @@ type outcome = {
   discarded : int;  (** trials dropped (filtering + singleton classes) *)
 }
 
-(** [generalize ~backend ~filter ~pair_choice graphs] implements the
+(** [generalize ~opts ~backend ~filter ~pair_choice graphs] implements the
     stage: optional pre-filtering of obviously incomplete graphs,
     similarity classing (with a fingerprint pre-bucketing before the
     exact solver), discarding singleton classes, choosing the
     smallest/largest eligible class, and property intersection over an
-    optimal matching of the chosen pair. *)
+    optimal matching of the chosen pair.  [opts] (default
+    [Gmatch.Match_opts.default]) reaches every engine call. *)
 val generalize :
+  ?opts:Gmatch.Match_opts.t ->
   backend:Gmatch.Engine.backend ->
   filter:bool ->
   pair_choice:Config.pair_choice ->

@@ -6,8 +6,8 @@
     points and render the same verdict text, so a daemon response is
     byte-identical to the batch CLI's output for the same inputs.  The
     rendering is deterministic: the engine's witnesses are a pure
-    function of the pair and the process-wide matching flags, and the
-    mapping lines are sorted. *)
+    function of the pair, the backend and the matching options passed
+    in, and the mapping lines are sorted. *)
 
 type kind =
   | Similar  (** label/structure-preserving bijection exists? *)
@@ -32,5 +32,12 @@ val parse_graph : format -> string -> (Pgraph.Graph.t, string) result
 
 (** [run kind a b] renders the verdict text: a ["similar: yes|no"]
     line, or a cost line plus sorted [n]/[e] mapping lines for the
-    witness-producing kinds. *)
-val run : ?backend:Gmatch.Engine.backend -> kind -> Pgraph.Graph.t -> Pgraph.Graph.t -> string
+    witness-producing kinds.  [opts] defaults to
+    [Gmatch.Match_opts.default]. *)
+val run :
+  ?opts:Gmatch.Match_opts.t ->
+  ?backend:Gmatch.Engine.backend ->
+  kind ->
+  Pgraph.Graph.t ->
+  Pgraph.Graph.t ->
+  string

@@ -62,13 +62,13 @@ let benchmark (config : Config.t) spec =
   if Array.length scheds = 0 || List.for_all (fun t -> t = []) spec.threads then
     Error No_behaviour
   else begin
-    let backend = config.Config.backend in
+    let backend = config.Config.backend and opts = config.Config.opts in
     (* Background: the usual deterministic pipeline on setup only. *)
     let bg_prog = program_for spec [] in
     let bg_recs = Recording.record_variant config bg_prog Program.Background in
     let bg_graphs = Transform.batch bg_recs in
     match
-      Generalize.generalize ~backend ~filter:config.Config.filter_graphs
+      Generalize.generalize ~opts ~backend ~filter:config.Config.filter_graphs
         ~pair_choice:config.Config.pair_choice bg_graphs
     with
     | Error _ -> Error No_background
@@ -98,7 +98,7 @@ let benchmark (config : Config.t) spec =
               | (fp', members) :: rest ->
                   if
                     Pgraph.Fingerprint.equal fp fp'
-                    && match !members with m :: _ -> Gmatch.Engine.similar ~backend g m | [] -> false
+                    && match !members with m :: _ -> Gmatch.Engine.similar ~opts ~backend g m | [] -> false
                   then members := g :: !members
                   else place rest
             in
@@ -112,15 +112,15 @@ let benchmark (config : Config.t) spec =
             (fun (_, members) ->
               match !members with
               | g1 :: g2 :: _ -> (
-                  match Gmatch.Engine.generalization_matching ~backend g1 g2 with
+                  match Gmatch.Engine.generalization_matching ~opts ~backend g1 g2 with
                   | None -> None
                   | Some m ->
                       let general = Generalize.intersect_props g1 g2 m in
                       let target =
-                        if Gmatch.Engine.similar ~backend bg.Generalize.general general then
+                        if Gmatch.Engine.similar ~opts ~backend bg.Generalize.general general then
                           Pgraph.Graph.empty
                         else
-                          match Compare.compare ~backend ~bg:bg.Generalize.general ~fg:general with
+                          match Compare.compare_with opts ~backend ~bg:bg.Generalize.general ~fg:general with
                           | Ok o -> o.Compare.target
                           | Error _ -> Pgraph.Graph.empty
                       in

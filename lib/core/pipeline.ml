@@ -196,14 +196,10 @@ let noted_of_json value_of_json j =
   ( value_of_json (J.member "value" j),
     List.map J.to_str (J.to_list (J.member "degraded" j)) )
 
-(* Engine degradation notes are per-domain; draining before the compute
-   discards anything a previous stage on this domain left behind, so
-   the post-compute drain is exactly this stage's notes. *)
 let with_notes f =
-  ignore (Gmatch.Engine.drain_notes ());
-  match f () with
-  | Ok v -> Ok (v, Gmatch.Engine.drain_notes ())
-  | Error e -> Error e
+  match Gmatch.Engine.collect_notes f with
+  | Ok v, notes -> Ok (v, notes)
+  | Error e, _ -> Error e
 
 type compared = Similar | Target of Compare.outcome
 
@@ -267,7 +263,7 @@ let generalization_stage config ~variant :
       (fun _ctx graphs ->
         with_notes (fun () ->
             match
-              Generalize.generalize ~backend:config.Config.backend
+              Generalize.generalize ~opts:config.Config.opts ~backend:config.Config.backend
                 ~filter:config.Config.filter_graphs ~pair_choice:config.Config.pair_choice graphs
             with
             | Ok o -> Ok o
@@ -282,9 +278,10 @@ let comparison_stage config : (Pgraph.Graph.t * Pgraph.Graph.t, compared * strin
     run =
       (fun _ctx (bg, fg) ->
         with_notes (fun () ->
-            if Gmatch.Engine.similar ~backend:config.Config.backend bg fg then Ok Similar
+            let opts = config.Config.opts and backend = config.Config.backend in
+            if Gmatch.Engine.similar ~opts ~backend bg fg then Ok Similar
             else
-              match Compare.compare ~backend:config.Config.backend ~bg ~fg with
+              match Compare.compare_with opts ~backend ~bg ~fg with
               | Ok o -> Ok (Target o)
               | Error Compare.Background_not_embeddable ->
                   Error
@@ -302,9 +299,9 @@ let comparison_stage config : (Pgraph.Graph.t * Pgraph.Graph.t, compared * strin
 
 let json_digest to_json v = Artifact_store.digest (J.to_string (to_json v))
 
-let graphs_digest graphs =
+let graphs_digest ~opts graphs =
   Artifact_store.digest
-    (String.concat "\x00" (List.map Artifact_store.canonical_graph_digest graphs))
+    (String.concat "\x00" (List.map (Artifact_store.canonical_graph_digest ~opts) graphs))
 
 (* ------------------------------------------------------------------ *)
 (* Pair-parallelism                                                    *)
@@ -373,7 +370,7 @@ let run_once ~record ~ctx session prog =
           let gen_fp = Config.generalization_fingerprint config in
           let generalize variant graphs gctx =
             Stage.execute ?store ?deadline_s ~ctx:gctx ~fingerprint:gen_fp
-              ~inputs:[ variant; graphs_digest graphs ]
+              ~inputs:[ variant; graphs_digest ~opts:config.Config.opts graphs ]
               (generalization_stage config ~variant)
               graphs
           in
@@ -408,8 +405,8 @@ let run_once ~record ~ctx session prog =
                  form cache for the stage itself), so it pairs too. *)
               let d_bg, d_fg =
                 both ~ctx
-                  (fun _ -> Artifact_store.canonical_graph_digest bg_g)
-                  (fun _ -> Artifact_store.canonical_graph_digest fg_g)
+                  (fun _ -> Artifact_store.canonical_graph_digest ~opts:config.Config.opts bg_g)
+                  (fun _ -> Artifact_store.canonical_graph_digest ~opts:config.Config.opts fg_g)
               in
               match
                 Stage.execute ?store ?deadline_s ~ctx

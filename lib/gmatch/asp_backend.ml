@@ -1,12 +1,5 @@
 let default_max_steps = 10_000_000
 
-(* Candidate pruning is on by default and togglable process-wide (the
-   CLI exposes --no-prune); reads are lock-free so parallel suite
-   workers can consult it freely. *)
-let prune_flag = Atomic.make true
-let set_prune b = Atomic.set prune_flag b
-let prune_enabled () = Atomic.get prune_flag
-
 type task = Similarity | Generalization | Comparison
 
 let encode g1 g2 =
@@ -54,9 +47,9 @@ let cand_facts task g1 g2 =
       (Fingerprint.edge_colours ~rounds g1)
       (Fingerprint.edge_colours ~rounds g2)
 
-let instance task g1 g2 =
+let instance ?(prune = true) task g1 g2 =
   let base = encode g1 g2 in
-  if prune_enabled () then
+  if prune then
     let program =
       match task with
       | Similarity -> Asp.Listings.similarity_pruned
@@ -83,7 +76,7 @@ let solve_site memo g1 g2 =
     (Pgraph.Fingerprint.to_hex (Pgraph.Fingerprint.of_graph g1))
     (Pgraph.Fingerprint.to_hex (Pgraph.Fingerprint.of_graph g2))
 
-(* Canonical-instance solving: when canonicalization is enabled, the
+(* Canonical-instance solving: when [opts.canon] is set, the
    instance handed to the solver — and hence every solve-memo key
    derived from it — is built from canonically relabelled graphs, so
    renamed copies of the same pair hit the same memo entry.  Only the
@@ -107,8 +100,10 @@ let translate_atoms f1 f2 atoms =
 (* Each entry point carries the pipeline stage it serves as its memo
    tag, so the solve cache reports hits per stage.  Pruned and unpruned
    instances differ in both program text and cand facts, so they memoize
-   under distinct keys automatically. *)
-let run_task ?(max_steps = default_max_steps) ~memo ~find_optimal task g1 g2 =
+   under distinct keys automatically.  With [opts.memo] off the tag is
+   withheld and every solve computes. *)
+let run_task ?(opts = Match_opts.default) ?(max_steps = default_max_steps) ~memo ~find_optimal
+    task g1 g2 =
   (* The fault tap keys on WL fingerprints, which are invariant under
      the relabelling below, so faulted sites fire identically with and
      without canonicalization. *)
@@ -116,36 +111,38 @@ let run_task ?(max_steps = default_max_steps) ~memo ~find_optimal task g1 g2 =
     if Faults.Injector.solver_exhaust ~site:(solve_site memo g1 g2) then 0 else max_steps
   in
   let canonical =
-    if Pgraph.Canon.is_enabled () then
+    if opts.Match_opts.canon then
       match (Pgraph.Canon.form g1, Pgraph.Canon.form g2) with
       | Some f1, Some f2 -> Some (f1, f2)
       | _ -> None
     else None
   in
+  let prune = opts.Match_opts.prune in
+  let memo = if opts.Match_opts.memo then Some memo else None in
   match canonical with
   | Some (f1, f2) -> (
       let c1 = Pgraph.Canon.relabel g1 f1 and c2 = Pgraph.Canon.relabel g2 f2 in
-      let program, facts = instance task c1 c2 in
-      match Asp.Engine.run ~max_steps ~find_optimal ~memo ~program ~facts () with
+      let program, facts = instance ~prune task c1 c2 in
+      match Asp.Engine.run ~max_steps ~find_optimal ?memo ~program ~facts () with
       | Asp.Engine.Model { cost; atoms; optimal } ->
           Asp.Engine.Model { cost; atoms = translate_atoms f1 f2 atoms; optimal }
       | outcome -> outcome)
   | None ->
-      let program, facts = instance task g1 g2 in
-      Asp.Engine.run ~max_steps ~find_optimal ~memo ~program ~facts ()
+      let program, facts = instance ~prune task g1 g2 in
+      Asp.Engine.run ~max_steps ~find_optimal ?memo ~program ~facts ()
 
 (* [Unknown] (step limit before any model) and non-optimal models (step
    limit before the optimality proof) both mean the solver ran out of
    budget: surface that so {!Engine} can fall back to VF2 instead of
    reporting a wrong verdict or a suboptimal witness. *)
-let similar_checked ?max_steps g1 g2 =
-  match run_task ?max_steps ~memo:"similarity" ~find_optimal:false Similarity g1 g2 with
+let similar_checked ?opts ?max_steps g1 g2 =
+  match run_task ?opts ?max_steps ~memo:"similarity" ~find_optimal:false Similarity g1 g2 with
   | Asp.Engine.Model _ -> Ok true
   | Asp.Engine.Unsat -> Ok false
   | Asp.Engine.Unknown -> Error `Step_limit
 
-let similar ?max_steps g1 g2 =
-  match similar_checked ?max_steps g1 g2 with Ok b -> b | Error `Step_limit -> false
+let similar ?opts ?max_steps g1 g2 =
+  match similar_checked ?opts ?max_steps g1 g2 with Ok b -> b | Error `Step_limit -> false
 
 let decode g1 outcome =
   match outcome with
@@ -154,20 +151,20 @@ let decode g1 outcome =
   | Asp.Engine.Model { optimal = false; _ } | Asp.Engine.Unknown -> Error `Step_limit
   | Asp.Engine.Unsat -> Ok None
 
-let iso_min_cost_checked ?max_steps g1 g2 =
-  decode g1 (run_task ?max_steps ~memo:"generalization" ~find_optimal:true Generalization g1 g2)
+let iso_min_cost_checked ?opts ?max_steps g1 g2 =
+  decode g1 (run_task ?opts ?max_steps ~memo:"generalization" ~find_optimal:true Generalization g1 g2)
 
-let sub_iso_min_cost_checked ?max_steps g1 g2 =
-  decode g1 (run_task ?max_steps ~memo:"comparison" ~find_optimal:true Comparison g1 g2)
+let sub_iso_min_cost_checked ?opts ?max_steps g1 g2 =
+  decode g1 (run_task ?opts ?max_steps ~memo:"comparison" ~find_optimal:true Comparison g1 g2)
 
 (* The unchecked entry points keep the historical behaviour (a limited
    non-optimal model is still returned; [Unknown] maps to [None]). *)
-let unchecked ?max_steps memo task g1 g2 =
-  match run_task ?max_steps ~memo ~find_optimal:true task g1 g2 with
+let unchecked ?opts ?max_steps memo task g1 g2 =
+  match run_task ?opts ?max_steps ~memo ~find_optimal:true task g1 g2 with
   | Asp.Engine.Model { cost; atoms; optimal = _ } ->
       Some (Matching.of_pairs g1 (Asp.Engine.matching_of_atoms atoms) cost)
   | Asp.Engine.Unsat | Asp.Engine.Unknown -> None
 
-let iso_min_cost ?max_steps g1 g2 = unchecked ?max_steps "generalization" Generalization g1 g2
+let iso_min_cost ?opts ?max_steps g1 g2 = unchecked ?opts ?max_steps "generalization" Generalization g1 g2
 
-let sub_iso_min_cost ?max_steps g1 g2 = unchecked ?max_steps "comparison" Comparison g1 g2
+let sub_iso_min_cost ?opts ?max_steps g1 g2 = unchecked ?opts ?max_steps "comparison" Comparison g1 g2

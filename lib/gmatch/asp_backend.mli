@@ -7,17 +7,18 @@
     By default the choice generators are restricted to colour-compatible
     candidate pairs computed from {!Pgraph.Fingerprint} colour classes
     (the pruned Listings variants), which shrinks the grounded [h]
-    search space without changing any verdict or optimal cost.  Disable
-    with {!set_prune} to run the verbatim paper encodings. *)
+    search space without changing any verdict or optimal cost.  A run
+    with [prune = false] in its {!Match_opts.t} uses the verbatim paper
+    encodings instead; the test suite keeps them as the paper oracle.
+
+    Every solving entry point takes [?opts] (default
+    {!Match_opts.default}) and reads three of its fields: [prune]
+    picks the encoding, [canon] solves canonically relabelled
+    instances (so renamed copies of a pair share one memo entry), and
+    [memo] decides whether the solve goes through {!Asp.Memo} at all. *)
 
 (** Step budget handed to the solver; raise for very large graphs. *)
 val default_max_steps : int
-
-(** Process-wide toggle for candidate pruning (default [true]).
-    Thread-safe; the CLI surfaces it as [--no-prune]. *)
-val set_prune : bool -> unit
-
-val prune_enabled : unit -> bool
 
 (** The three matching subproblems of the pipeline: exact similarity
     (Listing 3, any model), bijective min-cost alignment for
@@ -25,16 +26,19 @@ val prune_enabled : unit -> bool
     for comparison (Listing 4). *)
 type task = Similarity | Generalization | Comparison
 
-(** [instance task g1 g2] builds the (program, facts) pair that [task]
-    would solve, honouring the current prune setting — exposed for
+(** [instance ~prune task g1 g2] builds the (program, facts) pair that
+    [task] would solve, pruned unless [prune] is [false] — exposed for
     benchmarks that need to ground without solving. *)
-val instance : task -> Pgraph.Graph.t -> Pgraph.Graph.t -> string * Datalog.Base.t
+val instance :
+  ?prune:bool -> task -> Pgraph.Graph.t -> Pgraph.Graph.t -> string * Datalog.Base.t
 
-val similar : ?max_steps:int -> Pgraph.Graph.t -> Pgraph.Graph.t -> bool
+val similar : ?opts:Match_opts.t -> ?max_steps:int -> Pgraph.Graph.t -> Pgraph.Graph.t -> bool
 
-val iso_min_cost : ?max_steps:int -> Pgraph.Graph.t -> Pgraph.Graph.t -> Matching.t option
+val iso_min_cost :
+  ?opts:Match_opts.t -> ?max_steps:int -> Pgraph.Graph.t -> Pgraph.Graph.t -> Matching.t option
 
-val sub_iso_min_cost : ?max_steps:int -> Pgraph.Graph.t -> Pgraph.Graph.t -> Matching.t option
+val sub_iso_min_cost :
+  ?opts:Match_opts.t -> ?max_steps:int -> Pgraph.Graph.t -> Pgraph.Graph.t -> Matching.t option
 
 (** {2 Step-limit-aware variants}
 
@@ -49,10 +53,13 @@ val sub_iso_min_cost : ?max_steps:int -> Pgraph.Graph.t -> Pgraph.Graph.t -> Mat
     with a zero step budget and reports [`Step_limit]. *)
 
 val similar_checked :
+  ?opts:Match_opts.t ->
   ?max_steps:int -> Pgraph.Graph.t -> Pgraph.Graph.t -> (bool, [ `Step_limit ]) result
 
 val iso_min_cost_checked :
+  ?opts:Match_opts.t ->
   ?max_steps:int -> Pgraph.Graph.t -> Pgraph.Graph.t -> (Matching.t option, [ `Step_limit ]) result
 
 val sub_iso_min_cost_checked :
+  ?opts:Match_opts.t ->
   ?max_steps:int -> Pgraph.Graph.t -> Pgraph.Graph.t -> (Matching.t option, [ `Step_limit ]) result

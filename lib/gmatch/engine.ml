@@ -25,28 +25,40 @@ let backend_to_string = function
   | Incremental -> "incremental"
   | Auto -> "auto"
 
-(* Process-wide toggle, same discipline as Asp_backend.prune_flag: it
-   changes answers only when the ASP solver exhausts its budget, and it
-   participates in Config.backend_fp so cached artifacts key on it. *)
-let fallback_flag = Atomic.make true
-let set_fallback b = Atomic.set fallback_flag b
-let fallback_enabled () = Atomic.get fallback_flag
+(* Degradation notes are collected per domain, inside scopes.  A
+   benchmark's stage runs on one domain, so the notes of its scope are
+   exactly that stage's — deterministic at any [-j].  Scopes nest
+   because a domain waiting on segment solves runs queued help jobs,
+   which may be another stage (the other generalization variant):
+   that stage's scope sets the waiting stage's notes aside instead of
+   taking them.  Notes are recorded in emission order and deduplicated
+   when the scope closes. *)
+type note_scope = { mutable depth : int; mutable notes : string list }
 
-(* Degradation notes are collected per domain.  A benchmark's pipeline
-   runs sequentially on one worker domain, so the notes drained after a
-   stage are exactly that stage's — deterministic at any [-j].  Notes
-   are recorded in emission order and deduplicated on drain. *)
-let notes_key : string list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+let notes_key = Domain.DLS.new_key (fun () -> { depth = 0; notes = [] })
 
 let note msg =
-  let r = Domain.DLS.get notes_key in
-  r := msg :: !r
+  let s = Domain.DLS.get notes_key in
+  s.notes <- msg :: s.notes
 
-let drain_notes () =
-  let r = Domain.DLS.get notes_key in
-  let notes = List.rev !r in
-  r := [];
-  List.fold_left (fun acc n -> if List.mem n acc then acc else acc @ [ n ]) [] notes
+let collect_notes f =
+  let s = Domain.DLS.get notes_key in
+  (* The outermost scope drops notes left by engine calls made outside
+     any scope; an inner scope hands the enclosing scope's notes back. *)
+  let enclosing = if s.depth = 0 then [] else s.notes in
+  s.notes <- [];
+  s.depth <- s.depth + 1;
+  let close () =
+    let mine = List.rev s.notes in
+    s.depth <- s.depth - 1;
+    s.notes <- enclosing;
+    List.fold_left (fun acc n -> if List.mem n acc then acc else acc @ [ n ]) [] mine
+  in
+  match f () with
+  | v -> (v, close ())
+  | exception e ->
+      ignore (close ());
+      raise e
 
 (* Monotonic count of every step-limit degradation, across all domains
    and operations: the serve daemon's circuit breaker watches this to
@@ -96,26 +108,14 @@ let reset_canon_skips () =
 (* ------------------------------------------------------------------ *)
 (* Segmented matching                                                  *)
 
-(* Same process-wide discipline as the prune/canon/fallback flags: the
-   toggle (CLI [--no-segment]) and the size threshold participate in
+(* [opts.segment_min_nodes] (threshold included) participates in
    Config.backend_fp, because segmentation preserves verdicts and
    optimal costs but may pick a different optimal witness than the
    whole-graph solver. *)
-let segment_flag = Atomic.make true
-let set_segmentation b = Atomic.set segment_flag b
-let segmentation_enabled () = Atomic.get segment_flag
-
-(* Below this size whole-graph solving beats the decomposition's
-   overhead (and the suite's recorder graphs all stay below it, which
-   keeps suite output byte-identical with segmentation on or off). *)
-let default_segment_min_nodes = 64
-let segment_min_nodes_ref = Atomic.make default_segment_min_nodes
-let set_segment_min_nodes n = Atomic.set segment_min_nodes_ref (max 0 n)
-let segment_min_nodes () = Atomic.get segment_min_nodes_ref
-
-let segmentable g1 g2 =
-  segmentation_enabled ()
-  && max (Pgraph.Graph.node_count g1) (Pgraph.Graph.node_count g2) >= segment_min_nodes ()
+let segmentable ~opts g1 g2 =
+  match opts.Match_opts.segment_min_nodes with
+  | None -> false
+  | Some min_nodes -> max (Pgraph.Graph.node_count g1) (Pgraph.Graph.node_count g2) >= min_nodes
 
 (* Segment solves are independent, so a pool may run them in parallel.
    The engine cannot depend on Core's domain pool (the dependency goes
@@ -208,8 +208,8 @@ let auto_delta ~task ~sub f1 f2 g1 g2 =
       Some m
   | None -> None
 
-let canon_pair g1 g2 =
-  if Pgraph.Canon.is_enabled () then
+let canon_pair ~opts g1 g2 =
+  if opts.Match_opts.canon then
     match (Pgraph.Canon.form g1, Pgraph.Canon.form g2) with
     | Some f1, Some f2 -> Some (f1, f2)
     | _ -> None
@@ -240,7 +240,7 @@ let zero_cost_witness g1 g2 f1 f2 =
    pool's worker domains, whose per-domain note buffers the submitting
    benchmark never drains. *)
 
-let segment_similar ~backend (p : Pgraph.Summarize.plan) =
+let segment_similar ~opts ~backend (p : Pgraph.Summarize.plan) =
   let segs = Array.of_list p.Pgraph.Summarize.segments in
   let n = Array.length segs in
   let verdicts = Array.make n true in
@@ -259,10 +259,10 @@ let segment_similar ~backend (p : Pgraph.Summarize.plan) =
       | Direct | Auto -> Vf2.similar left right
       | Incremental -> Incremental.similar left right
       | Asp -> (
-          match Asp_backend.similar_checked left right with
+          match Asp_backend.similar_checked ~opts left right with
           | Ok b -> b
           | Error `Step_limit ->
-              if fallback_enabled () then begin
+              if opts.Match_opts.fallback then begin
                 degraded_segs.(i) <- true;
                 Vf2.similar left right
               end
@@ -274,7 +274,7 @@ let segment_similar ~backend (p : Pgraph.Summarize.plan) =
 
 exception Stitch_mismatch
 
-let segment_iso ~backend g1 g2 (p : Pgraph.Summarize.plan) =
+let segment_iso ~opts ~backend g1 g2 (p : Pgraph.Summarize.plan) =
   let segs = Array.of_list p.Pgraph.Summarize.segments in
   let n = Array.length segs in
   let witnesses = Array.make n None in
@@ -288,14 +288,14 @@ let segment_iso ~backend g1 g2 (p : Pgraph.Summarize.plan) =
       | Direct | Auto -> Vf2.iso_min_cost left right
       | Incremental -> Incremental.iso_min_cost left right
       | Asp -> (
-          match Asp_backend.iso_min_cost_checked left right with
+          match Asp_backend.iso_min_cost_checked ~opts left right with
           | Ok m -> m
           | Error `Step_limit ->
-              if fallback_enabled () then begin
+              if opts.Match_opts.fallback then begin
                 degraded_segs.(i) <- true;
                 Vf2.iso_min_cost left right
               end
-              else Asp_backend.iso_min_cost left right))
+              else Asp_backend.iso_min_cost ~opts left right))
   in
   run_segment_thunks (List.init n thunk);
   if Array.exists Fun.id degraded_segs then degraded "generalization";
@@ -321,12 +321,12 @@ let segment_iso ~backend g1 g2 (p : Pgraph.Summarize.plan) =
     | Error _ -> raise Stitch_mismatch);
     Some m
 
-let similar ?(backend = default_backend) g1 g2 =
+let similar ?(opts = Match_opts.default) ?(backend = default_backend) g1 g2 =
   let asp_similar () =
-    match Asp_backend.similar_checked g1 g2 with
+    match Asp_backend.similar_checked ~opts g1 g2 with
     | Ok b -> b
     | Error `Step_limit ->
-        if fallback_enabled () then begin
+        if opts.Match_opts.fallback then begin
           degraded "similarity";
           Vf2.similar g1 g2
         end
@@ -352,19 +352,19 @@ let similar ?(backend = default_backend) g1 g2 =
             match c with
             | Planner.Incr -> Incremental.similar ~counted:false g1 g2
             | Planner.Asp -> (
-                match Asp.Memo.quietly (fun () -> Asp_backend.similar_checked g1 g2) with
+                match Asp.Memo.quietly (fun () -> Asp_backend.similar_checked ~opts g1 g2) with
                 | Ok b -> b
                 | Error `Step_limit -> Vf2.similar g1 g2)
             | _ -> Vf2.similar g1 g2)
   in
-  match canon_pair g1 g2 with
+  match canon_pair ~opts g1 g2 with
   | Some (f1, f2) ->
       (* Digest equality is exactly label-isomorphism, which is exactly
          the Section 3.4 similarity every backend decides. *)
       canon_skip "similarity";
       same_digest f1 f2
   | None ->
-      if segmentable g1 g2 then
+      if segmentable ~opts g1 g2 then
         match Pgraph.Summarize.plan g1 g2 with
         | Pgraph.Summarize.Mismatch ->
             seg_skip "similarity";
@@ -374,22 +374,22 @@ let similar ?(backend = default_backend) g1 g2 =
             seg_mark_pair "similarity";
             if backend = Auto then
               planner_dispatch ~task:"similarity" Planner.Seg (Planner.features g1 g2) (fun () ->
-                  segment_similar ~backend p)
-            else segment_similar ~backend p
+                  segment_similar ~opts ~backend p)
+            else segment_similar ~opts ~backend p
       else whole ()
 
-let generalization_matching ?(backend = default_backend) g1 g2 =
+let generalization_matching ?(opts = Match_opts.default) ?(backend = default_backend) g1 g2 =
   let whole () =
     match backend with
     | Asp -> (
-        match Asp_backend.iso_min_cost_checked g1 g2 with
+        match Asp_backend.iso_min_cost_checked ~opts g1 g2 with
         | Ok m -> m
         | Error `Step_limit ->
-            if fallback_enabled () then begin
+            if opts.Match_opts.fallback then begin
               degraded "generalization";
               Vf2.iso_min_cost g1 g2
             end
-            else Asp_backend.iso_min_cost g1 g2)
+            else Asp_backend.iso_min_cost ~opts g1 g2)
     | Direct -> Vf2.iso_min_cost g1 g2
     | Incremental -> Incremental.iso_min_cost g1 g2
     | Auto ->
@@ -403,7 +403,7 @@ let generalization_matching ?(backend = default_backend) g1 g2 =
         planner_dispatch ~task:"generalization" Planner.Vf2 feats (fun () -> Vf2.iso_min_cost g1 g2)
   in
   let solve () =
-    if segmentable g1 g2 then
+    if segmentable ~opts g1 g2 then
       match Pgraph.Summarize.plan g1 g2 with
       | Pgraph.Summarize.Mismatch ->
           seg_skip "generalization";
@@ -412,7 +412,7 @@ let generalization_matching ?(backend = default_backend) g1 g2 =
       | Pgraph.Summarize.Segmented p -> (
           seg_mark_pair "generalization";
           let segmented () =
-            try segment_iso ~backend g1 g2 p
+            try segment_iso ~opts ~backend g1 g2 p
             with Stitch_mismatch ->
               Atomic.incr seg_fallback_count;
               whole ()
@@ -422,7 +422,7 @@ let generalization_matching ?(backend = default_backend) g1 g2 =
           else segmented ())
     else whole ()
   in
-  match canon_pair g1 g2 with
+  match canon_pair ~opts g1 g2 with
   | Some (f1, f2) when not (same_digest f1 f2) ->
       (* Not label-isomorphic: no bijective matching exists. *)
       canon_skip "generalization";
@@ -441,18 +441,18 @@ let generalization_matching ?(backend = default_backend) g1 g2 =
       | None -> solve ())
   | None -> solve ()
 
-let subgraph_matching ?(backend = default_backend) g1 g2 =
+let subgraph_matching ?(opts = Match_opts.default) ?(backend = default_backend) g1 g2 =
   let solve () =
     match backend with
     | Asp -> (
-        match Asp_backend.sub_iso_min_cost_checked g1 g2 with
+        match Asp_backend.sub_iso_min_cost_checked ~opts g1 g2 with
         | Ok m -> m
         | Error `Step_limit ->
-            if fallback_enabled () then begin
+            if opts.Match_opts.fallback then begin
               degraded "comparison";
               Vf2.sub_iso_min_cost g1 g2
             end
-            else Asp_backend.sub_iso_min_cost g1 g2)
+            else Asp_backend.sub_iso_min_cost ~opts g1 g2)
     | Direct -> Vf2.sub_iso_min_cost g1 g2
     | Incremental -> Incremental.sub_iso_min_cost g1 g2
     | Auto ->
@@ -465,7 +465,7 @@ let subgraph_matching ?(backend = default_backend) g1 g2 =
      may still exist), so only the equal-digest zero-cost case can
      bypass the search.  Equal digests pin equal sizes, which is what
      extends the delta path's uniqueness argument to embeddings. *)
-  match canon_pair g1 g2 with
+  match canon_pair ~opts g1 g2 with
   | Some (f1, f2) when same_digest f1 f2 -> (
       match zero_cost_witness g1 g2 f1 f2 with
       | Some m ->

@@ -3,7 +3,13 @@
     [Asp] runs the paper's Listing 3/4 specifications through the
     mini-ASP solver (the reference semantics); [Direct] runs the native
     VF2-style matcher (much faster on larger graphs).  Both compute the
-    same answers — this is enforced by the property-based test suite. *)
+    same answers — this is enforced by the property-based test suite.
+
+    The three entry points at the bottom take the run's
+    {!Match_opts.t} as [?opts] (default {!Match_opts.default}); the
+    sections below say which field each fast path reads.  Nothing here
+    reads process-global matching state, so concurrent calls with
+    different options do not interfere. *)
 
 type backend =
   | Asp
@@ -32,13 +38,10 @@ val backend_to_string : backend -> string
     When the [Asp] backend exhausts its step budget (genuinely, or
     through an injected [solver.exhaust] fault), the engine falls back
     to the VF2 matcher instead of reporting a wrong verdict, and leaves
-    a degradation note behind.  Fallback is on by default and togglable
-    process-wide (the CLI exposes [--fallback]); the flag participates
-    in the pipeline's backend fingerprint so cached artifacts never mix
-    fallback and non-fallback answers. *)
-
-val set_fallback : bool -> unit
-val fallback_enabled : unit -> bool
+    a degradation note behind — unless [opts.fallback] is [false] (the
+    CLI's [--fallback off]).  The field participates in the pipeline's
+    backend fingerprint so cached artifacts never mix fallback and
+    non-fallback answers. *)
 
 (** Process-lifetime count of step-limit degradations: one per
     degradation note (a whole-graph fallback, or a segmented solve with
@@ -48,7 +51,7 @@ val degraded_total : unit -> int
 
 (** {2 Canonical-form fast path}
 
-    When {!Pgraph.Canon} is enabled (the default), the entry points
+    When [opts.canon] is set (the default), the entry points
     below consult canonical digests before grounding anything: digest
     equality decides {!similar} outright; unequal digests make
     {!generalization_matching} return [None]; and an equal-digest pair
@@ -74,7 +77,9 @@ val reset_canon_skips : unit -> unit
 
 (** {2 Segmented matching}
 
-    Pairs at or above {!segment_min_nodes} nodes are decomposed through
+    Pairs with at least [opts.segment_min_nodes] nodes (default
+    {!Match_opts.default_segment_min_nodes}; [None] turns the prepass
+    off) are decomposed through
     {!Pgraph.Summarize} before any solver sees them: a quotient-graph
     mismatch refutes the pair outright, and otherwise the forced pairs
     are taken as-is while each ambiguous segment becomes an independent
@@ -82,28 +87,16 @@ val reset_canon_skips : unit -> unit
     witness that is verified before being reported.  The decomposition
     is exact for similarity and generalization; comparison (subgraph
     embedding does not preserve colours in the host graph) always runs
-    whole.  Like the prune and canon toggles, segmentation preserves
-    verdicts and optimal costs but not necessarily the identity of the
-    optimal witness, so the flag and threshold participate in
-    [Config.backend_fp].
+    whole.  Like [prune] and [canon], segmentation preserves verdicts
+    and optimal costs but not necessarily the identity of the optimal
+    witness, so the threshold participates in [Config.backend_fp].
 
     A segment solve that exhausts the ASP step budget falls back to VF2
-    under [--fallback] like a whole-graph solve would, but the merged
+    under [opts.fallback] like a whole-graph solve would, but the merged
     result carries exactly one degradation note, emitted on the calling
     domain after all segments finish — never one per segment, and never
     on a pool worker domain (whose note buffer the submitting benchmark
     would not drain). *)
-
-val set_segmentation : bool -> unit
-val segmentation_enabled : unit -> bool
-
-(** Pairs strictly below this node count solve whole (default
-    {!default_segment_min_nodes}): the decomposition only pays for
-    itself once grounding dominates. *)
-val default_segment_min_nodes : int
-
-val set_segment_min_nodes : int -> unit
-val segment_min_nodes : unit -> int
 
 (** [set_segment_runner (Some run)] injects a parallel executor for
     segment solves ([Core]'s pool installs one over its help queue).
@@ -129,24 +122,28 @@ val segment_fallbacks : unit -> int
 
 val reset_segment_stats : unit -> unit
 
-(** [drain_notes ()] returns and clears the degradation notes recorded
-    on the calling domain since the last drain, in emission order and
-    deduplicated.  A benchmark's pipeline runs sequentially on one
-    worker domain, so draining after a stage yields exactly that
-    stage's notes — deterministic at any [-j]. *)
-val drain_notes : unit -> string list
+(** [collect_notes f] runs [f] and returns its result with the
+    degradation notes recorded on the calling domain while it ran, in
+    emission order and deduplicated.  A stage runs on one domain, so a
+    stage's scope yields exactly that stage's notes — deterministic at
+    any [-j].  Scopes nest: a job the domain runs while [f] waits on
+    the pool's help queue collects its own notes and leaves [f]'s in
+    place. *)
+val collect_notes : (unit -> 'a) -> 'a * string list
 
 (** Shape similarity (Section 3.4): do the two graphs admit a label- and
     structure-preserving bijection? *)
-val similar : ?backend:backend -> Pgraph.Graph.t -> Pgraph.Graph.t -> bool
+val similar : ?opts:Match_opts.t -> ?backend:backend -> Pgraph.Graph.t -> Pgraph.Graph.t -> bool
 
 (** Optimal bijective matching between two similar graphs, minimizing
     property mismatches — the generalization-stage matching. *)
 val generalization_matching :
+  ?opts:Match_opts.t ->
   ?backend:backend -> Pgraph.Graph.t -> Pgraph.Graph.t -> Matching.t option
 
 (** Optimal embedding of the first graph into the second, minimizing
     property mismatches — the comparison-stage matching (background into
     foreground). *)
 val subgraph_matching :
+  ?opts:Match_opts.t ->
   ?backend:backend -> Pgraph.Graph.t -> Pgraph.Graph.t -> Matching.t option

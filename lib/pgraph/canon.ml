@@ -24,13 +24,6 @@ type form = {
   edge_order : string array;  (* original edge ids, canonical positions *)
 }
 
-(* Process-wide toggle, mirroring Asp_backend.prune_flag: the CLI
-   exposes it as --no-canon, and Config.backend_fp fingerprints it so
-   cached artifacts never mix canon and no-canon witnesses. *)
-let enabled = Atomic.make true
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
-
 (* The individualization-refinement tree has one leaf per refinement of
    the partition to a discrete one; symmetric graphs can have
    factorially many.  The budget bounds the leaves explored, and the

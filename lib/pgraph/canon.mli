@@ -28,17 +28,15 @@ type form = {
   edge_order : string array;  (** likewise for edges *)
 }
 
-(** {2 Process-wide toggle}
+(** {2 Who consults forms}
 
-    Canonicalization is on by default; the CLI exposes [--no-canon].
-    The flag participates in {!Config}'s backend fingerprint: the
-    canonical fast paths preserve every verdict and optimal cost, but
-    (like candidate pruning) not necessarily the optimal {e witness}
-    an ASP solve returns, so cached artifacts never mix the modes. *)
-
-val set_enabled : bool -> unit
-
-val is_enabled : unit -> bool
+    This module only computes forms; whether a run uses them is the
+    [canon] field of that run's [Gmatch.Match_opts.t], passed along
+    with each call rather than held here.  The field participates in
+    [Config.backend_fp]: the canonical fast paths preserve every
+    verdict and optimal cost, but (like candidate pruning) not
+    necessarily the optimal {e witness} an ASP solve returns, so cached
+    artifacts never mix the modes. *)
 
 (** [form g] is the canonical form of [g], or [None] when the
     individualization–refinement search exceeds its leaf budget (very

@@ -31,6 +31,7 @@ type config = {
   store : Provmark.Artifact_store.t option;
   trace : string option;
   limits : limits;
+  opts : Gmatch.Match_opts.t;
 }
 
 let default_queue_bound = 64
@@ -126,6 +127,7 @@ let benchmark_config t (b : Protocol.benchmark) =
     base with
     Provmark.Config.trials = Option.value b.trials ~default:base.Provmark.Config.trials;
     backend = b.backend;
+    opts = t.cfg.opts;
     seed = b.seed;
     store = t.cfg.store;
     (* The per-request deadline rides the pipeline's own per-stage
@@ -170,7 +172,7 @@ let exec_match t (m : Protocol.match_req) =
         | Error e -> Error (Protocol.Bad_request, "graph b: " ^ e)
         | Ok gb ->
             Ok
-              ( Provmark.Match_op.run ?backend:m.m_backend m.kind ga gb,
+              ( Provmark.Match_op.run ~opts:t.cfg.opts ?backend:m.m_backend m.kind ga gb,
                 Exit_code.to_int Exit_code.Ok ))
   in
   match t.cfg.limits.deadline_s with

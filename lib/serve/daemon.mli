@@ -109,6 +109,9 @@ type config = {
   trace : string option;
       (** write the span tree of every completed run here on shutdown *)
   limits : limits;
+  opts : Gmatch.Match_opts.t;
+      (** matching options of every request this daemon serves (CLI:
+          [--no-cache], [--fallback]) *)
 }
 
 val default_queue_bound : int

@@ -116,7 +116,11 @@ let benchmark_of_json obj =
   let* tool_s = str_field obj "tool" in
   let* tool = Recorders.Recorder.tool_of_string tool_s in
   let* syscall = str_field obj "syscall" in
-  let* trials = opt_int_field obj "trials" in
+  let* trials =
+    match opt_int_field obj "trials" with
+    | Ok (Some n) when n <= 0 -> Error (Printf.sprintf "field \"trials\" must be positive (got %d)" n)
+    | r -> r
+  in
   let* seed = opt_int_field obj "seed" in
   let* backend_s = opt_str_field obj "backend" in
   let* backend =

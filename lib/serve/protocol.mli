@@ -41,7 +41,7 @@ val sockaddr : endpoint -> Unix.sockaddr
 type benchmark = {
   tool : Recorders.Recorder.tool;
   syscall : string;
-  trials : int option;
+  trials : int option;  (** positive when present; the parser rejects [<= 0] *)
   seed : int;
   backend : Gmatch.Engine.backend;
   result_type : string;  (** ["rb"] or ["rg"]; ["rh"] is CLI-only *)

@@ -10,7 +10,7 @@
    - the canonically rekeyed solve memo: renamed instances replay warm,
      and translated witnesses verify on the original graphs;
    - the pair-parallel pipeline: suite output is byte-identical across
-     --no-canon/default and across job counts. *)
+     canon off/default and across job counts. *)
 
 open Pgraph
 module Engine = Gmatch.Engine
@@ -24,20 +24,7 @@ module Pool = Provmark.Pool
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let with_canon enabled f =
-  Canon.set_enabled enabled;
-  Fun.protect ~finally:(fun () -> Canon.set_enabled true) f
-
-let with_cache enabled f =
-  Asp.Memo.set_enabled enabled;
-  Asp.Memo.clear ();
-  Asp.Memo.reset_stats ();
-  Fun.protect
-    ~finally:(fun () ->
-      Asp.Memo.set_enabled true;
-      Asp.Memo.clear ();
-      Asp.Memo.reset_stats ())
-    f
+let canon_opts canon = { Gmatch.Match_opts.default with canon }
 
 (* ------------------------------------------------------------------ *)
 (* Digest invariance                                                   *)
@@ -99,20 +86,20 @@ let test_witness_is_isomorphism () =
 let cost_view = function None -> None | Some (m : Matching.t) -> Some m.Matching.cost
 
 let agree ~backend g h =
-  let run flag op = with_canon flag (fun () -> op ()) in
-  let sim_on = run true (fun () -> Engine.similar ~backend g h) in
-  let sim_off = run false (fun () -> Engine.similar ~backend g h) in
+  let on = canon_opts true and off = canon_opts false in
+  let sim_on = Engine.similar ~opts:on ~backend g h in
+  let sim_off = Engine.similar ~opts:off ~backend g h in
   check_bool "similar agrees" sim_off sim_on;
-  let gen_on = run true (fun () -> Engine.generalization_matching ~backend g h) in
-  let gen_off = run false (fun () -> Engine.generalization_matching ~backend g h) in
+  let gen_on = Engine.generalization_matching ~opts:on ~backend g h in
+  let gen_off = Engine.generalization_matching ~opts:off ~backend g h in
   Alcotest.(check (option int)) "generalization cost agrees" (cost_view gen_off) (cost_view gen_on);
   (match gen_on with
   | Some m ->
       check_bool "generalization witness verifies" true (Matching.verify ~sub:false g h m = Ok ());
       check_int "witness cost is the reported cost" m.Matching.cost (Matching.cost_of g h m)
   | None -> ());
-  let sub_on = run true (fun () -> Engine.subgraph_matching ~backend g h) in
-  let sub_off = run false (fun () -> Engine.subgraph_matching ~backend g h) in
+  let sub_on = Engine.subgraph_matching ~opts:on ~backend g h in
+  let sub_off = Engine.subgraph_matching ~opts:off ~backend g h in
   Alcotest.(check (option int)) "comparison cost agrees" (cost_view sub_off) (cost_view sub_on);
   match sub_on with
   | Some m ->
@@ -158,9 +145,8 @@ let test_skip_counters () =
   Fun.protect ~finally:Engine.reset_canon_skips (fun () ->
       let g = Helpers.random_graph (Random.State.make [| 9 |]) in
       let h = Helpers.permute_ids g in
-      with_canon true (fun () ->
-          check_bool "iso pair is similar" true (Engine.similar g h);
-          ignore (Engine.generalization_matching g h));
+      check_bool "iso pair is similar" true (Engine.similar g h);
+      ignore (Engine.generalization_matching g h);
       check_bool "skips recorded" true (Engine.canon_skip_total () >= 2);
       check_bool "tagged per stage" true
         (List.mem_assoc "similarity" (Engine.canon_skips ())
@@ -175,7 +161,7 @@ let memo_counts tag =
   | Some { Asp.Memo.hits; misses } -> (hits, misses)
   | None -> (0, 0)
 
-let solve_pair g h = Gmatch.Asp_backend.iso_min_cost g h
+let solve_pair ~canon g h = Gmatch.Asp_backend.iso_min_cost ~opts:(canon_opts canon) g h
 
 let test_memo_rename_invariant () =
   (* A property-perturbed pair (cost > 0, so the engine bypass cannot
@@ -185,22 +171,22 @@ let test_memo_rename_invariant () =
   let g = Helpers.random_graph ~max_nodes:4 ~max_edges:4 (Random.State.make [| 21 |]) in
   let h = perturb_prop (Helpers.rename_with_prefix "r:" g) in
   let renamed_hits canon =
-    with_canon canon (fun () ->
-        with_cache true (fun () ->
-            let first = solve_pair g h in
-            let _, misses_before = memo_counts "generalization" in
-            let g' = Helpers.rename_with_prefix "a:" g in
-            let h' = Helpers.rename_with_prefix "b:" h in
-            let second = solve_pair g' h' in
-            let hits, misses = memo_counts "generalization" in
-            Alcotest.(check (option int))
-              "renamed pair solves to the same cost" (cost_view first) (cost_view second);
-            (match second with
-            | Some m ->
-                check_bool "translated witness verifies on renamed graphs" true
-                  (Matching.verify ~sub:false g' h' m = Ok ())
-            | None -> Alcotest.fail "perturbed iso pair must align");
-            (hits > 0, misses > misses_before)))
+    Asp.Memo.clear ();
+    Asp.Memo.reset_stats ();
+    let first = solve_pair ~canon g h in
+    let _, misses_before = memo_counts "generalization" in
+    let g' = Helpers.rename_with_prefix "a:" g in
+    let h' = Helpers.rename_with_prefix "b:" h in
+    let second = solve_pair ~canon g' h' in
+    let hits, misses = memo_counts "generalization" in
+    Alcotest.(check (option int))
+      "renamed pair solves to the same cost" (cost_view first) (cost_view second);
+    (match second with
+    | Some m ->
+        check_bool "translated witness verifies on renamed graphs" true
+          (Matching.verify ~sub:false g' h' m = Ok ())
+    | None -> Alcotest.fail "perturbed iso pair must align");
+    (hits > 0, misses > misses_before)
   in
   let hit, _ = renamed_hits true in
   check_bool "canon on: renamed instance hits" true hit;
@@ -260,13 +246,12 @@ let suite_views ~jobs config progs =
 let test_suite_identical_across_canon_and_jobs () =
   let config = Config.default Recorder.Spade in
   let progs = Provmark.Bench_registry.all in
-  let reference = with_canon true (fun () -> suite_views ~jobs:1 config progs) in
+  let reference = suite_views ~jobs:1 config progs in
   Alcotest.(check (list string))
-    "-j4 (pair pool engaged) equals -j1" reference
-    (with_canon true (fun () -> suite_views ~jobs:4 config progs));
+    "-j4 (pair pool engaged) equals -j1" reference (suite_views ~jobs:4 config progs);
   Alcotest.(check (list string))
-    "--no-canon equals default" reference
-    (with_canon false (fun () -> suite_views ~jobs:1 config progs))
+    "canon off equals default" reference
+    (suite_views ~jobs:1 { config with Config.opts = canon_opts false } progs)
 
 let () =
   Alcotest.run "canon"

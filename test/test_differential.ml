@@ -130,10 +130,9 @@ let prop_compare_stage_agrees =
    agree on every verdict and every optimal cost                       *)
 (* ------------------------------------------------------------------ *)
 
-let with_prune enabled f =
-  let prev = Asp_backend.prune_enabled () in
-  Asp_backend.set_prune enabled;
-  Fun.protect ~finally:(fun () -> Asp_backend.set_prune prev) f
+(* The unpruned run is the verbatim Listings 3/4 encoding: the paper
+   oracle the pruned encoding answers to. *)
+let unpruned = { Gmatch.Match_opts.default with prune = false }
 
 let cost_opt = function None -> None | Some m -> Some m.Matching.cost
 
@@ -141,27 +140,24 @@ let prop_pruning_similar =
   Helpers.qcheck ~count:60 "pruned, unpruned and VF2 agree on similarity" pair_arb
     (fun (o1, o2) ->
       let g1 = graph_of_ops o1 and g2 = graph_of_ops o2 in
-      let pruned = with_prune true (fun () -> Asp_backend.similar g1 g2) in
-      let unpruned = with_prune false (fun () -> Asp_backend.similar g1 g2) in
-      pruned = unpruned && pruned = Vf2.similar g1 g2)
+      let pruned = Asp_backend.similar g1 g2 in
+      pruned = Asp_backend.similar ~opts:unpruned g1 g2 && pruned = Vf2.similar g1 g2)
 
 let prop_pruning_generalization =
   Helpers.qcheck ~count:40 "pruned, unpruned and VF2 agree on generalization cost" pair_arb
     (fun (o1, o2) ->
       let g1 = graph_of_ops o1 and g2 = graph_of_ops o2 in
-      let pruned = with_prune true (fun () -> cost_opt (Asp_backend.iso_min_cost g1 g2)) in
-      let unpruned = with_prune false (fun () -> cost_opt (Asp_backend.iso_min_cost g1 g2)) in
-      pruned = unpruned && pruned = cost_opt (Vf2.iso_min_cost g1 g2))
+      let pruned = cost_opt (Asp_backend.iso_min_cost g1 g2) in
+      pruned = cost_opt (Asp_backend.iso_min_cost ~opts:unpruned g1 g2)
+      && pruned = cost_opt (Vf2.iso_min_cost g1 g2))
 
 let prop_pruning_comparison =
   Helpers.qcheck ~count:40 "pruned, unpruned and VF2 agree on embedding cost" pair_arb
     (fun (o1, o2) ->
       let g1 = graph_of_ops o1 and g2 = graph_of_ops o2 in
-      let pruned = with_prune true (fun () -> cost_opt (Asp_backend.sub_iso_min_cost g1 g2)) in
-      let unpruned =
-        with_prune false (fun () -> cost_opt (Asp_backend.sub_iso_min_cost g1 g2))
-      in
-      pruned = unpruned && pruned = cost_opt (Vf2.sub_iso_min_cost g1 g2))
+      let pruned = cost_opt (Asp_backend.sub_iso_min_cost g1 g2) in
+      pruned = cost_opt (Asp_backend.sub_iso_min_cost ~opts:unpruned g1 g2)
+      && pruned = cost_opt (Vf2.sub_iso_min_cost g1 g2))
 
 (* ------------------------------------------------------------------ *)
 (* Streaming ingestion: the chunked readers and the whole-buffer
@@ -232,7 +228,6 @@ let prop_stream_preserves_digests =
       let mem = Recorders.Provjson.of_string json in
       let st = Recorders.Provjson.of_stream ~read:(reader ~chunk:13 json) in
       let fp g = Fingerprint.to_hex (Fingerprint.of_graph g) in
-      Canon.set_enabled true;
       Canon.clear ();
       String.equal (fp mem) (fp st) && Canon.digest mem = Canon.digest st
       && Canon.digest mem <> None)

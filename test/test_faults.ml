@@ -14,16 +14,12 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* Every test leaves the process-wide toggles the way it found them:
-   the suites share one binary with plan/fallback state in atomics. *)
+(* Every test leaves the process-wide fault plan the way it found it:
+   the suites share one binary with the plan in an atomic. *)
 let with_plan plan f =
   Injector.set_plan (Some plan);
   Injector.reset_counters ();
   Fun.protect ~finally:(fun () -> Injector.set_plan None) f
-
-let with_fallback b f =
-  Gmatch.Engine.set_fallback b;
-  Fun.protect ~finally:(fun () -> Gmatch.Engine.set_fallback true) f
 
 let plan_of_string_exn spec =
   match Plan.of_string spec with
@@ -31,11 +27,13 @@ let plan_of_string_exn spec =
   | Error m -> Alcotest.failf "plan %S rejected: %s" spec m
 
 let config ?(tool = Recorder.Spade) ?(trials = 2) ?(backend = Gmatch.Engine.Direct)
-    ?store ?deadline ?(retry = Config.default_retry) ?(seed = 1) () =
+    ?(opts = Gmatch.Match_opts.default) ?store ?deadline ?(retry = Config.default_retry)
+    ?(seed = 1) () =
   {
     (Config.default tool) with
     Config.trials;
     backend;
+    opts;
     seed;
     store;
     flakiness = 0.;
@@ -229,10 +227,10 @@ let test_fallback_deterministic () =
   check_bool "same notes" true (r1.Res.degraded = r2.Res.degraded)
 
 let test_fallback_disabled () =
+  let opts = { Gmatch.Match_opts.default with fallback = false } in
   let r =
-    with_fallback false (fun () ->
-        with_plan (plan_of_string_exn exhaust_plan) (fun () ->
-            Provmark.Runner.run_once (config ~backend:Gmatch.Engine.Asp ()) (bench "open")))
+    with_plan (plan_of_string_exn exhaust_plan) (fun () ->
+        Provmark.Runner.run_once (config ~backend:Gmatch.Engine.Asp ~opts ()) (bench "open"))
   in
   (* Without the fallback an exhausted solver degrades nothing — the
      benchmark just fails to find similar pairs; either way nothing

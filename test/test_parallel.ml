@@ -118,6 +118,35 @@ let test_run_matrix_equals_columns () =
         (views results))
     configs matrix
 
+(* Configs that differ only in their matching options run side by side
+   in one pool: each cell must print exactly what its config prints when
+   run alone, so no option leaks into a concurrently running config.
+   Every ASP solve is made to exhaust its budget and fall back to VF2,
+   so a cell's degradation notes show which solves its options sent to
+   the solver; at the default plan every cell would print the same
+   bytes and a leak would go unseen. *)
+let test_options_are_per_config () =
+  let plan = Result.get_ok (Faults.Plan.of_string "seed=5,solver.exhaust=1") in
+  Faults.Injector.set_plan (Some plan);
+  Fun.protect ~finally:(fun () -> Faults.Injector.set_plan None) @@ fun () ->
+  let base = { (Config.default Recorder.Spade) with Config.backend = Gmatch.Engine.Asp } in
+  let config_with canon segment_min_nodes =
+    { base with Config.opts = { base.Config.opts with canon; segment_min_nodes } }
+  in
+  let configs =
+    [ config_with true (Some 0); config_with false None; config_with false (Some 0); base ]
+  in
+  let printed results = List.map (Provmark.Report.run_output ~result_type:"rg") results in
+  let cells = List.map (fun (_, results) -> printed results) (Parallel_runner.run_matrix ~jobs:4 configs) in
+  List.iter2
+    (fun config cell ->
+      Alcotest.(check (list string))
+        (Config.backend_fp config ^ " cell equals its -j1 run")
+        (printed (Parallel_runner.run_all ~jobs:1 config Provmark.Bench_registry.all))
+        cell)
+    configs cells;
+  check_bool "canon on and off print differently" true (List.nth cells 0 <> List.nth cells 1)
+
 let test_on_result_sees_every_benchmark () =
   let config = Config.default Recorder.Spade in
   let progs = Provmark.Bench_registry.all in
@@ -139,29 +168,19 @@ let test_on_result_sees_every_benchmark () =
 (* ------------------------------------------------------------------ *)
 
 let asp_config = { (Config.default Recorder.Spade) with Config.backend = Gmatch.Engine.Asp }
+let no_memo = { Gmatch.Match_opts.default with memo = false }
 
-let with_cache enabled f =
-  Asp.Memo.set_enabled enabled;
+let fresh_memo () =
   Asp.Memo.clear ();
-  Asp.Memo.reset_stats ();
-  Fun.protect ~finally:(fun () ->
-      Asp.Memo.set_enabled true;
-      Asp.Memo.clear ();
-      Asp.Memo.reset_stats ())
-    f
+  Asp.Memo.reset_stats ()
 
 let test_cache_consistency () =
   let prog = Provmark.Bench_registry.find_exn "open" in
-  let uncached = with_cache false (fun () -> view (Runner.run asp_config prog)) in
-  let cold, warm, hits =
-    with_cache true (fun () ->
-        let cold = view (Runner.run asp_config prog) in
-        let warm = view (Runner.run asp_config prog) in
-        let hits =
-          List.fold_left (fun acc (_, s) -> acc + s.Asp.Memo.hits) 0 (Asp.Memo.stats ())
-        in
-        (cold, warm, hits))
-  in
+  fresh_memo ();
+  let uncached = view (Runner.run { asp_config with Config.opts = no_memo } prog) in
+  let cold = view (Runner.run asp_config prog) in
+  let warm = view (Runner.run asp_config prog) in
+  let hits = List.fold_left (fun acc (_, s) -> acc + s.Asp.Memo.hits) 0 (Asp.Memo.stats ()) in
   Alcotest.(check string) "cold run equals uncached" uncached cold;
   Alcotest.(check string) "warm run equals uncached" uncached warm;
   check_bool "warm run actually hit the cache" true (hits > 0)
@@ -170,27 +189,27 @@ let test_cache_key_ignores_irrelevant_facts () =
   (* The similarity program reads only shape facts; property facts must
      not wash out the cache key.  Two property-perturbed copies of the
      same shape therefore produce one miss and then hits. *)
-  with_cache true (fun () ->
-      let g1 = Helpers.random_graph (Random.State.make [| 1 |]) in
-      let props = Pgraph.Props.of_list [ ("pid", "12345") ] in
-      let g2 =
-        match Pgraph.Graph.nodes g1 with
-        | n :: _ -> Pgraph.Graph.set_node_props g1 n.Pgraph.Graph.node_id props
-        | [] -> g1
-      in
-      check_bool "same verdict" true
-        (Gmatch.Asp_backend.similar g1 g1 = Gmatch.Asp_backend.similar g2 g2);
-      match List.assoc_opt "similarity" (Asp.Memo.stats ()) with
-      | Some { Asp.Memo.hits; misses } ->
-          check_int "one shape, one miss" 1 misses;
-          check_bool "second solve hit" true (hits >= 1)
-      | None -> Alcotest.fail "similarity counter missing")
+  fresh_memo ();
+  let g1 = Helpers.random_graph (Random.State.make [| 1 |]) in
+  let props = Pgraph.Props.of_list [ ("pid", "12345") ] in
+  let g2 =
+    match Pgraph.Graph.nodes g1 with
+    | n :: _ -> Pgraph.Graph.set_node_props g1 n.Pgraph.Graph.node_id props
+    | [] -> g1
+  in
+  check_bool "same verdict" true
+    (Gmatch.Asp_backend.similar g1 g1 = Gmatch.Asp_backend.similar g2 g2);
+  match List.assoc_opt "similarity" (Asp.Memo.stats ()) with
+  | Some { Asp.Memo.hits; misses } ->
+      check_int "one shape, one miss" 1 misses;
+      check_bool "second solve hit" true (hits >= 1)
+  | None -> Alcotest.fail "similarity counter missing"
 
 let test_cache_disabled_counts_nothing () =
-  with_cache false (fun () ->
-      let g = Helpers.random_graph (Random.State.make [| 2 |]) in
-      ignore (Gmatch.Asp_backend.similar g g);
-      check_int "no counters when disabled" 0 (List.length (Asp.Memo.stats ())))
+  fresh_memo ();
+  let g = Helpers.random_graph (Random.State.make [| 2 |]) in
+  ignore (Gmatch.Asp_backend.similar ~opts:no_memo g g);
+  check_int "no counters when disabled" 0 (List.length (Asp.Memo.stats ()))
 
 let () =
   Alcotest.run "parallel"
@@ -210,6 +229,7 @@ let () =
           Alcotest.test_case "seed derivation" `Quick test_seed_derivation;
           Alcotest.test_case "config derivation" `Quick test_config_derivation;
           Alcotest.test_case "matrix equals per-tool columns" `Slow test_run_matrix_equals_columns;
+          Alcotest.test_case "matching options are per config" `Slow test_options_are_per_config;
           Alcotest.test_case "on_result coverage" `Quick test_on_result_sees_every_benchmark;
         ] );
       ( "memo",

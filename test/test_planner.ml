@@ -29,10 +29,6 @@ module Bench_gen = Provmark.Bench_gen
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let with_canon enabled f =
-  Canon.set_enabled enabled;
-  Fun.protect ~finally:(fun () -> Canon.set_enabled true) f
-
 (* ------------------------------------------------------------------ *)
 (* Planner mechanics                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -100,23 +96,23 @@ let cost_view = function None -> None | Some (m : Matching.t) -> Some m.Matching
 
 (* One pair, one fixed backend: Auto must agree on the similarity
    verdict and both optimal costs, and its witnesses must verify. *)
-let auto_agrees ~fixed g h =
-  let sim_auto = Engine.similar ~backend:Engine.Auto g h in
-  check_bool "similar agrees" (Engine.similar ~backend:fixed g h) sim_auto;
-  let gen_auto = Engine.generalization_matching ~backend:Engine.Auto g h in
+let auto_agrees ?opts ~fixed g h =
+  let sim_auto = Engine.similar ?opts ~backend:Engine.Auto g h in
+  check_bool "similar agrees" (Engine.similar ?opts ~backend:fixed g h) sim_auto;
+  let gen_auto = Engine.generalization_matching ?opts ~backend:Engine.Auto g h in
   Alcotest.(check (option int))
     "generalization cost agrees"
-    (cost_view (Engine.generalization_matching ~backend:fixed g h))
+    (cost_view (Engine.generalization_matching ?opts ~backend:fixed g h))
     (cost_view gen_auto);
   (match gen_auto with
   | Some m ->
       check_bool "generalization witness verifies" true (Matching.verify ~sub:false g h m = Ok ());
       check_int "reported cost is the witness cost" m.Matching.cost (Matching.cost_of g h m)
   | None -> ());
-  let sub_auto = Engine.subgraph_matching ~backend:Engine.Auto g h in
+  let sub_auto = Engine.subgraph_matching ?opts ~backend:Engine.Auto g h in
   Alcotest.(check (option int))
     "comparison cost agrees"
-    (cost_view (Engine.subgraph_matching ~backend:fixed g h))
+    (cost_view (Engine.subgraph_matching ?opts ~backend:fixed g h))
     (cost_view sub_auto);
   match sub_auto with
   | Some m ->
@@ -135,8 +131,8 @@ let perturb_shape g = Graph.add_node g ~id:"zzz-extra" ~label:"extra" ~props:Pro
    answer digest-equal pairs before the planner sees them; with canon
    off every instance reaches the calibrated path), so both run. *)
 let both_regimes f =
-  f ();
-  with_canon false f
+  f Gmatch.Match_opts.default;
+  f { Gmatch.Match_opts.default with canon = false }
 
 let test_differential_direct_incremental () =
   Planner.reset ();
@@ -147,11 +143,11 @@ let test_differential_direct_incremental () =
     let other = Helpers.random_graph st in
     List.iter
       (fun fixed ->
-        both_regimes (fun () ->
-            auto_agrees ~fixed g iso;
-            auto_agrees ~fixed g (perturb_prop iso);
-            auto_agrees ~fixed g (perturb_shape iso);
-            auto_agrees ~fixed g other))
+        both_regimes (fun opts ->
+            auto_agrees ~opts ~fixed g iso;
+            auto_agrees ~opts ~fixed g (perturb_prop iso);
+            auto_agrees ~opts ~fixed g (perturb_shape iso);
+            auto_agrees ~opts ~fixed g other))
       [ Engine.Direct; Engine.Incremental ]
   done
 
@@ -163,9 +159,9 @@ let test_differential_asp () =
   for _ = 1 to 5 do
     let g = Helpers.random_graph ~max_nodes:4 ~max_edges:4 st in
     let iso = Helpers.rename_with_prefix "r:" g in
-    both_regimes (fun () ->
-        auto_agrees ~fixed:Engine.Asp g iso;
-        auto_agrees ~fixed:Engine.Asp g (perturb_prop iso))
+    both_regimes (fun opts ->
+        auto_agrees ~opts ~fixed:Engine.Asp g iso;
+        auto_agrees ~opts ~fixed:Engine.Asp g (perturb_prop iso))
   done
 
 let test_differential_provgen_and_transient () =

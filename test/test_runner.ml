@@ -86,6 +86,20 @@ let test_injected_equals_default () =
   let r2 = Runner.run_with ~record:Recording.record_all config prog in
   Alcotest.(check string) "same summary" (Result_.summary r1) (Result_.summary r2)
 
+(* The retry policy grows the trial count, so a count of zero or less
+   must be refused before any attempt runs rather than silently
+   replaced by the second attempt's. *)
+let test_cli_rejects_nonpositive_trials () =
+  List.iter
+    (fun trials ->
+      check_int
+        (Printf.sprintf "--trials=%d exits with the invalid-config code" trials)
+        (Provmark.Exit_code.to_int Provmark.Exit_code.Invalid_config)
+        (Sys.command
+           (Printf.sprintf "../bin/provmark_cli.exe run spg open --no-store --trials=%d 2>/dev/null"
+              trials)))
+    [ 0; -3 ]
+
 let () =
   Alcotest.run "runner"
     [
@@ -98,5 +112,7 @@ let () =
           Alcotest.test_case "gives up after max attempts" `Quick test_gives_up_after_max_attempts;
           Alcotest.test_case "run_once does not retry" `Quick test_run_once_does_not_retry;
           Alcotest.test_case "injection is transparent" `Quick test_injected_equals_default;
+          Alcotest.test_case "CLI rejects non-positive trials" `Quick
+            test_cli_rejects_nonpositive_trials;
         ] );
     ]

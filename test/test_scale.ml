@@ -30,12 +30,10 @@ let scale_smoke () =
   let spec = Provgen.default_spec ~nodes:1000 in
   let g1, g2 = Provgen.match_pair ~seed:99 spec in
   check_bool "pair is at scale" true (Graph.node_count g1 = 1000 && Graph.node_count g2 = 1000);
-  Canon.set_enabled true;
   Canon.clear ();
   let d1 = Canon.digest g1 and d2 = Canon.digest g2 in
   check_bool "canon labels 1k nodes within budget" true (d1 <> None && d2 <> None);
   check_bool "canon digests agree across the permutation" true (d1 = d2);
-  Gmatch.Asp_backend.set_prune true;
   (match Gmatch.Asp_backend.similar_checked g1 g2 with
   | Ok verdict ->
       check_bool "pruned ASP agrees with the canon verdict" (d1 = d2 && d1 <> None) verdict
@@ -48,7 +46,6 @@ let scale_smoke () =
    size it can still search, both backends must return the same verdict
    on the same generated pairs. *)
 let vf2_agreement () =
-  Gmatch.Asp_backend.set_prune true;
   List.iter
     (fun (seed, nodes) ->
       let g1, g2 = Provgen.match_pair ~seed (Provgen.default_spec ~nodes) in
@@ -79,30 +76,24 @@ let segmented_scale () =
   let spec = Provgen.default_spec ~nodes:4000 in
   let g1, g2 = Provgen.match_pair ~seed:77 spec in
   check_bool "pair is at scale" true (Graph.node_count g1 = 4000 && Graph.node_count g2 = 4000);
-  Canon.set_enabled true;
   Canon.clear ();
   let d1 = Canon.digest g1 and d2 = Canon.digest g2 in
   check_bool "canon labels 4k nodes within budget" true (d1 <> None && d2 <> None);
   check_bool "canon digests agree across the permutation" true (d1 = d2);
   (* Canon off for the match itself: the digest bypass would answer the
      similarity question without exercising the segmented solver. *)
-  Canon.set_enabled false;
-  Gmatch.Engine.set_segmentation true;
+  let opts = { Gmatch.Match_opts.default with canon = false } in
   Gmatch.Engine.reset_segment_stats ();
-  Gmatch.Asp_backend.set_prune true;
-  Fun.protect
-    ~finally:(fun () -> Canon.set_enabled true)
-    (fun () ->
-      check_bool "segmented pruned ASP agrees with the canon verdict"
-        (d1 = d2 && d1 <> None)
-        (Gmatch.Engine.similar ~backend:Gmatch.Engine.Asp g1 g2);
-      check_bool "the pair actually went through the segmented path" true
-        (List.mem_assoc "similarity" (Gmatch.Engine.segment_pairs ()));
-      match Gmatch.Engine.generalization_matching ~backend:Gmatch.Engine.Asp g1 g2 with
-      | Some m ->
-          check_bool "stitched 4k witness verifies" true
-            (Gmatch.Matching.verify ~sub:false g1 g2 m = Ok ())
-      | None -> Alcotest.fail "similar 4k pair must align");
+  check_bool "segmented pruned ASP agrees with the canon verdict"
+    (d1 = d2 && d1 <> None)
+    (Gmatch.Engine.similar ~opts ~backend:Gmatch.Engine.Asp g1 g2);
+  check_bool "the pair actually went through the segmented path" true
+    (List.mem_assoc "similarity" (Gmatch.Engine.segment_pairs ()));
+  (match Gmatch.Engine.generalization_matching ~opts ~backend:Gmatch.Engine.Asp g1 g2 with
+  | Some m ->
+      check_bool "stitched 4k witness verifies" true
+        (Gmatch.Matching.verify ~sub:false g1 g2 m = Ok ())
+  | None -> Alcotest.fail "similar 4k pair must align");
   let elapsed = Provmark.Trace_span.now_s () -. t0 in
   if elapsed > deadline_s then
     Alcotest.failf "segmented scale took %.1f s (deadline %.1f s)" elapsed deadline_s

@@ -13,8 +13,8 @@
    - graceful degradation: a segment solve that exhausts the ASP budget
      under --fallback tags the merged result degraded exactly once, on
      the calling domain, sequentially and under the pool runner alike;
-   - the pipeline: suite output is byte-identical across --no-segment
-     and the default, and across job counts with segmentation forced on
+   - the pipeline: suite output is byte-identical with segmentation off
+     and at the default, and across job counts with segmentation forced on
      for every pair. *)
 
 open Pgraph
@@ -29,21 +29,12 @@ module Pool = Provmark.Pool
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* Every test leaves the process-wide toggles the way it found them. *)
-let with_canon enabled f =
-  Canon.set_enabled enabled;
-  Fun.protect ~finally:(fun () -> Canon.set_enabled true) f
-
-let with_segment ~enabled ~min_nodes f =
-  let seg0 = Engine.segmentation_enabled () in
-  let min0 = Engine.segment_min_nodes () in
-  Engine.set_segmentation enabled;
-  Engine.set_segment_min_nodes min_nodes;
-  Fun.protect
-    ~finally:(fun () ->
-      Engine.set_segmentation seg0;
-      Engine.set_segment_min_nodes min0)
-    f
+(* Canon stays off in the engine-level tests: the digest bypass would
+   answer most pairs before either path under test is reached.  The
+   segment floor is zero on the segmented side so even tiny pairs
+   decompose. *)
+let seg = { Gmatch.Match_opts.default with canon = false; segment_min_nodes = Some 0 }
+let whole = { seg with segment_min_nodes = None }
 
 let with_plan plan f =
   Faults.Injector.set_plan (Some plan);
@@ -223,25 +214,19 @@ let prop_plan_deterministic =
 
 let cost_view = function None -> None | Some (m : Matching.t) -> Some m.Matching.cost
 
-(* Canon stays off throughout: the digest bypass would answer most
-   pairs before either path under test is reached.  The segment floor
-   is zero on the segmented side so even tiny pairs decompose. *)
 let seg_agree ~backend g h =
-  with_canon false (fun () ->
-      let seg f = with_segment ~enabled:true ~min_nodes:0 f in
-      let whole f = with_segment ~enabled:false ~min_nodes:0 f in
-      let sim_seg = seg (fun () -> Engine.similar ~backend g h) in
-      let sim_whole = whole (fun () -> Engine.similar ~backend g h) in
-      check_bool "similar agrees" sim_whole sim_seg;
-      let gen_seg = seg (fun () -> Engine.generalization_matching ~backend g h) in
-      let gen_whole = whole (fun () -> Engine.generalization_matching ~backend g h) in
-      Alcotest.(check (option int))
-        "generalization cost agrees" (cost_view gen_whole) (cost_view gen_seg);
-      match gen_seg with
-      | Some m ->
-          check_bool "stitched witness verifies" true (Matching.verify ~sub:false g h m = Ok ());
-          check_int "stitched cost is the witness cost" m.Matching.cost (Matching.cost_of g h m)
-      | None -> ())
+  let sim_seg = Engine.similar ~opts:seg ~backend g h in
+  let sim_whole = Engine.similar ~opts:whole ~backend g h in
+  check_bool "similar agrees" sim_whole sim_seg;
+  let gen_seg = Engine.generalization_matching ~opts:seg ~backend g h in
+  let gen_whole = Engine.generalization_matching ~opts:whole ~backend g h in
+  Alcotest.(check (option int))
+    "generalization cost agrees" (cost_view gen_whole) (cost_view gen_seg);
+  match gen_seg with
+  | Some m ->
+      check_bool "stitched witness verifies" true (Matching.verify ~sub:false g h m = Ok ());
+      check_int "stitched cost is the witness cost" m.Matching.cost (Matching.cost_of g h m)
+  | None -> ()
 
 let perturb_prop g =
   match Graph.nodes g with
@@ -316,11 +301,7 @@ let matching_view = function
 let test_pool_runner_deterministic () =
   let spec = Provgen.default_spec ~nodes:48 in
   let g, h = Provgen.match_pair ~seed:148 spec in
-  let solve () =
-    with_canon false (fun () ->
-        with_segment ~enabled:true ~min_nodes:0 (fun () ->
-            Engine.generalization_matching ~backend:Engine.Direct g h))
-  in
+  let solve () = Engine.generalization_matching ~opts:seg ~backend:Engine.Direct g h in
   let reference = matching_view (solve ()) in
   List.iter
     (fun size ->
@@ -371,40 +352,34 @@ let double_fan () =
 
 let exhaust = "seed=7,solver.exhaust=1"
 
-let degraded_notes_of f =
-  ignore (Engine.drain_notes ());
-  let result = f () in
-  (result, Engine.drain_notes ())
+let degraded_notes_of = Engine.collect_notes
 
 let test_fallback_degrades_exactly_once () =
   let g = double_fan () in
   let h = Helpers.permute_ids g in
   check_bool "double fan yields two segments" true
     (List.length (segments_of (Summarize.plan g h)) = 2);
-  with_canon false (fun () ->
-      with_segment ~enabled:true ~min_nodes:0 (fun () ->
-          with_plan (plan_of_string_exn exhaust) (fun () ->
-              let verdict, notes =
-                degraded_notes_of (fun () -> Engine.similar ~backend:Engine.Asp g h)
-              in
-              check_bool "degraded verdict still correct" true verdict;
-              Alcotest.(check (list string))
-                "one similarity note for two degrading segments"
-                [ "asp similarity hit its step limit; fell back to vf2" ]
-                notes;
-              let m, notes =
-                degraded_notes_of (fun () ->
-                    Engine.generalization_matching ~backend:Engine.Asp g h)
-              in
-              Alcotest.(check (list string))
-                "one generalization note for two degrading segments"
-                [ "asp generalization hit its step limit; fell back to vf2" ]
-                notes;
-              match m with
-              | Some m ->
-                  check_bool "degraded witness verifies" true
-                    (Matching.verify ~sub:false g h m = Ok ())
-              | None -> Alcotest.fail "degraded pair must still align")))
+  with_plan (plan_of_string_exn exhaust) (fun () ->
+      let verdict, notes =
+        degraded_notes_of (fun () -> Engine.similar ~opts:seg ~backend:Engine.Asp g h)
+      in
+      check_bool "degraded verdict still correct" true verdict;
+      Alcotest.(check (list string))
+        "one similarity note for two degrading segments"
+        [ "asp similarity hit its step limit; fell back to vf2" ]
+        notes;
+      let m, notes =
+        degraded_notes_of (fun () ->
+            Engine.generalization_matching ~opts:seg ~backend:Engine.Asp g h)
+      in
+      Alcotest.(check (list string))
+        "one generalization note for two degrading segments"
+        [ "asp generalization hit its step limit; fell back to vf2" ]
+        notes;
+      match m with
+      | Some m ->
+          check_bool "degraded witness verifies" true (Matching.verify ~sub:false g h m = Ok ())
+      | None -> Alcotest.fail "degraded pair must still align")
 
 let test_fallback_note_lands_on_calling_domain () =
   (* Under the pool runner the degrading segments run on worker domains;
@@ -428,18 +403,16 @@ let test_fallback_note_lands_on_calling_domain () =
       Engine.set_segment_runner None;
       Pool.shutdown pool)
     (fun () ->
-      with_canon false (fun () ->
-          with_segment ~enabled:true ~min_nodes:0 (fun () ->
-              with_plan (plan_of_string_exn exhaust) (fun () ->
-                  let m, notes =
-                    degraded_notes_of (fun () ->
-                        Engine.generalization_matching ~backend:Engine.Asp g h)
-                  in
-                  check_bool "pooled degraded pair aligns" true (m <> None);
-                  Alcotest.(check (list string))
-                    "exactly one note on the calling domain"
-                    [ "asp generalization hit its step limit; fell back to vf2" ]
-                    notes))))
+      with_plan (plan_of_string_exn exhaust) (fun () ->
+          let m, notes =
+            degraded_notes_of (fun () ->
+                Engine.generalization_matching ~opts:seg ~backend:Engine.Asp g h)
+          in
+          check_bool "pooled degraded pair aligns" true (m <> None);
+          Alcotest.(check (list string))
+            "exactly one note on the calling domain"
+            [ "asp generalization hit its step limit; fell back to vf2" ]
+            notes))
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
@@ -448,22 +421,20 @@ let test_fallback_note_lands_on_calling_domain () =
 let test_segment_counters () =
   Engine.reset_segment_stats ();
   Fun.protect ~finally:Engine.reset_segment_stats (fun () ->
-      with_canon false (fun () ->
-          with_segment ~enabled:true ~min_nodes:0 (fun () ->
-              let g = fan 4 in
-              let h = Helpers.permute_ids g in
-              check_bool "fan pair is similar" true (Engine.similar ~backend:Engine.Direct g h);
-              ignore (Engine.generalization_matching ~backend:Engine.Direct g h);
-              check_bool "quotient refutes the shape-perturbed pair" false
-                (Engine.similar ~backend:Engine.Direct g (perturb_shape h));
-              check_bool "similarity pair counted" true
-                (List.mem_assoc "similarity" (Engine.segment_pairs ()));
-              check_bool "generalization pair counted" true
-                (List.mem_assoc "generalization" (Engine.segment_pairs ()));
-              check_bool "refutation counted as a skip" true
-                (List.mem_assoc "similarity" (Engine.segment_skips ()));
-              check_bool "segment instances counted" true (Engine.segment_solves () >= 2);
-              check_int "no stitch fallbacks" 0 (Engine.segment_fallbacks ()))))
+      let g = fan 4 in
+      let h = Helpers.permute_ids g in
+      check_bool "fan pair is similar" true (Engine.similar ~opts:seg ~backend:Engine.Direct g h);
+      ignore (Engine.generalization_matching ~opts:seg ~backend:Engine.Direct g h);
+      check_bool "quotient refutes the shape-perturbed pair" false
+        (Engine.similar ~opts:seg ~backend:Engine.Direct g (perturb_shape h));
+      check_bool "similarity pair counted" true
+        (List.mem_assoc "similarity" (Engine.segment_pairs ()));
+      check_bool "generalization pair counted" true
+        (List.mem_assoc "generalization" (Engine.segment_pairs ()));
+      check_bool "refutation counted as a skip" true
+        (List.mem_assoc "similarity" (Engine.segment_skips ()));
+      check_bool "segment instances counted" true (Engine.segment_solves () >= 2);
+      check_int "no stitch fallbacks" 0 (Engine.segment_fallbacks ()))
 
 (* ------------------------------------------------------------------ *)
 (* Suite-level byte identity                                           *)
@@ -489,17 +460,17 @@ let test_suite_identical_across_segment_and_jobs () =
   Alcotest.(check (list string))
     "-j4 equals -j1" reference
     (suite_views ~jobs:4 config progs);
+  let segmented segment_min_nodes =
+    { config with Config.opts = { config.Config.opts with segment_min_nodes } }
+  in
   Alcotest.(check (list string))
-    "--no-segment equals default" reference
-    (with_segment ~enabled:false ~min_nodes:Engine.default_segment_min_nodes (fun () ->
-         suite_views ~jobs:1 config progs));
+    "segmentation off equals default" reference
+    (suite_views ~jobs:1 (segmented None) progs);
   (* With the floor at zero every pair the canon gate does not answer
      goes through the segmented path; the stitched witness may differ
      from the whole-graph solver's (that is why the threshold is in the
      backend fingerprint), but the output must not depend on -j. *)
-  let forced j =
-    with_segment ~enabled:true ~min_nodes:0 (fun () -> suite_views ~jobs:j config progs)
-  in
+  let forced j = suite_views ~jobs:j (segmented (Some 0)) progs in
   Alcotest.(check (list string)) "floor 0: -j4 equals -j1" (forced 1) (forced 4)
 
 let () =

@@ -48,7 +48,15 @@ let with_daemon_full ?(jobs = 4) ?(queue_bound = Daemon.default_queue_bound)
   let daemon =
     Domain.spawn (fun () ->
         Daemon.run ~on_ready
-          { Daemon.endpoint; jobs; queue_bound; store = None; trace = None; limits })
+          {
+            Daemon.endpoint;
+            jobs;
+            queue_bound;
+            store = None;
+            trace = None;
+            limits;
+            opts = Gmatch.Match_opts.default;
+          })
   in
   Mutex.lock ready_mutex;
   while not !ready do
@@ -250,20 +258,30 @@ let test_queue_full_rejection () =
       let rejected = int_member [ "rejected" ] (call_ok endpoint { Protocol.id = None; op = Protocol.Stats }) in
       check_int "rejection counted" 1 rejected)
 
+(* Unparseable lines and well-formed requests with invalid fields alike
+   get a bad-request answer; a non-positive trial count would otherwise
+   be grown by the retry policy into a count nobody asked for. *)
 let test_malformed_request () =
   with_daemon ~jobs:1 (fun endpoint ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          Unix.connect fd (Protocol.sockaddr endpoint);
-          let line = "this is not json\n" in
-          ignore (Unix.write_substring fd line 0 (String.length line));
-          let buf = Bytes.create 4096 in
-          let n = Unix.read fd buf 0 (Bytes.length buf) in
-          let response = Json.of_string (Bytes.sub_string buf 0 n) in
-          check_string "status" "error" (Client.response_status response);
-          check_int "code" 400 (int_member [ "code" ] response)))
+      List.iter
+        (fun line ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              Unix.connect fd (Protocol.sockaddr endpoint);
+              let line = line ^ "\n" in
+              ignore (Unix.write_substring fd line 0 (String.length line));
+              let buf = Bytes.create 4096 in
+              let n = Unix.read fd buf 0 (Bytes.length buf) in
+              let response = Json.of_string (Bytes.sub_string buf 0 n) in
+              check_string "status" "error" (Client.response_status response);
+              check_int "code" 400 (int_member [ "code" ] response)))
+        [
+          "this is not json";
+          {|{"op":"benchmark","tool":"spg","syscall":"open","trials":0}|};
+          {|{"op":"benchmark","tool":"spg","syscall":"open","trials":-3}|};
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Connection lifecycle: timeouts, caps, disconnects, drain            *)

@@ -318,6 +318,34 @@ let test_edit_invalidates_only_downstream () =
       check_int "foreground generalization recomputed" 1 gen.Store.misses;
       check_int "background generalization replayed" 1 gen.Store.hits)
 
+(* The matching fingerprint is part of every generalization and
+   comparison key; these strings are the ones stores already on disk
+   were written under, so any change to the rendering orphans them. *)
+let test_backend_fp_pinned () =
+  let base = Config.default Recorder.Spade in
+  let fp f = Config.backend_fp { base with Config.opts = f base.Config.opts } in
+  let pin expected f = check_string expected expected (fp f) in
+  pin "direct,prune=true,fallback=true,canon=true,segment=on@64" Fun.id;
+  pin "direct,prune=false,fallback=true,canon=true,segment=on@64" (fun o ->
+      { o with Gmatch.Match_opts.prune = false });
+  pin "direct,prune=true,fallback=false,canon=true,segment=on@64" (fun o ->
+      { o with Gmatch.Match_opts.fallback = false });
+  pin "direct,prune=true,fallback=true,canon=false,segment=on@64" (fun o ->
+      { o with Gmatch.Match_opts.canon = false });
+  pin "direct,prune=true,fallback=true,canon=true,segment=off" (fun o ->
+      { o with Gmatch.Match_opts.segment_min_nodes = None });
+  pin "direct,prune=true,fallback=true,canon=true,segment=on@0" (fun o ->
+      { o with Gmatch.Match_opts.segment_min_nodes = Some 0 });
+  (* The memo never changes an answer, so it stays out of the key. *)
+  pin "direct,prune=true,fallback=true,canon=true,segment=on@64" (fun o ->
+      { o with Gmatch.Match_opts.memo = false });
+  check_string "generalization fingerprint"
+    "backend=direct,prune=true,fallback=true,canon=true,segment=on@64;filter=false;pair=smallest"
+    (Config.generalization_fingerprint base);
+  check_string "comparison fingerprint"
+    "backend=auto,prune=true,fallback=true,canon=true,segment=on@64"
+    (Config.comparison_fingerprint { base with Config.backend = Gmatch.Engine.Auto })
+
 let test_knob_flip_invalidates_only_readers () =
   with_store (fun store ->
       let config tool backend = { (config_with store tool) with Config.backend } in
@@ -418,6 +446,7 @@ let () =
             test_edit_invalidates_only_downstream;
           Alcotest.test_case "knob flip hits only readers" `Quick
             test_knob_flip_invalidates_only_readers;
+          Alcotest.test_case "backend fingerprint rendering pinned" `Quick test_backend_fp_pinned;
         ] );
       ( "spans",
         [
