@@ -1065,23 +1065,18 @@ let segment_bench () = segment_run ~sizes:[ 128; 256; 512; 1024 ]
 let segment_quick () = segment_run ~sizes:[ 64; 128 ]
 
 (* ------------------------------------------------------------------ *)
-(* planner: cost-based dispatch and the delta re-solve fast path        *)
+(* planner: Auto's delta re-solve fast path                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Two legs.  The generalization leg keeps canon on and replays
-   transient-only trials of one structure — the serve daemon's
-   steady-state shape — comparing every fixed backend's cold solve
-   against Auto's delta path (trial 1 pays the rigidity refinement,
-   trials 2..N ride the cached verdict).  The similarity leg turns
-   canon off so every verdict genuinely reaches a solver, warms the
-   calibration table, and then races Auto's calibrated argmin against
-   each fixed backend.  Both legs merge one [planner] object into
-   BENCH_match_scale.json: per-size rows plus the global misprediction
-   and delta hit rates. *)
+(* Canon stays on and the leg replays transient-only trials of one
+   structure — the serve daemon's steady-state shape — comparing every
+   fixed backend's cold solve against Auto's delta path (trial 1 pays
+   the rigidity refinement, trials 2..N ride the cached verdict).  It
+   merges one [planner] object into BENCH_match_scale.json: per-size
+   rows plus the global delta hit rate. *)
 let planner_run ~sizes =
-  section "planner: cost-based dispatch (calibrated argmin, delta re-solve vs fixed backends)";
+  section "planner: Auto's delta re-solve vs fixed backends";
   let num f = Minijson.Json.Number f in
-  Gmatch.Planner.reset ();
   Gmatch.Incremental.reset_delta ();
   let gen_rows =
     List.map
@@ -1134,65 +1129,12 @@ let planner_run ~sizes =
       Printf.printf "%-6d %12.6f %12.6f %12.6f %12.6f %9.1f %9.1f %9d %9d %9d\n" nodes td ti ta1
         tan sp cw cert fall hits)
     gen_rows;
-  (* canon off: the digest gate would answer every pair before the
-     calibrated path ever ran *)
-  let opts = { Gmatch.Match_opts.default with canon = false } in
-  let sim_rows =
-    List.map
-      (fun nodes ->
-        let g1, g2 = Provmark.Bench_gen.match_pair ~nodes ~seed:(61 + nodes) in
-        (* Warm the table on this very shape before measuring the
-           calibrated choice. *)
-        for _ = 1 to 10 do
-          ignore (Gmatch.Engine.similar ~opts ~backend:Gmatch.Engine.Auto g1 g2)
-        done;
-        (* Sub-millisecond solves drift more than the margins being
-           measured, so interleave the candidates round-robin (one
-           call each per rep) instead of timing sequential blocks —
-           GC and cache drift then hits everyone equally. *)
-        let reps = 20 in
-        let t_direct = ref 0. and t_incr = ref 0. and t_asp = ref 0. and t_auto = ref 0. in
-        (* whole-instance ASP grounding past 32 nodes is not
-           bench-friendly with canon off *)
-        let asp_ok = nodes <= 32 in
-        let measure cell backend =
-          let _, t = timed (fun () -> Gmatch.Engine.similar ~opts ~backend g1 g2) in
-          cell := !cell +. t
-        in
-        for _ = 1 to reps do
-          measure t_direct Gmatch.Engine.Direct;
-          measure t_incr Gmatch.Engine.Incremental;
-          if asp_ok then measure t_asp Gmatch.Engine.Asp;
-          measure t_auto Gmatch.Engine.Auto
-        done;
-        let avg cell = !cell /. float_of_int reps in
-        let t_direct = avg t_direct and t_incr = avg t_incr and t_auto = avg t_auto in
-        let t_asp = if asp_ok then avg t_asp else -1. in
-        let best_fixed =
-          List.fold_left
-            (fun acc t -> if t >= 0. && t < acc then t else acc)
-            infinity [ t_direct; t_incr; t_asp ]
-        in
-        (nodes, t_asp, t_direct, t_incr, t_auto, t_auto /. best_fixed))
-      sizes
-  in
-  Printf.printf "\nsimilarity: calibrated dispatch (canon off, verdict-only)\n";
-  Printf.printf "%-6s %12s %12s %12s %12s %10s\n" "nodes" "asp(s)" "direct(s)" "incr(s)" "auto(s)"
-    "auto/best";
-  List.iter
-    (fun (nodes, ta, td, ti, tu, ratio) ->
-      Printf.printf "%-6d %12.6f %12.6f %12.6f %12.6f %10.2f\n" nodes ta td ti tu ratio)
-    sim_rows;
-  let decisions = Gmatch.Planner.decisions_total () in
-  let mispredictions = Gmatch.Planner.mispredictions () in
-  let mis_rate = if decisions > 0 then float_of_int mispredictions /. float_of_int decisions else 0. in
   let d_cert = List.fold_left (fun a (_, _, _, _, _, _, _, c, _, _) -> a + c) 0 gen_rows in
   let d_fall = List.fold_left (fun a (_, _, _, _, _, _, _, _, f, _) -> a + f) 0 gen_rows in
   let hit_rate =
     if d_cert + d_fall > 0 then float_of_int d_cert /. float_of_int (d_cert + d_fall) else 0.
   in
-  Printf.printf "\ndecisions %d, mispredictions %d (rate %.3f); delta certified %d, fallbacks %d (hit rate %.3f)\n"
-    decisions mispredictions mis_rate d_cert d_fall hit_rate;
+  Printf.printf "\ndelta certified %d, fallbacks %d (hit rate %.3f)\n" d_cert d_fall hit_rate;
   bench_json_update "planner"
     (Minijson.Json.Object
        [
@@ -1214,23 +1156,6 @@ let planner_run ~sizes =
                       ("delta_cache_hits", num (float_of_int hits));
                     ])
                 gen_rows) );
-         ( "similarity",
-           Minijson.Json.Array
-             (List.map
-                (fun (nodes, ta, td, ti, tu, ratio) ->
-                  Minijson.Json.Object
-                    [
-                      ("nodes", num (float_of_int nodes));
-                      ("asp_s", num ta);
-                      ("direct_s", num td);
-                      ("incremental_s", num ti);
-                      ("auto_s", num tu);
-                      ("auto_vs_best_fixed", num ratio);
-                    ])
-                sim_rows) );
-         ("decisions", num (float_of_int decisions));
-         ("mispredictions", num (float_of_int mispredictions));
-         ("misprediction_rate", num mis_rate);
          ("delta_certified", num (float_of_int d_cert));
          ("delta_fallbacks", num (float_of_int d_fall));
          ("delta_hit_rate", num hit_rate);

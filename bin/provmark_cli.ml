@@ -34,12 +34,12 @@ let trials_arg =
   Term.(const check $ Arg.(value & opt (some int) None & info [ "trials"; "t" ] ~docv:"N" ~doc))
 
 let backend_arg =
-  let doc = "Graph matching backend: auto (default; per-instance cost-based planner: \
-             sound bypasses first, calibrated argmin where the answer cannot depend \
-             on the choice), asp (the paper's Listing 3/4 specifications through the \
-             mini answer-set solver), direct (native matcher, the same backend for \
-             every instance) or incremental (creation-order fast path with exact \
-             fallback)." in
+  let doc = "Graph matching backend: auto (default; a fixed cascade of sound bypasses: \
+             canonical digests, delta witness reuse and segment plans, then the \
+             incremental matcher for similarity and VF2 for matchings), asp (the \
+             paper's Listing 3/4 specifications through the mini answer-set solver), \
+             direct (native matcher, the same backend for every instance) or \
+             incremental (creation-order fast path with exact fallback)." in
   Arg.(value & opt backend_conv Gmatch.Engine.Auto & info [ "backend" ] ~docv:"B" ~doc)
 
 let seed_arg =
@@ -152,11 +152,7 @@ let store_of ~store ~no_store =
   if no_store then None
   else
     match Provmark.Artifact_store.create ~dir:store with
-    | s ->
-        (* A store also carries the planner's calibration table, so a
-           fresh process starts with learned costs, not priors. *)
-        Provmark.Session.warm_planner (Some s);
-        Some s
+    | s -> Some s
     | exception Sys_error msg -> invalid_config msg
 
 let trace_arg =
@@ -278,7 +274,6 @@ let run_cmd =
         print_result ~result_type r;
         write_trace trace [ r ];
         print_store_stats store;
-        Provmark.Session.persist_planner store;
         finish_run [ r ]
   in
   let term =
@@ -323,7 +318,6 @@ let batch_cmd =
         List.iter (fun (_, results) -> output_string oc (Provmark.Report.timing_csv results)) matrix;
         close_out oc;
         Printf.printf "Timing CSV written to %s\n" file);
-    Provmark.Session.persist_planner store;
     finish_run (List.concat_map snd matrix)
   in
   let term =
@@ -361,7 +355,6 @@ let report_cmd =
     Provmark.Html_report.write_file out (Provmark.Html_report.render matrix);
     Printf.printf "HTML report written to %s\n" out;
     print_store_stats store;
-    Provmark.Session.persist_planner store;
     finish_run (List.concat_map snd matrix)
   in
   let term =

@@ -41,21 +41,6 @@ let with_lock f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-(* Planner-dispatched solves run with the counters muted: whether the
-   calibrated argmin routes an instance through the memo depends on
-   measured timings, and the batch CLI prints these counters on
-   deterministic stdout.  The cache itself still serves and stores for
-   a muted caller — only the accounting is suppressed, per calling
-   domain, so fixed-backend runs keep their historical bytes and
-   planner runs print the same. *)
-let quiet_key : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
-
-let quietly f =
-  let q = Domain.DLS.get quiet_key in
-  let saved = !q in
-  q := true;
-  Fun.protect ~finally:(fun () -> q := saved) f
-
 let counter_of tag =
   match Hashtbl.find_opt counters tag with
   | Some c -> c
@@ -81,24 +66,20 @@ let key ~program ~facts ~max_steps ~find_optimal =
 type role = Cached of Solver.outcome | Lead
 
 let find_or_compute ~tag ~key compute =
-  let quiet = !(Domain.DLS.get quiet_key) in
   let rec acquire ~joined =
     let role =
       with_lock (fun () ->
-          (* [counter_of] creates the tag's (0, 0) entry on first
-             touch, which alone is enough to make [stats] nonempty —
-             so a muted caller must not even look it up. *)
           match Hashtbl.find_opt table key with
           | Some v ->
-              if not quiet then incr (fst (counter_of tag));
+              incr (fst (counter_of tag));
               Some (Cached v)
           | None ->
               if Hashtbl.mem in_flight key then begin
-                if (not joined) && not quiet then incr coalesced_count;
+                if not joined then incr coalesced_count;
                 None (* wait outside, then re-examine *)
               end
               else begin
-                if not quiet then incr (snd (counter_of tag));
+                incr (snd (counter_of tag));
                 Hashtbl.replace in_flight key ();
                 Some Lead
               end)

@@ -38,15 +38,6 @@ val key :
     retries as the new leader — and caches nothing. *)
 val find_or_compute : tag:string -> key:string -> (unit -> Solver.outcome) -> Solver.outcome
 
-(** [quietly f] runs [f] with the memo's counters muted on the calling
-    domain: {!find_or_compute} still serves from and fills the shared
-    table, but hits, misses, and coalesced joins made inside [f] leave
-    no trace in {!stats}.  The planner wraps its calibrated ASP
-    dispatches in this — whether the argmin routes an instance through
-    the memo depends on measured timings, and the batch CLI prints
-    these counters on deterministic stdout. *)
-val quietly : (unit -> 'a) -> 'a
-
 (** Number of calls that joined another domain's in-flight solve
     instead of computing, since the last {!reset_stats} — the
     single-flight savings the serve daemon reports. *)

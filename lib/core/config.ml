@@ -87,12 +87,10 @@ let recording_fingerprint t =
    [opts.segment_min_nodes] (whose threshold decides *which* pairs
    decompose) joins them for the same reason again: stitched
    witnesses are cost-optimal but need not coincide with the
-   whole-graph solver's choice.  The planner needs no field of its
-   own: Auto is a backend, so "auto" lands in the fingerprint through
-   backend_to_string like any fixed choice — and the calibration state
-   behind it deliberately never influences a cached artifact (the
-   planner's timing-sensitive choices are confined to instances where
-   every candidate returns identical bytes).  [opts.memo] never changes
+   whole-graph solver's choice.  Auto needs no field of its own: it
+   is a backend, so "auto" lands in the fingerprint through
+   backend_to_string like any fixed choice, and its cascade is a fixed
+   function of the graphs (no timing steers it).  [opts.memo] never changes
    an answer and stays out.  The rendering is part of every stored
    key: changing it orphans the stores already on disk. *)
 let backend_fp t =

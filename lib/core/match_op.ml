@@ -44,16 +44,24 @@ let matching_lines (m : Gmatch.Matching.t) =
     (List.sort compare m.Gmatch.Matching.edge_map);
   Buffer.contents buf
 
+(* A match runs outside any stage, so no [Stage.compute] drains the
+   decision lines [Auto] leaves on this domain: drop them here, or a
+   long-lived daemon grows the log without bound and the next stage on
+   this domain reports them as its own. *)
 let run ?opts ?backend kind a b =
-  match kind with
-  | Similar ->
-      Printf.sprintf "similar: %s\n" (if Gmatch.Engine.similar ?opts ?backend a b then "yes" else "no")
-  | Generalize -> (
-      match Gmatch.Engine.generalization_matching ?opts ?backend a b with
-      | None -> "generalize: no (graphs are not similar)\n"
-      | Some m ->
-          Printf.sprintf "generalize: cost=%d\n%s" m.Gmatch.Matching.cost (matching_lines m))
-  | Compare -> (
-      match Gmatch.Engine.subgraph_matching ?opts ?backend a b with
-      | None -> "compare: no (first graph does not embed into the second)\n"
-      | Some m -> Printf.sprintf "compare: cost=%d\n%s" m.Gmatch.Matching.cost (matching_lines m))
+  let answer () =
+    match kind with
+    | Similar ->
+        Printf.sprintf "similar: %s\n"
+          (if Gmatch.Engine.similar ?opts ?backend a b then "yes" else "no")
+    | Generalize -> (
+        match Gmatch.Engine.generalization_matching ?opts ?backend a b with
+        | None -> "generalize: no (graphs are not similar)\n"
+        | Some m ->
+            Printf.sprintf "generalize: cost=%d\n%s" m.Gmatch.Matching.cost (matching_lines m))
+    | Compare -> (
+        match Gmatch.Engine.subgraph_matching ?opts ?backend a b with
+        | None -> "compare: no (first graph does not embed into the second)\n"
+        | Some m -> Printf.sprintf "compare: cost=%d\n%s" m.Gmatch.Matching.cost (matching_lines m))
+  in
+  Fun.protect ~finally:(fun () -> ignore (Gmatch.Planner.drain_decisions ())) answer

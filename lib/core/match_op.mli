@@ -33,7 +33,9 @@ val parse_graph : format -> string -> (Pgraph.Graph.t, string) result
 (** [run kind a b] renders the verdict text: a ["similar: yes|no"]
     line, or a cost line plus sorted [n]/[e] mapping lines for the
     witness-producing kinds.  [opts] defaults to
-    [Gmatch.Match_opts.default]. *)
+    [Gmatch.Match_opts.default].  Runs outside any stage, so it
+    discards the decision lines it leaves in {!Gmatch.Planner}'s log
+    (the decision counters still count them). *)
 val run :
   ?opts:Gmatch.Match_opts.t ->
   ?backend:Gmatch.Engine.backend ->

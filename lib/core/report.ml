@@ -219,13 +219,12 @@ let stats_lines () =
              (Gmatch.Engine.segment_fallbacks ())));
   (* Certified/fallback counts are pure functions of the pairs the
      incremental backend attempted (gated on nonzero so runs that never
-     touch it keep their historical bytes).  The planner's own counters
-     stay out of this deterministic block — its delta cache hits and
-     calibrated choices can legitimately depend on scheduling, so they
-     surface in the serve [stats] op and the benches instead — and its
-     calibrated dispatches into the incremental backend and the ASP
-     memo run with these counters muted, so an [auto] suite prints the
-     same epilogue as a fixed-default one. *)
+     touch it keep their historical bytes).  Auto's decision counts
+     and delta cache hits stay out of this block (delta cache hits
+     depend on which domain certified a structure first); they
+     surface in the serve [stats] op and the benches instead.  Auto's
+     similarity solves go through the incremental backend uncounted,
+     so an [auto] suite prints the same epilogue as a [direct] one. *)
   let certified, fallback = Gmatch.Incremental.stats () in
   if certified > 0 || fallback > 0 then
     Buffer.add_string buf

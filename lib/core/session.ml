@@ -17,33 +17,3 @@ let span_tags t =
   (match t.client with None -> [] | Some c -> [ ("client", c) ]) @ t.tags
 
 let emit t r = match t.sink with None -> () | Some f -> f r
-
-(* ------------------------------------------------------------------ *)
-(* Planner calibration persistence.
-
-   The planner's EWMA table is a server-lifetime resource like the
-   memo and the canon cache, but unlike them it is worth carrying
-   across processes: a warm serve daemon restarted on the same store
-   should not re-learn its cost model from priors.  The table lives
-   under a dedicated store stage with a fixed key — it is deliberately
-   timing-derived state, which is exactly why it must never feed
-   deterministic output (it only steers dispatch where all candidates
-   agree); importing a stale or corrupt entry degrades to a cold
-   start. *)
-
-let calibration_key () =
-  Artifact_store.key ~stage:"planner" ~fingerprint:"calibration-v1" ~inputs:[]
-
-let warm_planner = function
-  | None -> ()
-  | Some store -> (
-      match Artifact_store.read store ~stage:"planner" ~key:(calibration_key ()) with
-      | Some data -> Gmatch.Planner.import data
-      | None -> ())
-
-let persist_planner = function
-  | None -> ()
-  | Some store ->
-      if Gmatch.Planner.observations () > 0 then
-        Artifact_store.write store ~stage:"planner" ~key:(calibration_key ())
-          (Gmatch.Planner.export ())

@@ -47,17 +47,3 @@ val span_tags : t -> (string * string) list
 
 (** Push a result through the sink, if any. *)
 val emit : t -> Result.t -> unit
-
-(** {2 Planner calibration persistence}
-
-    The planner's calibration table is server-lifetime state worth
-    carrying across processes: [warm_planner store] imports the table
-    persisted under the store's dedicated [planner] stage (no-op
-    without a store or a prior export), so a restarted serve daemon
-    starts calibrated; [persist_planner store] writes the table back
-    if any observation landed this process.  The table only steers
-    dispatch among answer-equivalent strategies, so importing
-    timing-derived state never changes output. *)
-
-val warm_planner : Artifact_store.t option -> unit
-val persist_planner : Artifact_store.t option -> unit

@@ -43,11 +43,11 @@ let tag_effort ctx before =
       if a > b then Trace_span.add_tag ctx name (string_of_int (a - b)))
     before (effort_counters ())
 
-(* Planner decisions made during a stage surface as [planner.N] span
-   tags — backend chosen, predicted and measured cost — so trace
-   exports make mispredictions auditable.  Same per-domain caveat as
-   the effort deltas: decisions taken on pool worker domains drain
-   with that domain's next stage. *)
+(* Auto's decisions made during a stage surface as [planner.N] span
+   tags reading [<task>=<path>], so a trace export says which bypass
+   or solver answered each instance.  Same per-domain caveat as the
+   effort deltas: decisions taken on pool worker domains drain with
+   that domain's next stage. *)
 let tag_planner ctx =
   List.iteri
     (fun i d -> Trace_span.add_tag ctx (Printf.sprintf "planner.%d" i) d)

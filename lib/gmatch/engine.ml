@@ -1,12 +1,11 @@
-(* [Auto] is the planner: instead of one fixed solver it consults
-   [Planner] per instance — sound bypasses first (canonical digests,
-   delta witness reuse), then calibrated argmin dispatch where the
-   output cannot depend on the choice (similarity verdicts), and the
-   default fixed solver where it could (witness-producing solves).
-   It is a distinct variant rather than a process-wide flag so that
-   explicitly configured backends keep today's behaviour bit for bit,
-   and so "auto" flows into Config.backend_fp like any other backend
-   name — cached artifacts never mix planner and fixed-mode runs. *)
+(* [Auto] is a fixed cascade of sound bypasses: canonical digests,
+   delta witness reuse (witness solves only) and the segment plan,
+   then the incremental matcher for similarity or VF2 for witnesses —
+   each path logged in [Planner], none chosen by timing.  It is a
+   distinct variant rather than a process-wide flag so that explicitly
+   configured backends keep today's behaviour bit for bit, and so
+   "auto" flows into Config.backend_fp like any other backend name —
+   cached artifacts never mix Auto and fixed-mode runs. *)
 type backend = Asp | Direct | Incremental | Auto
 
 let default_backend = Direct
@@ -181,32 +180,15 @@ let reset_segment_stats () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Planner dispatch helpers                                            *)
-
-(* Time a dispatched solve, feed the measured duration back into the
-   planner's calibration table and log the decision (per-candidate
-   counter + per-domain span-tag line with predicted vs actual). *)
-let planner_dispatch ~task c feats f =
-  let predicted = Planner.predict c feats in
-  let t0 = Planner.now_s () in
-  let r = f () in
-  let dur = Planner.now_s () -. t0 in
-  Planner.observe c ~nodes:feats.Planner.f_nodes dur;
-  Planner.note ~task c ~predicted ~actual:dur;
-  r
+(* Auto's delta step                                                   *)
 
 (* The delta path under Auto: only a hit is a decision (a miss costs a
-   cached rigidity lookup and falls through to the normal dispatch). *)
+   cached rigidity lookup and falls through to the rest of the
+   cascade). *)
 let auto_delta ~task ~sub f1 f2 g1 g2 =
-  let t0 = Planner.now_s () in
-  match Incremental.delta ~sub f1 f2 g1 g2 with
-  | Some m ->
-      let dur = Planner.now_s () -. t0 in
-      let feats = Planner.features ~forms:true g1 g2 in
-      Planner.observe Planner.Delta ~nodes:feats.Planner.f_nodes dur;
-      Planner.note ~task Planner.Delta ~predicted:(Planner.predict Planner.Delta feats) ~actual:dur;
-      Some m
-  | None -> None
+  let m = Incremental.delta ~sub f1 f2 g1 g2 in
+  if Option.is_some m then Planner.note ~task Planner.Delta;
+  m
 
 let canon_pair ~opts g1 g2 =
   if opts.Match_opts.canon then
@@ -252,10 +234,9 @@ let segment_similar ~opts ~backend (p : Pgraph.Summarize.plan) =
     verdicts.(i) <-
       (match backend with
       (* Auto's segment instances stay on VF2: they are small by
-         construction (bounded by the largest ambiguous component) and
-         a per-segment calibrated choice could flip memo counters with
-         scheduling.  The planner's segmented-vs-whole accounting
-         happens at the plan level, on the calling domain. *)
+         construction (bounded by the largest ambiguous component).
+         Auto logs the segmented path once per plan, on the calling
+         domain. *)
       | Direct | Auto -> Vf2.similar left right
       | Incremental -> Incremental.similar left right
       | Asp -> (
@@ -338,24 +319,13 @@ let similar ?(opts = Match_opts.default) ?(backend = default_backend) g1 g2 =
     | Direct -> Vf2.similar g1 g2
     | Incremental -> Incremental.similar g1 g2
     | Auto ->
-        (* A verdict is backend-independent, so the calibrated argmin
-           is free to follow the cost model wherever it points — but
-           nothing observable may depend on where it pointed.  The
-           incremental and ASP dispatches run with their counters muted
-           (those counters feed the batch CLI's deterministic stats
-           epilogue), and a step-limited ASP bet falls back to the
-           exact VF2 verdict with no degradation marker: the planner
-           merely lost its wager, the answer is one exact solve away. *)
-        let feats = Planner.features g1 g2 in
-        let c = Planner.choose_similar feats in
-        planner_dispatch ~task:"similarity" c feats (fun () ->
-            match c with
-            | Planner.Incr -> Incremental.similar ~counted:false g1 g2
-            | Planner.Asp -> (
-                match Asp.Memo.quietly (fun () -> Asp_backend.similar_checked ~opts g1 g2) with
-                | Ok b -> b
-                | Error `Step_limit -> Vf2.similar g1 g2)
-            | _ -> Vf2.similar g1 g2)
+        (* A verdict is backend-independent, so Auto takes the matcher
+           that is cheapest on the suite's pairs: greedy creation-order
+           alignment, falling back to exact VF2.  Its counters stay
+           untouched so an [auto] run prints the same stats epilogue as
+           [direct]. *)
+        Planner.note ~task:"similarity" Planner.Incr;
+        Incremental.similar ~counted:false g1 g2
   in
   match canon_pair ~opts g1 g2 with
   | Some (f1, f2) ->
@@ -372,10 +342,8 @@ let similar ?(opts = Match_opts.default) ?(backend = default_backend) g1 g2 =
         | Pgraph.Summarize.Whole -> whole ()
         | Pgraph.Summarize.Segmented p ->
             seg_mark_pair "similarity";
-            if backend = Auto then
-              planner_dispatch ~task:"similarity" Planner.Seg (Planner.features g1 g2) (fun () ->
-                  segment_similar ~opts ~backend p)
-            else segment_similar ~opts ~backend p
+            if backend = Auto then Planner.note ~task:"similarity" Planner.Seg;
+            segment_similar ~opts ~backend p
       else whole ()
 
 let generalization_matching ?(opts = Match_opts.default) ?(backend = default_backend) g1 g2 =
@@ -394,13 +362,10 @@ let generalization_matching ?(opts = Match_opts.default) ?(backend = default_bac
     | Incremental -> Incremental.iso_min_cost g1 g2
     | Auto ->
         (* Witness-producing: the optimal witness is part of the
-           observable answer, so the choice may not float with the
-           calibration.  When no sound bypass applied (digest, delta)
-           Auto runs the default backend; the dispatch still feeds the
-           cost model and the decision log, keeping predictions
-           auditable on exactly the instances a bypass missed. *)
-        let feats = Planner.features ~forms:false g1 g2 in
-        planner_dispatch ~task:"generalization" Planner.Vf2 feats (fun () -> Vf2.iso_min_cost g1 g2)
+           observable answer, so when no bypass applied (digest,
+           delta) Auto runs the default backend. *)
+        Planner.note ~task:"generalization" Planner.Vf2;
+        Vf2.iso_min_cost g1 g2
   in
   let solve () =
     if segmentable ~opts g1 g2 then
@@ -417,9 +382,8 @@ let generalization_matching ?(opts = Match_opts.default) ?(backend = default_bac
               Atomic.incr seg_fallback_count;
               whole ()
           in
-          if backend = Auto then
-            planner_dispatch ~task:"generalization" Planner.Seg (Planner.features g1 g2) segmented
-          else segmented ())
+          if backend = Auto then Planner.note ~task:"generalization" Planner.Seg;
+          segmented ())
     else whole ()
   in
   match canon_pair ~opts g1 g2 with
@@ -456,10 +420,9 @@ let subgraph_matching ?(opts = Match_opts.default) ?(backend = default_backend) 
     | Direct -> Vf2.sub_iso_min_cost g1 g2
     | Incremental -> Incremental.sub_iso_min_cost g1 g2
     | Auto ->
-        (* Witness-producing, like generalization: fixed dispatch with
-           the cost model auditing the prediction. *)
-        let feats = Planner.features ~forms:false g1 g2 in
-        planner_dispatch ~task:"comparison" Planner.Vf2 feats (fun () -> Vf2.sub_iso_min_cost g1 g2)
+        (* Witness-producing, like generalization. *)
+        Planner.note ~task:"comparison" Planner.Vf2;
+        Vf2.sub_iso_min_cost g1 g2
   in
   (* Unequal digests prove nothing here (a proper subgraph embedding
      may still exist), so only the equal-digest zero-cost case can

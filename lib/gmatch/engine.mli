@@ -19,14 +19,16 @@ type backend =
           exact fallback (the paper's Section 5.4 suggestion); always
           returns the same answers as [Direct] *)
   | Auto
-      (** per-instance cost-based dispatch through {!Planner}: sound
-          bypasses first (canonical digests; {!Incremental.delta}
-          witness reuse on rigid transient-only pairs), calibrated
-          argmin among the solvers for similarity verdicts, and the
-          default backend for witness-producing solves — so output is
-          byte-identical to the fixed default while the hot path takes
-          whichever sound strategy is cheapest.  Participates in
-          [Config.backend_fp] as ["auto"] like any fixed backend. *)
+      (** a fixed cascade of sound bypasses, never steered by timing.
+          Similarity: canonical digest, then the quotient/segment plan,
+          then {!Incremental.similar} (greedy, exact VF2 fallback).
+          Generalization and comparison: canonical digest, then the
+          zero-cost canonical witness, then {!Incremental.delta}
+          witness reuse on rigid transient-only pairs, then (for
+          generalization) the segment plan, then VF2 — so output is byte-identical to
+          [Direct].  Each path taken is logged in {!Planner}.
+          Participates in [Config.backend_fp] as ["auto"] like any
+          fixed backend. *)
 
 val default_backend : backend
 

@@ -19,8 +19,9 @@ val stats : unit -> int * int
 val reset_stats : unit -> unit
 
 (** [?counted:false] leaves the certified/fallback counters untouched —
-    used by the planner's calibrated dispatch, whose routing depends on
-    measured timings while the counters feed deterministic stdout. *)
+    used by the [Auto] backend's similarity route, because the counters
+    feed the batch CLI's stats epilogue and an [auto] run must print
+    the same epilogue as [direct] and as its own warm-store replay. *)
 val similar : ?counted:bool -> Pgraph.Graph.t -> Pgraph.Graph.t -> bool
 
 val iso_min_cost : Pgraph.Graph.t -> Pgraph.Graph.t -> Matching.t option
@@ -38,7 +39,7 @@ val sub_iso_min_cost : Pgraph.Graph.t -> Pgraph.Graph.t -> Matching.t option
     one label-isomorphism exists between the digest-equal graphs.
     That unique bijection is [Canon.witness f1 f2]; it is optimal for
     any property values and byte-identical to every backend's answer,
-    which is why the Auto planner may take this path without changing
+    which is why the Auto backend may take this path without changing
     output.  Equal digests pin the element counts, so with [~sub:true]
     the same argument covers embeddings (injective + equal sizes =
     bijective).

@@ -1,254 +1,40 @@
-(* Per-instance cost-based backend selection.
+(* The Auto backend's decision log: which path of its fixed cascade
+   answered each instance that got past the digest gates.  A counter
+   per path, and a per-domain log that [Stage.compute] drains into
+   span tags. *)
 
-   The engine can answer one match instance five ways — canonical
-   digest bypass, delta witness reuse, incremental creation-order
-   alignment, VF2, ASP — and their costs differ by orders of magnitude
-   depending on the instance's shape.  The planner makes the choice per
-   instance instead of per run: it extracts cheap features (sizes,
-   colour-class width, form availability), predicts a wall-cost for
-   each candidate, and dispatches to the argmin.
+type path = Delta | Incr | Vf2 | Seg
 
-   Prediction is calibrated online: every dispatched solve reports its
-   measured duration back through [observe], which folds it into an
-   EWMA per (candidate x size bucket).  Cold cells fall back to static
-   priors whose only job is a sane ordering before the first few
-   observations land.  The table is a process-wide resource guarded by
-   one mutex (updates are rare — one per dispatched solve — so
-   contention is irrelevant); [export]/[import] serialize it so a warm
-   serve daemon can start calibrated from the artifact store.
-
-   Witness-identity discipline: calibrated choice is free only where
-   the output cannot depend on it.  Similarity verdicts are identical
-   across backends, so similarity solves dispatch to the true argmin.
-   Witness-producing solves (generalization, comparison) are answered
-   by a sound bypass when one applies — the delta path's witnesses are
-   unique, hence byte-identical to every backend's — and otherwise go
-   to the engine's default backend, so suite output never depends on
-   timing.  The cost model still runs on those instances: predictions
-   are recorded against the measured duration, which is what makes
-   mispredictions auditable in the span tree. *)
-
-open Pgraph
-
-type candidate = Bypass | Delta | Incr | Vf2 | Seg | Asp
-
-let candidate_name = function
-  | Bypass -> "bypass"
+let path_name = function
   | Delta -> "delta"
   | Incr -> "incremental"
   | Vf2 -> "vf2"
   | Seg -> "segmented"
-  | Asp -> "asp"
 
-let candidate_of_name = function
-  | "bypass" -> Some Bypass
-  | "delta" -> Some Delta
-  | "incremental" -> Some Incr
-  | "vf2" -> Some Vf2
-  | "segmented" -> Some Seg
-  | "asp" -> Some Asp
-  | _ -> None
+let paths = [ Delta; Incr; Vf2; Seg ]
+let index = function Delta -> 0 | Incr -> 1 | Vf2 -> 2 | Seg -> 3
+let counters = Array.init (List.length paths) (fun _ -> Atomic.make 0)
 
-let candidates = [| Bypass; Delta; Incr; Vf2; Seg; Asp |]
-let candidate_index = function Bypass -> 0 | Delta -> 1 | Incr -> 2 | Vf2 -> 3 | Seg -> 4 | Asp -> 5
+(* Per-domain, like the engine's degradation notes: decisions made on
+   pool domains surface on that domain's next drained stage — a
+   profiling aid, not an accounting guarantee. *)
+let log_key : string list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
-(* ------------------------------------------------------------------ *)
-(* Clock                                                               *)
-
-(* Same CLOCK_MONOTONIC stub Trace_span uses; durations are paired on
-   one domain so non-negativity holds locally. *)
-let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
-
-(* ------------------------------------------------------------------ *)
-(* Features                                                            *)
-
-type features = {
-  f_nodes : int;  (** max node count of the pair *)
-  f_edges : int;  (** max edge count of the pair *)
-  f_width : int Lazy.t;
-      (** distinct Weisfeiler-Leman node colours at [default_rounds],
-          min over the pair — low width relative to [f_nodes] means
-          many indistinguishable nodes, i.e. search-tree branching.
-          Lazy because only the static priors consume it: once the
-          EWMA cells for a bucket are warm, dispatch never pays the
-          refinement *)
-  f_forms : bool;  (** canonical forms available for both graphs *)
-}
-
-let features ?(forms = false) g1 g2 =
-  let width g =
-    let module S = Set.Make (Int64) in
-    Fingerprint.node_colours ~rounds:Fingerprint.default_rounds g
-    |> List.fold_left (fun s (_, c) -> S.add c s) S.empty
-    |> S.cardinal
-  in
-  {
-    f_nodes = max (Graph.node_count g1) (Graph.node_count g2);
-    f_edges = max (Graph.edge_count g1) (Graph.edge_count g2);
-    f_width = lazy (max 1 (min (width g1) (width g2)));
-    f_forms = forms;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Calibration table                                                   *)
-
-(* Size buckets double: <=8, <=16, ... <=512, larger. *)
-let buckets = 8
-
-let bucket n =
-  let rec go b lim = if b >= buckets - 1 || n <= lim then b else go (b + 1) (lim * 2) in
-  go 0 8
-
-let alpha = 0.3
-let table_mutex = Mutex.create ()
-let table = Array.make_matrix (Array.length candidates) buckets nan
-let observation_count = Atomic.make 0
-
-let with_table f =
-  Mutex.lock table_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock table_mutex) f
-
-let observe c ~nodes dur =
-  let i = candidate_index c and b = bucket nodes in
-  Atomic.incr observation_count;
-  with_table (fun () ->
-      let prev = table.(i).(b) in
-      table.(i).(b) <- (if Float.is_nan prev then dur else prev +. (alpha *. (dur -. prev))))
-
-let observations () = Atomic.get observation_count
-
-(* Static priors, seconds.  They only matter before the EWMA cells
-   warm up, so all they encode is the gross ordering the benches
-   confirm: linear fast paths, then polynomial search scaled by
-   ambiguity, then grounding-dominated ASP. *)
-let prior c f =
-  let n = float f.f_nodes and e = float (max 1 f.f_edges) in
-  let ambiguity =
-    let a = float f.f_nodes /. float (Lazy.force f.f_width) in
-    a *. a
-  in
-  match c with
-  | Bypass | Delta -> 2e-7 *. (n +. e)
-  | Incr -> 5e-8 *. n *. n
-  | Vf2 -> 1e-7 *. n *. e *. ambiguity
-  | Seg -> 1e-6 *. (n +. e) *. ambiguity
-  | Asp -> 2e-6 *. ((n *. n) +. (e *. e))
-
-let predict c f =
-  let v = with_table (fun () -> table.(candidate_index c).(bucket f.f_nodes)) in
-  if Float.is_nan v then prior c f else v
-
-let calibrated_cells () =
-  with_table (fun () ->
-      Array.fold_left
-        (fun acc row -> Array.fold_left (fun acc v -> if Float.is_nan v then acc else acc + 1) acc row)
-        0 table)
-
-(* ------------------------------------------------------------------ *)
-(* Choice                                                              *)
-
-(* Similarity verdicts are backend-independent, so the argmin is free
-   to follow the calibration wherever it points.  Ties (and the cold
-   table, where priors decide) break by list order, keeping the choice
-   a deterministic function of the features and table state.
-
-   Cold cells among the candidates are seeded with their prior on the
-   first choice in a bucket: candidates the argmin never picks would
-   otherwise stay cold forever, and every subsequent dispatch would
-   re-derive their priors — forcing the width refinement each time.
-   Seeding bounds that cost to once per size bucket; a wrong seed is
-   corrected by the EWMA the first time the candidate is measured. *)
-let choose_similar f =
-  let candidates = [ Vf2; Incr; Asp ] in
-  with_table (fun () ->
-      let b = bucket f.f_nodes in
-      List.iter
-        (fun c ->
-          if Float.is_nan table.(candidate_index c).(b) then
-            table.(candidate_index c).(b) <- prior c f)
-        candidates);
-  let best (bc, bp) c =
-    let p = predict c f in
-    if p < bp then (c, p) else (bc, bp)
-  in
-  fst (List.fold_left best (Vf2, predict Vf2 f) [ Incr; Asp ])
-
-(* ------------------------------------------------------------------ *)
-(* Decisions, mispredictions, span tags                                *)
-
-let decision_counters = Array.init (Array.length candidates) (fun _ -> Atomic.make 0)
-let misprediction_count = Atomic.make 0
-
-(* Per-domain decision log, drained into the enclosing stage's span
-   tags by [Stage.compute] (same caveat as the engine's degradation
-   notes: decisions made on pool domains surface on that domain's next
-   drained stage — a profiling aid, not an accounting guarantee). *)
-let decisions_key : string list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-let note ~task c ~predicted ~actual =
-  Atomic.incr decision_counters.(candidate_index c);
-  if actual > 1e-4 && actual > 2. *. predicted then Atomic.incr misprediction_count;
-  let log = Domain.DLS.get decisions_key in
-  log :=
-    Printf.sprintf "%s=%s predicted_ms=%.3f actual_ms=%.3f" task (candidate_name c)
-      (predicted *. 1e3) (actual *. 1e3)
-    :: !log
+let note ~task path =
+  Atomic.incr counters.(index path);
+  let log = Domain.DLS.get log_key in
+  log := (task ^ "=" ^ path_name path) :: !log
 
 let drain_decisions () =
-  let log = Domain.DLS.get decisions_key in
+  let log = Domain.DLS.get log_key in
   let ds = List.rev !log in
   log := [];
   ds
 
-let decision_counts () =
-  Array.to_list
-    (Array.map (fun c -> (candidate_name c, Atomic.get decision_counters.(candidate_index c))) candidates)
-
-let decisions_total () = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 decision_counters
-let mispredictions () = Atomic.get misprediction_count
-
-(* ------------------------------------------------------------------ *)
-(* Persistence                                                         *)
-
-(* Line-based rendering (no JSON dependency down here): a version
-   header, then one [candidate bucket seconds] triple per warm cell.
-   [import] ignores anything it does not recognize, so a stale or
-   corrupt store entry degrades to a cold start, never an error. *)
-let export () =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "planner-calibration v1\n";
-  with_table (fun () ->
-      Array.iteri
-        (fun i row ->
-          Array.iteri
-            (fun b v ->
-              if not (Float.is_nan v) then
-                Buffer.add_string buf (Printf.sprintf "%s %d %.9e\n" (candidate_name candidates.(i)) b v))
-            row)
-        table);
-  Buffer.contents buf
-
-let import s =
-  match String.split_on_char '\n' s with
-  | header :: rest when String.equal header "planner-calibration v1" ->
-      List.iter
-        (fun line ->
-          match String.split_on_char ' ' line with
-          | [ name; b; v ] -> (
-              match (candidate_of_name name, int_of_string_opt b, float_of_string_opt v) with
-              | Some c, Some b, Some v when b >= 0 && b < buckets && Float.is_finite v && v >= 0. ->
-                  with_table (fun () -> table.(candidate_index c).(b) <- v)
-              | _ -> ())
-          | _ -> ())
-        rest
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
+let decision_counts () = List.map (fun p -> (path_name p, Atomic.get counters.(index p))) paths
+let decisions_total () = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 counters
+let mispredictions () = 0
 
 let reset () =
-  with_table (fun () ->
-      Array.iter (fun row -> Array.fill row 0 (Array.length row) nan) table);
-  Array.iter (fun a -> Atomic.set a 0) decision_counters;
-  Atomic.set misprediction_count 0;
-  Atomic.set observation_count 0;
-  Domain.DLS.get decisions_key := []
+  Array.iter (fun a -> Atomic.set a 0) counters;
+  Domain.DLS.get log_key := []

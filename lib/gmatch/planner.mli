@@ -1,95 +1,34 @@
-(** Per-instance cost-based backend selection.
+(** The [Auto] backend's decision log.
 
-    Under the [Auto] backend the engine asks the planner, per match
-    instance, which of its strategies to run: it extracts cheap
-    features, predicts a wall-cost for every candidate from an
-    online-calibrated table (EWMA per candidate x size bucket, learned
-    from measured dispatch durations), and picks the argmin.
+    [Auto] answers every instance through a fixed cascade of sound
+    bypasses (see {!Engine}); nothing in it depends on timing.  This
+    module only records which path answered each solve that reached
+    a solver or a delta certificate, so traces and the serve [stats]
+    op can say why an answer came out as it did. *)
 
-    The witness-identity discipline the engine enforces on top:
-    calibrated choice is free for {e similarity} (the verdict is
-    backend-independent); {e witness-producing} instances are answered
-    by a sound bypass when one applies (canonical digests, the delta
-    path's provably unique witnesses) and otherwise by the default
-    backend, so printed output never depends on timing.  Predictions
-    are recorded against measured durations either way — the decision
-    log surfaces [planner.N] span tags with predicted and actual cost,
-    making mispredictions auditable in any trace export. *)
+(** The paths a logged [Auto] solve can take. *)
+type path =
+  | Delta  (** {!Incremental.delta}: the provably unique witness reused *)
+  | Incr  (** {!Incremental.similar}: greedy alignment, exact VF2 fallback *)
+  | Vf2  (** the whole-graph VF2 solve *)
+  | Seg  (** the quotient/segment plan *)
 
-type candidate = Bypass | Delta | Incr | Vf2 | Seg | Asp
-
-val candidate_name : candidate -> string
-
-(** {2 Features} *)
-
-type features = {
-  f_nodes : int;  (** max node count of the pair *)
-  f_edges : int;  (** max edge count of the pair *)
-  f_width : int Lazy.t;
-      (** distinct WL node colours at [Fingerprint.default_rounds],
-          min over the pair: the ambiguity signal — many same-coloured
-          nodes mean search-tree branching.  Lazy: only the static
-          priors force it, so calibrated dispatch pays no refinement *)
-  f_forms : bool;  (** canonical forms available for both graphs *)
-}
-
-(** [features ?forms g1 g2] extracts the cost-model features.  The
-    counts are cheap; the width refinement is deferred until a cold
-    cell actually consults a prior. *)
-val features : ?forms:bool -> Pgraph.Graph.t -> Pgraph.Graph.t -> features
-
-(** {2 Prediction and choice} *)
-
-(** Predicted wall-cost in seconds: the calibrated EWMA cell when one
-    is warm, a static prior otherwise. *)
-val predict : candidate -> features -> float
-
-(** Argmin over the similarity-capable solvers ([Vf2], [Incr], [Asp]);
-    deterministic given the features and table state. *)
-val choose_similar : features -> candidate
-
-(** {2 Calibration} *)
-
-(** [observe c ~nodes dur] folds a measured dispatch duration into the
-    EWMA cell for [c] at [nodes]'s size bucket.  Mutex-disciplined:
-    safe from any domain. *)
-val observe : candidate -> nodes:int -> float -> unit
-
-(** Observations folded in since the last [reset] (or [import] — the
-    imported cells do not count). *)
-val observations : unit -> int
-
-(** Warm EWMA cells currently in the table. *)
-val calibrated_cells : unit -> int
-
-(** {2 Decision accounting} *)
-
-(** [note ~task c ~predicted ~actual] records one dispatch decision:
-    bumps the per-candidate counter, flags a misprediction when the
-    measured cost exceeds twice the prediction, and appends a line to
-    the per-domain decision log. *)
-val note : task:string -> candidate -> predicted:float -> actual:float -> unit
+(** [note ~task path] counts one decision and appends the line
+    [<task>=<path>] to the calling domain's decision log. *)
+val note : task:string -> path -> unit
 
 (** Drain this domain's decision log (oldest first) — [Stage.compute]
     turns the lines into [planner.N] span tags. *)
 val drain_decisions : unit -> string list
 
+(** Decisions per path since the last [reset], in declaration order. *)
 val decision_counts : unit -> (string * int) list
+
 val decisions_total : unit -> int
+
+(** Always [0]: nothing is predicted any more, so nothing is
+    mispredicted.  Kept for callers that still report the count. *)
 val mispredictions : unit -> int
 
-(** {2 Persistence}
-
-    The calibration table serializes to a line-based text form so warm
-    serve daemons can start calibrated from the artifact store.
-    [import] is tolerant: unrecognized content degrades to a cold
-    start. *)
-
-val export : unit -> string
-val import : string -> unit
-
-(** Monotonic seconds (the engine times dispatches with this). *)
-val now_s : unit -> float
-
-(** Clear the table, counters and decision log (tests, benches). *)
+(** Clear the counters and this domain's decision log. *)
 val reset : unit -> unit

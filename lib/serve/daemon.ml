@@ -271,22 +271,18 @@ let stats_response t ~id =
             ("fallbacks", num (Gmatch.Engine.segment_fallbacks ())) ] );
       (let certified, fallback = Gmatch.Incremental.stats () in
        ("incremental", Json.Object [ ("certified", num certified); ("fallbacks", num fallback) ]));
-      (* Planner state is server-lifetime, like the memo: decision
-         counts per candidate, misprediction count, the delta path's
-         reuse counters and the calibration table's warmth. *)
+      (* Auto's decision log is server-lifetime, like the memo:
+         decisions per path and the delta path's reuse counters. *)
       (let d_cert, d_fall, d_hits = Gmatch.Incremental.delta_stats () in
        ( "planner",
          Json.Object
            [ ( "decisions",
                Json.Object
                  (List.map (fun (name, n) -> (name, num n)) (Gmatch.Planner.decision_counts ())) );
-             ("mispredictions", num (Gmatch.Planner.mispredictions ()));
              ( "delta",
                Json.Object
                  [ ("certified", num d_cert); ("fallbacks", num d_fall); ("cache_hits", num d_hits) ]
-             );
-             ("calibrated_cells", num (Gmatch.Planner.calibrated_cells ()));
-             ("observations", num (Gmatch.Planner.observations ())) ] )) ]
+             ) ] )) ]
     @ store_fields
   in
   (* [output] is the human-readable block the batch CLI prints, from
@@ -636,9 +632,6 @@ let run ?(on_ready = fun () -> ()) cfg =
   let pool = Pool.create ~size:(max 1 cfg.jobs) in
   Provmark.Pipeline.set_pair_pool (Some pool);
   Gmatch.Engine.set_segment_runner (Some (segment_runner pool));
-  (* A restarted daemon on the same store starts with a calibrated
-     planner instead of re-learning its cost model from priors. *)
-  Provmark.Session.warm_planner cfg.store;
   let t =
     {
       cfg;
@@ -695,7 +688,6 @@ let run ?(on_ready = fun () -> ()) cfg =
   on_ready ();
   Fun.protect
     ~finally:(fun () ->
-      Provmark.Session.persist_planner cfg.store;
       Provmark.Pipeline.set_pair_pool None;
       Gmatch.Engine.set_segment_runner None;
       Pool.shutdown pool;
