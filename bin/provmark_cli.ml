@@ -82,18 +82,31 @@ let deadline_arg =
   let doc =
     "Per-stage deadline in seconds (monotonic clock). A stage that overruns its \
      budget fails with a deadline-exceeded diagnosis and is retried like any \
-     other stage failure; deadline failures are never cached."
+     other stage failure; deadline failures are never cached. Must be finite \
+     and non-negative."
   in
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
+  (* Zero is a legal budget (every computed stage overruns it); a
+     negative or non-finite one is a typo, not a policy. *)
+  let check = function
+    | Some d when not (Float.is_finite d && d >= 0.) ->
+        invalid_config
+          (Printf.sprintf "--deadline must be a finite non-negative number of seconds (got %g)" d)
+    | deadline -> deadline
+  in
+  Term.(const check $ Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc))
 
 let retries_arg =
   let doc =
     "Attempts per benchmark before it is quarantined (default 3). Each retry \
      grows the trial count and perturbs the derivation seed, then the suite \
      moves on; quarantined benchmarks are reported at the end and reflected in \
-     the exit code."
+     the exit code. Must be at least 1."
   in
-  Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N" ~doc)
+  let check = function
+    | Some n when n < 1 -> invalid_config (Printf.sprintf "--retries must be at least 1 (got %d)" n)
+    | retries -> retries
+  in
+  Term.(const check $ Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N" ~doc))
 
 let fallback_arg =
   let doc =

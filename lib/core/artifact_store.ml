@@ -1,6 +1,8 @@
 (* Bump when the artifact encoding or key construction changes shape:
-   stale entries then miss instead of decoding garbage. *)
-let format_version = "3"
+   stale entries then miss instead of decoding garbage.  v4: every
+   entry leads with its stage's output digest line (see [Stage]), so a
+   pre-v4 store is recomputed once and rewritten. *)
+let format_version = "4"
 
 type stats = { hits : int; misses : int; stored : int; errors : int }
 

@@ -3,7 +3,10 @@
     Every stage execution is addressed by a key derived from the stage
     name, a fingerprint of the configuration fields that stage reads,
     and digests of its inputs (chained: a stage's input digest is
-    computed from the upstream stage's typed output).  Because the
+    computed from the upstream stage's typed output once, when that
+    output's entry is written, and stored in the entry beside it — see
+    {!Stage.execute} — so a replay reads downstream keys instead of
+    recomputing them).  Because the
     whole pipeline is a pure function of [(config, program)], replaying
     a stored artifact is indistinguishable from recomputing it — a warm
     suite re-run is byte-identical to the cold run and an edited

@@ -77,6 +77,10 @@ let recording_fingerprint t =
     (tool_name t) t.trials t.seed t.flakiness (spade_fp t.spade) (opus_fp t.opus)
     (camflow_fp t.camflow)
 
+(* What the transformation stage's stored output digest depends on:
+   canonical or plain graph digests. *)
+let transformation_fingerprint t = Printf.sprintf "canon=%b" t.opts.Gmatch.Match_opts.canon
+
 (* Pruned and unpruned ASP encodings are pinned to the same verdicts
    and optimal costs, but not to the same optimal *witness*, and the
    generalized graph depends on which witness the solver returns — so

@@ -77,6 +77,13 @@ val tool_name : t -> string
     the per-tool recorder settings. *)
 val recording_fingerprint : t -> string
 
+(** The transformation stage reads no configuration field, but the
+    output digest it stores does: canonical graph digests under
+    [opts.canon], plain ones otherwise.  The flag is therefore its
+    fingerprint (["canon=true"]/["canon=false"]), so a run with canon
+    off never keys its generalizations off a canon-on digest. *)
+val transformation_fingerprint : t -> string
+
 (** The matching part of the generalization and comparison keys:
     backend plus the [prune], [fallback], [canon] and
     [segment_min_nodes] options, e.g.

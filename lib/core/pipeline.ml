@@ -222,17 +222,36 @@ let compared_of_json j =
       }
 
 (* ------------------------------------------------------------------ *)
+(* Output digests                                                      *)
+
+(* What each stage's downstream consumers key on.  [Stage.execute]
+   computes these once, on the miss that writes an artifact, and a
+   replay reads them back from the entry. *)
+
+let json_digest to_json v = Artifact_store.digest (J.to_string (to_json v))
+
+let graphs_digest ~opts graphs =
+  Artifact_store.digest
+    (String.concat "\x00" (List.map (Artifact_store.canonical_graph_digest ~opts) graphs))
+
+(* ------------------------------------------------------------------ *)
 (* The four stages                                                     *)
 
-let recording_stage (record : recorder) : (Config.t * Program.t, _) Stage.t =
+let recording_stage (record : recorder) : (Config.t * Program.t, _, string) Stage.t =
   {
     Stage.name = "recording";
     run = (fun _ctx (config, prog) -> Ok (record config prog));
     encode = wrap recordings_to_json;
     decode = unwrap recordings_of_json;
+    digest = json_digest recordings_to_json;
+    shape = Stage.one;
   }
 
-let transformation_stage : (Recording.recorded list * Recording.recorded list, _) Stage.t =
+(* One graph-list digest per variant, so an edit that changes only the
+   foreground trials leaves the background generalization warm. *)
+let transformation_stage config :
+    (Recording.recorded list * Recording.recorded list, _, string * string) Stage.t =
+  let opts = config.Config.opts in
   {
     Stage.name = "transformation";
     run =
@@ -244,6 +263,8 @@ let transformation_stage : (Recording.recorded list * Recording.recorded list, _
               { Result.stage = "transformation"; variant = None; reason = Result.Malformed_output m });
     encode = wrap graphs_to_json;
     decode = unwrap graphs_of_json;
+    digest = (fun (bg, fg) -> (graphs_digest ~opts bg, graphs_digest ~opts fg));
+    shape = Stage.pair;
   }
 
 let generalization_failure variant f =
@@ -255,8 +276,11 @@ let generalization_failure variant f =
   in
   { Result.stage = "generalization"; variant = Some variant; reason }
 
+(* The generalized graph's canonical digest keys the comparison; taking
+   it here, on the pair job that computed the graph, also primes the
+   form cache for the comparison stage. *)
 let generalization_stage config ~variant :
-    (Pgraph.Graph.t list, Generalize.outcome * string list) Stage.t =
+    (Pgraph.Graph.t list, Generalize.outcome * string list, string) Stage.t =
   {
     Stage.name = "generalization";
     run =
@@ -270,9 +294,14 @@ let generalization_stage config ~variant :
             | Error f -> Error (generalization_failure variant f)));
     encode = wrap (noted_to_json gen_outcome_to_json);
     decode = unwrap (noted_of_json gen_outcome_of_json);
+    digest =
+      (fun (o, _) ->
+        Artifact_store.canonical_graph_digest ~opts:config.Config.opts o.Generalize.general);
+    shape = Stage.one;
   }
 
-let comparison_stage config : (Pgraph.Graph.t * Pgraph.Graph.t, compared * string list) Stage.t =
+let comparison_stage config :
+    (Pgraph.Graph.t * Pgraph.Graph.t, compared * string list, unit) Stage.t =
   {
     Stage.name = "comparison";
     run =
@@ -292,23 +321,24 @@ let comparison_stage config : (Pgraph.Graph.t * Pgraph.Graph.t, compared * strin
                     }));
     encode = wrap (noted_to_json compared_to_json);
     decode = unwrap (noted_of_json compared_of_json);
+    digest = ignore;
+    shape = Stage.none;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Composition                                                         *)
-
-let json_digest to_json v = Artifact_store.digest (J.to_string (to_json v))
-
-let graphs_digest ~opts graphs =
-  Artifact_store.digest
-    (String.concat "\x00" (List.map (Artifact_store.canonical_graph_digest ~opts) graphs))
+let audit_entry config ~stage contents =
+  match stage with
+  | "recording" -> Stage.audit (recording_stage Recording.record_all) contents
+  | "transformation" -> Stage.audit (transformation_stage config) contents
+  | "generalization" -> Stage.audit (generalization_stage config ~variant:"") contents
+  | "comparison" -> Stage.audit (comparison_stage config) contents
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Pair-parallelism                                                    *)
 
 (* The suite runner installs its worker pool here; the two
-   generalization variants (and the canonical-digest prework of the
-   comparison stage) then run as a help-queue pair on it.  Results
+   generalization variants then run as a help-queue pair on it, each
+   job also taking its generalized graph's digest on a miss.  Results
    come back in fixed (a, b) order and the branch spans are grafted
    a-then-b, so the output is byte-identical to a sequential run at
    any job count.  Degradation notes stay correct too: each side's
@@ -359,18 +389,18 @@ let run_once ~record ~ctx session prog =
       (recording_stage record) (config, prog)
   with
   | Error e -> fail e
-  | Ok recs -> (
-      let d_recs = json_digest recordings_to_json recs in
+  | Ok (recs, d_recs) -> (
       match
-        Stage.execute ?store ?deadline_s ~ctx ~fingerprint:"" ~inputs:[ d_recs ]
-          transformation_stage recs
+        Stage.execute ?store ?deadline_s ~ctx
+          ~fingerprint:(Config.transformation_fingerprint config) ~inputs:[ d_recs ]
+          (transformation_stage config) recs
       with
       | Error e -> fail e
-      | Ok (bg_graphs, fg_graphs) -> (
+      | Ok ((bg_graphs, fg_graphs), (d_bg_graphs, d_fg_graphs)) -> (
           let gen_fp = Config.generalization_fingerprint config in
-          let generalize variant graphs gctx =
+          let generalize variant graphs d_graphs gctx =
             Stage.execute ?store ?deadline_s ~ctx:gctx ~fingerprint:gen_fp
-              ~inputs:[ variant; graphs_digest ~opts:config.Config.opts graphs ]
+              ~inputs:[ variant; d_graphs ]
               (generalization_stage config ~variant)
               graphs
           in
@@ -379,17 +409,19 @@ let run_once ~record ~ctx session prog =
              background fails first) — in parallel when a pair pool is
              installed. *)
           let bg_out, fg_out =
-            both ~ctx (generalize "background" bg_graphs) (generalize "foreground" fg_graphs)
+            both ~ctx
+              (generalize "background" bg_graphs d_bg_graphs)
+              (generalize "foreground" fg_graphs d_fg_graphs)
           in
           let gen_notes out_opt variant =
-            match out_opt with Ok (_, notes) -> [ (variant, notes) ] | Error _ -> []
+            match out_opt with Ok ((_, notes), _) -> [ (variant, notes) ] | Error _ -> []
           in
           let notes_so_far =
             merge_notes (gen_notes bg_out "background" @ gen_notes fg_out "foreground")
           in
           match (bg_out, fg_out) with
           | Error e, _ | _, Error e -> fail ~degraded:notes_so_far e
-          | Ok (bg, bg_notes), Ok (fg, fg_notes) -> (
+          | Ok ((bg, bg_notes), d_bg), Ok ((fg, fg_notes), d_fg) -> (
               let bg_g = bg.Generalize.general and fg_g = fg.Generalize.general in
               let bg_general = Some bg_g and fg_general = Some fg_g in
               let degraded_with cmp_notes =
@@ -400,28 +432,20 @@ let run_once ~record ~ctx session prog =
                     ("comparison", cmp_notes);
                   ]
               in
-              (* Canonicalizing the two generalized graphs is the
-                 expensive prefix of the comparison key (and primes the
-                 form cache for the stage itself), so it pairs too. *)
-              let d_bg, d_fg =
-                both ~ctx
-                  (fun _ -> Artifact_store.canonical_graph_digest ~opts:config.Config.opts bg_g)
-                  (fun _ -> Artifact_store.canonical_graph_digest ~opts:config.Config.opts fg_g)
-              in
               match
                 Stage.execute ?store ?deadline_s ~ctx
                   ~fingerprint:(Config.comparison_fingerprint config)
                   ~inputs:[ d_bg; d_fg ] (comparison_stage config) (bg_g, fg_g)
               with
               | Error e -> fail ~bg:bg_general ~fg:fg_general ~degraded:(degraded_with []) e
-              | Ok (Similar, cmp_notes) ->
+              | Ok ((Similar, cmp_notes), ()) ->
                   {
                     status = Result.Empty;
                     bg_general;
                     fg_general;
                     degraded = degraded_with cmp_notes;
                   }
-              | Ok (Target o, cmp_notes) ->
+              | Ok ((Target o, cmp_notes), ()) ->
                   let target = o.Compare.target in
                   let status =
                     if Pgraph.Graph.size target = 0 then Result.Empty

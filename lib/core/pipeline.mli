@@ -12,7 +12,10 @@
     v}
 
     together with the per-stage configuration fingerprints from
-    {!Config}.  Editing a benchmark therefore invalidates exactly its
+    {!Config}.  Each digest after [d_prog] is the upstream stage's
+    output digest, computed once when its artifact is written and
+    carried in the store entry: a warm replay neither re-encodes the
+    recordings nor canonicalizes a graph to build its keys.  Editing a benchmark therefore invalidates exactly its
     own chain; flipping a knob (say [backend]) re-keys only the stages
     that read it and everything downstream. *)
 
@@ -44,9 +47,16 @@ type outcome = {
     target bodies.  The root of each benchmark's cache-key chain. *)
 val program_digest : Oskernel.Program.t -> string
 
+(** [audit_entry config ~stage contents] checks one stored entry of
+    the named stage (as {!Artifact_store.read} returns it) with
+    {!Stage.audit}: [true] when the digest it carries equals the one
+    recomputed from its decoded output under [config]'s matching
+    options.  Unknown stage names are [false]. *)
+val audit_entry : Config.t -> stage:string -> string -> bool
+
 (** [set_pair_pool (Some pool)] makes every subsequent {!run_once} run
-    its background/foreground generalization pair (and the comparison
-    stage's canonical-digest prework) as a help-queue pair on [pool]
+    its background/foreground generalization pair (each job taking its
+    generalized graph's digest on a miss) as a help-queue pair on [pool]
     (see {!Pool.run_pair}); [None] (the default) runs them
     sequentially.  Either way, results are consumed in the fixed
     bg-then-fg order and the two branches' spans are grafted back in

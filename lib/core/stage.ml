@@ -1,12 +1,59 @@
-type ('a, 'b) t = {
+type 'd shape = { render : 'd -> string list; parse : string list -> 'd option }
+
+let one = { render = (fun d -> [ d ]); parse = (function [ d ] -> Some d | _ -> None) }
+
+let pair =
+  { render = (fun (a, b) -> [ a; b ]); parse = (function [ a; b ] -> Some (a, b) | _ -> None) }
+
+let none = { render = (fun () -> []); parse = (function [] -> Some () | _ -> None) }
+
+type ('a, 'b, 'd) t = {
   name : string;
   run : Trace_span.ctx -> 'a -> ('b, Result.stage_error) result;
   encode : ('b, Result.stage_error) result -> string;
   decode : string -> ('b, Result.stage_error) result;
+  digest : 'b -> 'd;
+  shape : 'd shape;
 }
 
 let cache_key stage ~fingerprint ~inputs =
   Artifact_store.key ~stage:stage.name ~fingerprint ~inputs
+
+(* A store entry is one line of output digests (space-separated hex,
+   empty for a failure or a stage nobody keys on) and then the encoded
+   artifact; the store's seal covers both.  The digest is computed once,
+   on the miss that writes the entry, so a replay hands downstream keys
+   over without re-deriving them from the decoded value. *)
+let entry stage r =
+  let line = match r with Ok (_, d) -> String.concat " " (stage.shape.render d) | Error _ -> "" in
+  line ^ "\n" ^ stage.encode (Stdlib.Result.map fst r)
+
+let is_hex_digest s =
+  String.length s = 32 && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
+
+(* [None] for anything but a well-formed entry: a missing or malformed
+   digest line is a miss exactly like an undecodable payload, and the
+   recompute's rewrite heals it. *)
+let parse_entry stage contents =
+  match String.index_opt contents '\n' with
+  | None -> None
+  | Some i -> (
+      let digests =
+        match String.sub contents 0 i with "" -> [] | line -> String.split_on_char ' ' line
+      in
+      if not (List.for_all is_hex_digest digests) then None
+      else
+        match stage.decode (String.sub contents (i + 1) (String.length contents - i - 1)) with
+        | Error e -> if digests = [] then Some (Error e) else None
+        | Ok v -> Option.map (fun d -> Ok (v, d)) (stage.shape.parse digests)
+        | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
+        | exception _ -> None)
+
+let audit stage contents =
+  match parse_entry stage contents with
+  | None -> false
+  | Some (Error _) -> true
+  | Some (Ok (v, d)) -> d = stage.digest v
 
 let guard stage ctx f input =
   match f ctx input with
@@ -53,13 +100,6 @@ let tag_planner ctx =
     (fun i d -> Trace_span.add_tag ctx (Printf.sprintf "planner.%d" i) d)
     (Gmatch.Planner.drain_decisions ())
 
-let compute stage ctx input =
-  let before = effort_counters () in
-  let r = guard stage.name ctx stage.run input in
-  tag_effort ctx before;
-  tag_planner ctx;
-  r
-
 (* The deadline is checked post hoc on the monotonic clock: the stage
    runs to completion and the overrun then replaces its result.  No
    cancellation means no torn state, and the failure carries only the
@@ -79,38 +119,37 @@ let check_deadline stage ctx ~deadline_s ~start r =
         }
   | _ -> r
 
+(* Run the stage under its deadline, then digest a successful output in
+   a child span.  The digest is key-building work for the downstream
+   stages, not the stage's own, so it stays outside the budget. *)
+let compute stage ctx ~deadline_s input =
+  let start = Trace_span.now_s () in
+  let before = effort_counters () in
+  let r = guard stage.name ctx stage.run input in
+  tag_effort ctx before;
+  tag_planner ctx;
+  match check_deadline stage.name ctx ~deadline_s ~start r with
+  | Error e -> Error e
+  | Ok v -> Ok (v, Trace_span.with_span ctx "digest" (fun _ -> stage.digest v))
+
 let execute ?store ?deadline_s ~ctx ~fingerprint ~inputs stage input =
   Trace_span.with_span ctx stage.name (fun ctx ->
       match store with
       | None ->
           Trace_span.add_tag ctx "cache" "off";
-          let start = Trace_span.now_s () in
-          check_deadline stage.name ctx ~deadline_s ~start (compute stage ctx input)
+          compute stage ctx ~deadline_s input
       | Some s -> (
           let key = cache_key stage ~fingerprint ~inputs in
-          let cached =
-            match Artifact_store.read s ~stage:stage.name ~key with
-            | None -> None
-            | Some contents -> (
-                (* A corrupt or stale-format entry decodes to a miss and
-                   is overwritten below. *)
-                match stage.decode contents with
-                | r -> Some r
-                | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
-                | exception _ -> None)
-          in
-          Artifact_store.record s ~stage:stage.name ~key
-            ~hit:(match cached with Some _ -> true | None -> false);
+          let cached = Option.bind (Artifact_store.read s ~stage:stage.name ~key) (parse_entry stage) in
+          Artifact_store.record s ~stage:stage.name ~key ~hit:(Option.is_some cached);
           match cached with
           | Some r ->
               Trace_span.add_tag ctx "cache" "hit";
               r
           | None -> (
               Trace_span.add_tag ctx "cache" "miss";
-              let start = Trace_span.now_s () in
-              let r = compute stage ctx input in
-              match check_deadline stage.name ctx ~deadline_s ~start r with
+              match compute stage ctx ~deadline_s input with
               | Error { Result.reason = Result.Deadline_exceeded _; _ } as overrun -> overrun
               | r ->
-                  Artifact_store.write s ~stage:stage.name ~key (stage.encode r);
+                  Artifact_store.write s ~stage:stage.name ~key (entry stage r);
                   r)))

@@ -89,16 +89,39 @@ let test_injected_equals_default () =
 (* The retry policy grows the trial count, so a count of zero or less
    must be refused before any attempt runs rather than silently
    replaced by the second attempt's. *)
+(* Each case must exit with the invalid-config code and name the
+   offending option on stderr — the serve case would exit 2 for its
+   unusable socket too, so the message is what shows the option was
+   checked first. *)
 let test_cli_rejects_nonpositive_trials () =
+  let err = Filename.temp_file "provmark_cli" ".err" in
   List.iter
-    (fun trials ->
+    (fun (option, args) ->
       check_int
-        (Printf.sprintf "--trials=%d exits with the invalid-config code" trials)
+        (Printf.sprintf "%s exits with the invalid-config code" args)
         (Provmark.Exit_code.to_int Provmark.Exit_code.Invalid_config)
         (Sys.command
-           (Printf.sprintf "../bin/provmark_cli.exe run spg open --no-store --trials=%d 2>/dev/null"
-              trials)))
-    [ 0; -3 ]
+           (Printf.sprintf "../bin/provmark_cli.exe %s 2>%s" args (Filename.quote err)));
+      let msg = In_channel.with_open_bin err In_channel.input_all in
+      check_bool
+        (Printf.sprintf "%s names %s" args option)
+        true
+        (String.starts_with ~prefix:option msg))
+    [
+      ("--trials", "run spg open --no-store --trials=0");
+      ("--trials", "run spg open --no-store --trials=-3");
+      (* A negative or non-finite deadline would quarantine every
+         benchmark; retries below one would be clamped silently. *)
+      ("--deadline", "run spg open --no-store --deadline=-1");
+      ("--deadline", "run spg open --no-store --deadline=nan");
+      ("--deadline", "run spg open --no-store --deadline=inf");
+      ("--deadline", "batch --tool spg --no-store --deadline=-0.5");
+      ("--deadline", "serve --socket /nonexistent/pm.sock --no-store --deadline=-1");
+      ("--retries", "run spg open --no-store --retries=0");
+      ("--retries", "run spg open --no-store --retries=-1");
+      ("--retries", "batch --tool spg --no-store --retries=0");
+    ];
+  Sys.remove err
 
 let () =
   Alcotest.run "runner"

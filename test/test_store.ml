@@ -148,7 +148,7 @@ let test_concurrent_shard_writers () =
    weight of the real pipeline. *)
 let toy_runs = ref 0
 
-let toy_stage : (int, int) Stage.t =
+let toy_stage : (int, int, string) Stage.t =
   {
     Stage.name = "toy";
     run =
@@ -161,6 +161,8 @@ let toy_stage : (int, int) Stage.t =
         match int_of_string_opt s with
         | Some v -> Ok v
         | None -> failwith "corrupt toy artifact");
+    digest = (fun v -> Store.digest (string_of_int v));
+    shape = Stage.one;
   }
 
 let execute_toy ?store n =
@@ -168,7 +170,11 @@ let execute_toy ?store n =
     Span.collect "test" (fun ctx ->
         Stage.execute ?store ~ctx ~fingerprint:"toyfp" ~inputs:[ string_of_int n ] toy_stage n)
   in
-  match r with Ok v -> v | Error _ -> Alcotest.fail "toy stage failed"
+  match r with
+  | Ok (v, d) ->
+      check_string "carries the output digest" (Store.digest (string_of_int v)) d;
+      v
+  | Error _ -> Alcotest.fail "toy stage failed"
 
 let test_stage_execute_hit_miss () =
   with_store (fun store ->
@@ -186,16 +192,27 @@ let test_stage_execute_hit_miss () =
       check_int "store off ran" 3 !toy_runs;
       check_int "store off not counted" 1 (Store.totals store).Store.hits)
 
+(* Each bad entry must be a miss that recomputes and heals: an
+   undecodable payload, an entry with no digest line, one whose digest
+   line is not hex, and one with the wrong number of digests. *)
 let test_corrupt_artifact_recomputes () =
   with_store (fun store ->
-      toy_runs := 0;
-      ignore (execute_toy ~store 21);
       let key = Stage.cache_key toy_stage ~fingerprint:"toyfp" ~inputs:[ "21" ] in
-      Store.write store ~stage:"toy" ~key "!! not an integer !!";
-      check_int "corrupt entry falls back to compute" 42 (execute_toy ~store 21);
-      check_int "recomputed" 2 !toy_runs;
-      check_int "and repaired the entry" 42 (execute_toy ~store 21);
-      check_int "repaired entry replays" 2 !toy_runs)
+      List.iter
+        (fun (what, bad) ->
+          ignore (execute_toy ~store 21);
+          toy_runs := 0;
+          Store.write store ~stage:"toy" ~key bad;
+          check_int (what ^ ": falls back to compute") 42 (execute_toy ~store 21);
+          check_int (what ^ ": recomputed") 1 !toy_runs;
+          check_int (what ^ ": and repaired the entry") 42 (execute_toy ~store 21);
+          check_int (what ^ ": repaired entry replays") 1 !toy_runs)
+        [
+          ("undecodable payload", Store.digest "42" ^ "\n!! not an integer !!");
+          ("no digest line", "42");
+          ("malformed digest", "not-a-digest\n42");
+          ("digest of the wrong shape", Store.digest "42" ^ " " ^ Store.digest "42" ^ "\n42");
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Monotonic clock                                                     *)
@@ -235,19 +252,58 @@ let test_stage_error_rendering () =
     (Result_.stage_error_to_string (err "comparison" None Result_.Background_not_embeddable))
 
 (* ------------------------------------------------------------------ *)
-(* Warm re-runs: byte-identical at any -j, >=90% replayed              *)
+(* Warm re-runs: byte-identical at any -j, fully replayed              *)
 (* ------------------------------------------------------------------ *)
 
 let suite_progs = List.map Provmark.Bench_registry.find_exn [ "open"; "dup"; "fork"; "pipe" ]
+
+(* Every artifact file under a store directory, as (stage, key). *)
+let store_entries dir =
+  let ls d = try Array.to_list (Sys.readdir d) with Sys_error _ -> [] in
+  List.concat_map
+    (fun stage ->
+      List.concat_map
+        (fun prefix ->
+          List.filter_map
+            (fun f ->
+              if Filename.check_suffix f ".art" then Some (stage, Filename.chop_suffix f ".art")
+              else None)
+            (ls (Filename.concat (Filename.concat dir stage) prefix)))
+        (ls (Filename.concat dir stage)))
+    (ls dir)
 
 let test_warm_rerun_identical_any_jobs () =
   with_store (fun store ->
       let config = config_with store Recorder.Spade in
       let cold = Provmark.Parallel_runner.run_all ~jobs:1 config suite_progs in
+      (* The digests the cold run stored are the ones a recompute from
+         the decoded artifacts gives. *)
+      let entries = store_entries (Store.dir store) in
+      check_bool "the cold run wrote every stage" true
+        (List.sort_uniq compare (List.map fst entries)
+        = [ "comparison"; "generalization"; "recording"; "transformation" ]);
+      List.iter
+        (fun (stage, key) ->
+          match Store.read store ~stage ~key with
+          | None -> Alcotest.failf "unreadable %s entry %s" stage key
+          | Some contents ->
+              check_bool
+                (Printf.sprintf "%s entry %s carries its output digest" stage key)
+                true
+                (Provmark.Pipeline.audit_entry config ~stage contents))
+        entries;
       Store.reset_stats store;
       List.iter
         (fun jobs ->
+          Pgraph.Canon.clear ();
+          Pgraph.Canon.reset_stats ();
           let warm = Provmark.Parallel_runner.run_all ~jobs config suite_progs in
+          (* Keys come from the stored digests: a fully warm pass
+             computes no canonical form and asks the cache for none. *)
+          check_bool
+            (Printf.sprintf "warm(j=%d) canonicalizes nothing" jobs)
+            true
+            (Pgraph.Canon.stats () = (0, 0));
           List.iter2
             (fun c w ->
               check_string (Printf.sprintf "warm(j=%d) equals cold" jobs) (view c) (view w))
@@ -257,7 +313,7 @@ let test_warm_rerun_identical_any_jobs () =
       check_int "warm runs recompute nothing" 0 totals.Store.misses;
       match Store.hit_rate totals with
       | None -> Alcotest.fail "no stage executions recorded"
-      | Some rate -> check_bool "way past the 90% replay bar" true (rate >= 0.9))
+      | Some rate -> check_bool "every stage execution replayed" true (rate = 1.0))
 
 let test_warm_hit_rate_per_stage () =
   with_store (fun store ->
@@ -342,6 +398,10 @@ let test_backend_fp_pinned () =
   check_string "generalization fingerprint"
     "backend=direct,prune=true,fallback=true,canon=true,segment=on@64;filter=false;pair=smallest"
     (Config.generalization_fingerprint base);
+  check_string "transformation fingerprint" "canon=true" (Config.transformation_fingerprint base);
+  check_string "transformation fingerprint, canon off" "canon=false"
+    (Config.transformation_fingerprint
+       { base with Config.opts = { base.Config.opts with Gmatch.Match_opts.canon = false } });
   check_string "comparison fingerprint"
     "backend=auto,prune=true,fallback=true,canon=true,segment=on@64"
     (Config.comparison_fingerprint { base with Config.backend = Gmatch.Engine.Auto })
@@ -362,7 +422,30 @@ let test_knob_flip_invalidates_only_readers () =
       check_int "recording replayed" 1 (stat "recording").Store.hits;
       check_int "transformation replayed" 1 (stat "transformation").Store.hits;
       check_int "generalizations recomputed" 2 (stat "generalization").Store.misses;
-      check_int "comparison recomputed" 1 (stat "comparison").Store.misses)
+      check_int "comparison recomputed" 1 (stat "comparison").Store.misses;
+      (* Canon off changes the kind of digest the transformation stage
+         stores (plain instead of canonical), so that stage must
+         recompute rather than hand canon-on digests to canon-off
+         keys; the recordings do not depend on it and replay. *)
+      let canon_off c =
+        { c with Config.opts = { c.Config.opts with Gmatch.Match_opts.canon = false } }
+      in
+      let storeless =
+        Runner.run
+          (canon_off { (Config.default Recorder.Spade) with Config.backend = Gmatch.Engine.Direct })
+          open_bench
+      in
+      Store.reset_stats store;
+      let off = Runner.run (canon_off (config Recorder.Spade Gmatch.Engine.Direct)) open_bench in
+      check_int "canon off: recording replayed" 1 (stat "recording").Store.hits;
+      check_int "canon off: transformation recomputed" 1 (stat "transformation").Store.misses;
+      check_int "canon off: generalizations recomputed" 2 (stat "generalization").Store.misses;
+      check_int "canon off: comparison recomputed" 1 (stat "comparison").Store.misses;
+      check_string "canon off equals a store-less run" (view storeless) (view off);
+      Store.reset_stats store;
+      let off_warm = Runner.run (canon_off (config Recorder.Spade Gmatch.Engine.Direct)) open_bench in
+      check_int "canon off replays warm" 0 (Store.totals store).Store.misses;
+      check_string "canon off warm equals a store-less run" (view storeless) (view off_warm))
 
 (* ------------------------------------------------------------------ *)
 (* Span trees                                                          *)
