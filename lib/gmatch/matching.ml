@@ -49,6 +49,10 @@ let verify ~sub g1 g2 m =
     then Ok ()
     else err "matching is not surjective"
   in
+  (* The node image, tabled once: the maps are injective by now, so the
+     table agrees with [find_node] and endpoint checks stay O(1). *)
+  let image = Hashtbl.create (List.length m.node_map) in
+  List.iter (fun (x, y) -> Hashtbl.replace image x y) m.node_map;
   let check_node (x, y) =
     match (Graph.find_node g1 x, Graph.find_node g2 y) with
     | Some n1, Some n2 ->
@@ -63,8 +67,8 @@ let verify ~sub g1 g2 m =
           err "edge %s -> %s changes label" x y
         else if
           not
-            (find_node m e1.Graph.edge_src = Some e2.Graph.edge_src
-            && find_node m e1.Graph.edge_tgt = Some e2.Graph.edge_tgt)
+            (Hashtbl.find_opt image e1.Graph.edge_src = Some e2.Graph.edge_src
+            && Hashtbl.find_opt image e1.Graph.edge_tgt = Some e2.Graph.edge_tgt)
         then err "edge %s -> %s does not preserve endpoints" x y
         else Ok ()
     | _ -> err "edge pair %s -> %s refers to missing edges" x y

@@ -35,63 +35,16 @@ let leaf_budget = 256
 exception Budget
 
 (* ------------------------------------------------------------------ *)
-(* Graph view: arrays indexed by position in the id-sorted node/edge
-   lists, so refinement works on int-indexed arrays instead of maps.   *)
-
-type view = {
-  nodes : Graph.node array;
-  edges : Graph.edge array;
-  outs : (H.h * int) list array;  (* node idx -> (edge label hash, tgt idx) *)
-  ins : (H.h * int) list array;   (* node idx -> (marked edge label hash, src idx) *)
-  esrc : int array;               (* edge idx -> src node idx *)
-  etgt : int array;
-}
-
-let view_of g =
-  let nodes = Array.of_list (Graph.nodes g) in
-  let edges = Array.of_list (Graph.edges g) in
-  let idx = Hashtbl.create (Array.length nodes) in
-  Array.iteri (fun i (n : Graph.node) -> Hashtbl.replace idx n.Graph.node_id i) nodes;
-  let node_idx id = Hashtbl.find idx id in
-  let outs = Array.make (Array.length nodes) [] in
-  let ins = Array.make (Array.length nodes) [] in
-  let esrc = Array.make (Array.length edges) 0 in
-  let etgt = Array.make (Array.length edges) 0 in
-  Array.iteri
-    (fun ei (e : Graph.edge) ->
-      let s = node_idx e.Graph.edge_src and t = node_idx e.Graph.edge_tgt in
-      let lab = H.string H.seed e.Graph.edge_label in
-      let lab_in = H.string (H.string H.seed "in") e.Graph.edge_label in
-      esrc.(ei) <- s;
-      etgt.(ei) <- t;
-      outs.(s) <- (lab, t) :: outs.(s);
-      ins.(t) <- (lab_in, s) :: ins.(t))
-    edges;
-  { nodes; edges; outs; ins; esrc; etgt }
-
-(* ------------------------------------------------------------------ *)
 (* Refinement                                                          *)
 
-let distinct colours =
-  let module S = Set.Make (Int64) in
-  S.cardinal (Array.fold_left (fun s c -> S.add c s) S.empty colours)
-
-let refine_once view colours =
-  Array.mapi
-    (fun i c ->
-      let fold side = H.combine_sorted (List.map (fun (lab, j) -> H.int64 lab colours.(j)) side) in
-      H.int64 (H.int64 c (fold view.outs.(i))) (fold view.ins.(i)))
-    colours
-
-(* Each productive round strictly grows the number of colour classes
-   (hash refinement never merges classes, barring collisions), so the
-   fixpoint is reached in at most [n] rounds. *)
+(* Fingerprint's refinement continued to the partition fixpoint.  Each
+   productive round strictly grows the number of colour classes (hash
+   refinement never merges classes, barring collisions), so the
+   fixpoint is reached in at most [n] rounds.  The colours one round
+   past the last split are the ones branched and ordered on. *)
 let refine_fix view colours =
-  let rec loop colours k =
-    let k' = distinct colours in
-    if k' = k then colours else loop (refine_once view colours) k'
-  in
-  loop colours (-1)
+  let _, _, next = Fingerprint.settle view colours in
+  next
 
 let indiv_mark = H.string H.seed "individualized"
 
@@ -129,14 +82,15 @@ let certificate view colours =
   Array.iteri (fun p i -> pos.(i) <- p) order;
   let buf = Buffer.create 256 in
   let token s = Buffer.add_string buf (Printf.sprintf "%d:%s;" (String.length s) s) in
-  Buffer.add_string buf (Printf.sprintf "g%d,%d|" n (Array.length view.edges));
-  Array.iter (fun i -> token view.nodes.(i).Graph.node_label) order;
+  Buffer.add_string buf (Printf.sprintf "g%d,%d|" n (Array.length view.Fingerprint.edges));
+  Array.iter (fun i -> token view.Fingerprint.nodes.(i).Graph.node_label) order;
   Buffer.add_char buf '|';
   let triples =
     Array.to_list
       (Array.mapi
-         (fun ei (e : Graph.edge) -> (pos.(view.esrc.(ei)), pos.(view.etgt.(ei)), e.Graph.edge_label, ei))
-         view.edges)
+         (fun ei (e : Graph.edge) ->
+           (pos.(view.Fingerprint.esrc.(ei)), pos.(view.Fingerprint.etgt.(ei)), e.Graph.edge_label, ei))
+         view.Fingerprint.edges)
   in
   let triples =
     List.sort
@@ -157,9 +111,7 @@ let certificate view colours =
 (* Individualization-refinement search                                 *)
 
 let search view =
-  let n = Array.length view.nodes in
-  let initial = Array.make n H.seed in
-  Array.iteri (fun i (node : Graph.node) -> initial.(i) <- H.string H.seed node.Graph.node_label) view.nodes;
+  let initial = Fingerprint.label_colours view in
   let leaves = ref 0 in
   let best = ref None in
   let rec go colours =
@@ -232,15 +184,15 @@ let with_lock f =
 let clear () = with_lock (fun () -> Hashtbl.reset cache)
 
 let compute_form g =
-  let view = view_of g in
+  let view = Fingerprint.view_of g in
   match search view with
   | None -> None
   | Some (cert, order, eorder) ->
       Some
         {
           digest = Digest.to_hex (Digest.string cert);
-          node_order = Array.map (fun i -> view.nodes.(i).Graph.node_id) order;
-          edge_order = Array.map (fun ei -> view.edges.(ei).Graph.edge_id) eorder;
+          node_order = Array.map (fun i -> view.Fingerprint.nodes.(i).Graph.node_id) order;
+          edge_order = Array.map (fun ei -> view.Fingerprint.edges.(ei).Graph.edge_id) eorder;
         }
 
 let form g =

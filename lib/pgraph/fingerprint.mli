@@ -62,9 +62,59 @@ val edge_colours : ?rounds:int -> Graph.t -> (string * int64) list
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+(** {2 The refinement}
+
+    The one Weisfeiler–Leman implementation in the library: the
+    functions above, {!Canon}'s fixpoint and [Summarize]'s quotients and
+    segment plans all run it over an int-indexed {!view}.  A round
+    costs O(E log E) — each edge is hashed once per direction and each
+    node sorts its own neighbour multisets.
+
+    The hash values are pinned by the test suite: they feed store keys
+    ([Provmark.Artifact_store.graph_digest]), canonical digests and
+    witnesses, quotient digests and the solver's fault-site names, so a
+    change to any of them would orphan every artifact store on disk. *)
+
+(** A graph as arrays indexed by position in the id-sorted node and
+    edge lists.  [outs.(i)] lists [(edge label hash, target index)] for
+    node [i]'s outgoing edges, [ins.(i)] [(marked edge label hash,
+    source index)] for its incoming ones (a self-loop appears in both);
+    [esrc]/[etgt] give each edge's endpoint indices. *)
+type view = private {
+  nodes : Graph.node array;
+  edges : Graph.edge array;
+  outs : (int64 * int) list array;
+  ins : (int64 * int) list array;
+  esrc : int array;
+  etgt : int array;
+}
+
+val view_of : Graph.t -> view
+
+(** Round-0 colours, indexed like [view.nodes]: the node label's hash. *)
+val label_colours : view -> int64 array
+
+(** [refine view n colours] applies [n] more refinement rounds.  A
+    round gives each node a new colour hashing its old one with the
+    sorted (edge label, neighbour colour) multisets of its outgoing and
+    then its incoming edges. *)
+val refine : view -> int -> int64 array -> int64 array
+
+(** [colours_at view rounds] are the colours after [rounds] rounds from
+    {!label_colours} — [node_colours ~rounds] as an array. *)
+val colours_at : view -> int -> int64 array
+
+(** [settle view colours] refines [colours] until one more round no
+    longer splits a colour class (at most the node count of splitting
+    rounds).  It returns [(r, at, next)]: the [r] splitting rounds
+    applied, the colours after them, and the colours one round further
+    — the same partition under different hash values.  From
+    {!label_colours}, [r] is {!stable_rounds}. *)
+val settle : view -> int64 array -> int * int64 array * int64 array
+
 (** The FNV-1a hash combinators the colours are built from, exposed so
-    {!Canon} can extend the same refinement (identical hashing keeps
-    its fixpoint colours comparable with the bounded rounds here). *)
+    {!Canon} can individualize nodes with the same hashing and
+    [Summarize] can render colours. *)
 module Hash : sig
   type h = int64
 
@@ -72,9 +122,8 @@ module Hash : sig
   val string : h -> string -> h
   val int64 : h -> h -> h
 
-  (** Order-independent combination: inputs are sorted before folding,
-      so the result is invariant under element renaming. *)
-  val combine_sorted : h list -> h
+  (** Zero-padded lowercase hexadecimal, as [Printf.sprintf "%016Lx"]. *)
+  val hex : h -> string
 end
 
 (** Stable hexadecimal rendering, usable as a dictionary key. *)

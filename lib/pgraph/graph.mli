@@ -51,10 +51,20 @@ val edges : t -> edge list
 val node_ids : t -> string list
 val edge_ids : t -> string list
 
+(** {2 Incidence queries}
+
+    Each call scans the whole edge list: O(E) per query, in edge-id
+    order.  They suit one-off lookups; code that visits every node's
+    neighbours should build an adjacency index once instead (as
+    {!Fingerprint.view_of} does for the refinement). *)
+
 (** Edges whose source or target is the given node. *)
 val incident_edges : t -> string -> edge list
 
+(** Edges whose source is the given node. *)
 val out_edges : t -> string -> edge list
+
+(** Edges whose target is the given node. *)
 val in_edges : t -> string -> edge list
 
 val set_node_props : t -> string -> Props.t -> t

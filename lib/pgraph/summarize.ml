@@ -3,18 +3,15 @@ module Sset = Set.Make (String)
 module Imap = Map.Make (Int64)
 
 (* Keys for edge aggregation: (source class index, target class index,
-   label) for quotients, (g2 source id, g2 target id, label) for
+   label) for quotients, (g2 source index, g2 target index, label) for
    forced-edge bundles. *)
 module Iemap = Map.Make (struct
   type t = int * int * string
 
-  let compare = compare
-end)
-
-module Bmap = Map.Make (struct
-  type t = string * string * string
-
-  let compare = compare
+  let compare (s1, t1, l1) (s2, t2, l2) =
+    match Int.compare s1 s2 with
+    | 0 -> ( match Int.compare t1 t2 with 0 -> String.compare l1 l2 | c -> c)
+    | c -> c
 end)
 
 (* The prefix starts with a control byte no recorder or generator ever
@@ -28,18 +25,25 @@ let is_anchor_label l =
 
 let anchor_label counterpart = anchor_prefix ^ counterpart
 
-let colour_map g rounds =
-  List.fold_left
-    (fun m (id, c) -> Smap.add id c m)
-    Smap.empty
-    (Fingerprint.node_colours ~rounds g)
+let cons x = function None -> Some [ x ] | Some xs -> Some (x :: xs)
 
+(* Colour classes of a view's colouring: colour -> ascending member
+   indices (index order is id order). *)
 let colour_classes colours =
-  Smap.fold
-    (fun id c m ->
-      Imap.update c (function None -> Some [ id ] | Some ids -> Some (id :: ids)) m)
-    colours Imap.empty
-  |> Imap.map (List.sort String.compare)
+  let m = ref Imap.empty in
+  for i = Array.length colours - 1 downto 0 do
+    m := Imap.update colours.(i) (cons i) !m
+  done;
+  !m
+
+let node_id (view : Fingerprint.view) i = view.Fingerprint.nodes.(i).Graph.node_id
+
+let colour_map (view : Fingerprint.view) colours =
+  let m = ref Smap.empty in
+  Array.iteri
+    (fun i (n : Graph.node) -> m := Smap.add n.Graph.node_id colours.(i) !m)
+    view.Fingerprint.nodes;
+  !m
 
 (* ------------------------------------------------------------------ *)
 (* Quotient graphs                                                     *)
@@ -50,43 +54,54 @@ type quotient = {
   rounds : int;
 }
 
+(* The quotient's edge bundles: (source class, target class, label) ->
+   multiplicity, classes numbered in ascending colour order. *)
+let class_bundles (view : Fingerprint.view) colours cls =
+  let class_index, _ = Imap.fold (fun c _ (m, i) -> (Imap.add c i m, i + 1)) cls (Imap.empty, 0) in
+  let node_class = Array.map (fun c -> Imap.find c class_index) colours in
+  let bundles = ref Iemap.empty in
+  Array.iteri
+    (fun ei (e : Graph.edge) ->
+      let k =
+        ( node_class.(view.Fingerprint.esrc.(ei)),
+          node_class.(view.Fingerprint.etgt.(ei)),
+          e.Graph.edge_label )
+      in
+      bundles := Iemap.update k (function None -> Some 1 | Some n -> Some (n + 1)) !bundles)
+    view.Fingerprint.edges;
+  !bundles
+
+let qid i = "q" ^ string_of_int i
+
 let quotient ?rounds g =
-  let rounds = match rounds with Some r -> r | None -> Fingerprint.stable_rounds g in
-  let classes = Imap.bindings (colour_classes (colour_map g rounds)) in
-  let node_class, _ =
-    List.fold_left
-      (fun (m, i) (_, ids) ->
-        (List.fold_left (fun m id -> Smap.add id i m) m ids, i + 1))
-      (Smap.empty, 0) classes
+  let view = Fingerprint.view_of g in
+  let rounds, colours =
+    match rounds with
+    | Some r -> (r, Fingerprint.colours_at view r)
+    | None ->
+        let r, colours, _ = Fingerprint.settle view (Fingerprint.label_colours view) in
+        (r, colours)
   in
+  let cls = colour_classes colours in
+  let classes = List.map (fun (c, is) -> (c, List.map (node_id view) is)) (Imap.bindings cls) in
   let qg, _ =
     List.fold_left
       (fun (qg, i) (c, ids) ->
-        ( Graph.add_node qg ~id:(Printf.sprintf "q%d" i)
-            ~label:(Printf.sprintf "%016Lx*%d" c (List.length ids))
+        ( Graph.add_node qg ~id:(qid i)
+            ~label:(Fingerprint.Hash.hex c ^ "*" ^ string_of_int (List.length ids))
             ~props:Props.empty,
           i + 1 ))
       (Graph.empty, 0) classes
   in
-  let bundles =
-    List.fold_left
-      (fun m (e : Graph.edge) ->
-        let k =
-          (Smap.find e.Graph.edge_src node_class, Smap.find e.Graph.edge_tgt node_class,
-           e.Graph.edge_label)
-        in
-        Iemap.update k (function None -> Some 1 | Some n -> Some (n + 1)) m)
-      Iemap.empty (Graph.edges g)
-  in
   let qg, _ =
     Iemap.fold
       (fun (si, ti, lbl) n (qg, j) ->
-        ( Graph.add_edge qg ~id:(Printf.sprintf "qe%d" j) ~src:(Printf.sprintf "q%d" si)
-            ~tgt:(Printf.sprintf "q%d" ti)
-            ~label:(Printf.sprintf "%s*%d" lbl n)
+        ( Graph.add_edge qg ~id:("qe" ^ string_of_int j) ~src:(qid si) ~tgt:(qid ti)
+            ~label:(lbl ^ "*" ^ string_of_int n)
             ~props:Props.empty,
           j + 1 ))
-      bundles (qg, 0)
+      (class_bundles view colours cls)
+      (qg, 0)
   in
   { qgraph = qg; classes; rounds }
 
@@ -161,57 +176,52 @@ let digest_pair l r =
   render_graph b r;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Weakly connected components of the subgraph induced by [amb], as
-   sorted member lists in ascending-seed order. *)
-let components g amb =
-  let visited = Hashtbl.create 64 in
+(* Weakly connected components of the subgraph induced by the nodes
+   flagged in [amb], as sorted member index lists in ascending-seed
+   order (index order is id order). *)
+let components (view : Fingerprint.view) amb =
+  let visited = Array.make (Array.length amb) false in
   let comps = ref [] in
-  List.iter
-    (fun seed ->
-      if not (Hashtbl.mem visited seed) then begin
+  Array.iteri
+    (fun seed is_amb ->
+      if is_amb && not visited.(seed) then begin
         let comp = ref [] in
         let queue = Queue.create () in
-        Queue.add seed queue;
-        Hashtbl.add visited seed ();
+        let visit v =
+          if amb.(v) && not visited.(v) then begin
+            visited.(v) <- true;
+            Queue.add v queue
+          end
+        in
+        visit seed;
         while not (Queue.is_empty queue) do
           let u = Queue.pop queue in
           comp := u :: !comp;
-          List.iter
-            (fun (e : Graph.edge) ->
-              let v =
-                if String.equal e.Graph.edge_src u then e.Graph.edge_tgt else e.Graph.edge_src
-              in
-              if Sset.mem v amb && not (Hashtbl.mem visited v) then begin
-                Hashtbl.add visited v ();
-                Queue.add v queue
-              end)
-            (Graph.incident_edges g u)
+          List.iter (fun (_, v) -> visit v) view.Fingerprint.outs.(u);
+          List.iter (fun (_, v) -> visit v) view.Fingerprint.ins.(u)
         done;
-        comps := List.sort String.compare !comp :: !comps
+        comps := List.sort Int.compare !comp :: !comps
       end)
-    (Sset.elements amb);
+    amb;
   List.rev !comps
 
 (* Per-component edge partition, computed in one pass over the edges:
    [intra.(i)] are edges with both endpoints ambiguous (necessarily the
    same component), [frontier.(i)] edges with exactly one ambiguous
-   endpoint (the other forced).  Forced-forced edges are handled
-   separately and never reach a segment. *)
-let classify_edges g comp_index ncomps =
+   endpoint (the other forced), each in edge-id order.  Forced-forced
+   edges ([comp_of] is -1 at both ends) are handled separately and
+   never reach a segment. *)
+let classify_edges (view : Fingerprint.view) comp_of ncomps =
   let intra = Array.make (max 1 ncomps) [] in
   let frontier = Array.make (max 1 ncomps) [] in
-  List.iter
-    (fun (e : Graph.edge) ->
-      match (Smap.find_opt e.Graph.edge_src comp_index, Smap.find_opt e.Graph.edge_tgt comp_index)
-      with
-      | Some i, Some _ -> intra.(i) <- e :: intra.(i)
-      | Some i, None | None, Some i -> frontier.(i) <- e :: frontier.(i)
-      | None, None -> ())
-    (Graph.edges g);
-  let sort_edges =
-    List.sort (fun (a : Graph.edge) b -> String.compare a.Graph.edge_id b.Graph.edge_id)
-  in
-  (Array.map sort_edges intra, Array.map sort_edges frontier)
+  for ei = Array.length view.Fingerprint.edges - 1 downto 0 do
+    let e = view.Fingerprint.edges.(ei) in
+    match (comp_of.(view.Fingerprint.esrc.(ei)), comp_of.(view.Fingerprint.etgt.(ei))) with
+    | -1, -1 -> ()
+    | i, -1 | -1, i -> frontier.(i) <- e :: frontier.(i)
+    | i, _ -> intra.(i) <- e :: intra.(i)
+  done;
+  (intra, frontier)
 
 (* Isomorphism-invariant component signature used to pair left and
    right components: member colour multiset, intra-edge descriptors
@@ -226,13 +236,18 @@ let comp_signature colours counterpart members intra frontier =
   let b = Buffer.create 128 in
   List.map (fun id -> Smap.find id colours) members
   |> List.sort Int64.compare
-  |> List.iter (fun c -> Buffer.add_string b (Printf.sprintf "%016Lx," c));
+  |> List.iter (fun c ->
+         Buffer.add_string b (Fingerprint.Hash.hex c);
+         Buffer.add_char b ',');
   Buffer.add_char b '|';
   List.map
     (fun (e : Graph.edge) ->
-      Printf.sprintf "%s:%016Lx:%016Lx" e.Graph.edge_label
-        (Smap.find e.Graph.edge_src colours)
-        (Smap.find e.Graph.edge_tgt colours))
+      String.concat ":"
+        [
+          e.Graph.edge_label;
+          Fingerprint.Hash.hex (Smap.find e.Graph.edge_src colours);
+          Fingerprint.Hash.hex (Smap.find e.Graph.edge_tgt colours);
+        ])
     intra
   |> List.sort String.compare
   |> List.iter (fun s ->
@@ -295,26 +310,40 @@ let plan ?rounds g1 g2 =
   try
     if Graph.node_count g1 <> Graph.node_count g2 || Graph.edge_count g1 <> Graph.edge_count g2
     then raise (Bail Mismatch);
-    let rounds =
+    (* One colouring per graph, at the pair's common depth: colour
+       hashes are only comparable at equal rounds, so the shallower
+       graph refines on from its own stable point. *)
+    let v1 = Fingerprint.view_of g1 and v2 = Fingerprint.view_of g2 in
+    let rounds, c1, c2 =
       match rounds with
-      | Some r -> r
-      | None -> max (Fingerprint.stable_rounds g1) (Fingerprint.stable_rounds g2)
+      | Some r -> (r, Fingerprint.colours_at v1 r, Fingerprint.colours_at v2 r)
+      | None ->
+          let r1, a1, _ = Fingerprint.settle v1 (Fingerprint.label_colours v1) in
+          let r2, a2, _ = Fingerprint.settle v2 (Fingerprint.label_colours v2) in
+          let r = max r1 r2 in
+          (r, Fingerprint.refine v1 (r - r1) a1, Fingerprint.refine v2 (r - r2) a2)
     in
+    let cls1 = colour_classes c1 and cls2 = colour_classes c2 in
     (* Quotients first: any label-isomorphism preserves colours exactly
        (the hashes are computed identically on both sides), so a
        matchable pair has structurally equal quotients — equal class
        histograms and equal class-to-class edge bundles — even under
-       hash collisions, which merge the same classes on both sides. *)
-    let q1 = quotient ~rounds g1 and q2 = quotient ~rounds g2 in
-    if not (Graph.equal_structure q1.qgraph q2.qgraph) then raise (Bail Mismatch);
-    let col1 = colour_map g1 rounds and col2 = colour_map g2 rounds in
-    let cls1 = colour_classes col1 and cls2 = colour_classes col2 in
-    if not (Imap.equal (fun a b -> List.length a = List.length b) cls1 cls2) then
-      raise (Bail Mismatch);
-    let forced_nodes =
+       hash collisions, which merge the same classes on both sides.
+       The quotient graphs are compared without being built: their
+       nodes follow colour order and their edges bundle-key order, so
+       they are structurally equal exactly when these two maps are. *)
+    if
+      not
+        (Imap.equal (fun a b -> List.length a = List.length b) cls1 cls2
+        && Iemap.equal Int.equal (class_bundles v1 c1 cls1) (class_bundles v2 c2 cls2))
+    then raise (Bail Mismatch);
+    let col1 = colour_map v1 c1 and col2 = colour_map v2 c2 in
+    (* Forced pairs by node index: [partner.(i)] is the g2 index forced
+       onto g1 node [i] (or -1), [forced2] flags g2's forced nodes. *)
+    let forced =
       Imap.fold
-        (fun c ids acc ->
-          match ids with [ a ] -> (a, List.hd (Imap.find c cls2)) :: acc | _ -> acc)
+        (fun c is acc ->
+          match is with [ a ] -> (a, List.hd (Imap.find c cls2)) :: acc | _ -> acc)
         cls1 []
       |> List.rev
     in
@@ -323,46 +352,46 @@ let plan ?rounds g1 g2 =
        pair back to the whole-graph solver instead. *)
     List.iter
       (fun (a, b) ->
-        match (Graph.find_node g1 a, Graph.find_node g2 b) with
-        | Some n1, Some n2 when String.equal n1.Graph.node_label n2.Graph.node_label -> ()
-        | _ -> raise (Bail Whole))
-      forced_nodes;
+        if
+          not
+            (String.equal v1.Fingerprint.nodes.(a).Graph.node_label
+               v2.Fingerprint.nodes.(b).Graph.node_label)
+        then raise (Bail Whole))
+      forced;
+    let partner = Array.make (Array.length c1) (-1) in
+    let forced2 = Array.make (Array.length c2) false in
+    List.iter
+      (fun (a, b) ->
+        partner.(a) <- b;
+        forced2.(b) <- true)
+      forced;
+    let forced_nodes = List.map (fun (a, b) -> (node_id v1 a, node_id v2 b)) forced in
     let forced_map = List.fold_left (fun m (a, b) -> Smap.add a b m) Smap.empty forced_nodes in
-    let forced1 = List.fold_left (fun s (a, _) -> Sset.add a s) Sset.empty forced_nodes in
-    let forced2 = List.fold_left (fun s (_, b) -> Sset.add b s) Sset.empty forced_nodes in
-    (* Forced-forced edge bundles, keyed in g2 coordinates.  An
+    (* Forced-forced edge bundles, keyed in g2 coordinates (g2 index
+       order is g2 id order), each an ascending edge-id list.  An
        isomorphism maps each bundle bijectively onto its counterpart, so
        the sizes must agree in both directions. *)
-    let cons id = function None -> Some [ id ] | Some ids -> Some (id :: ids) in
+    let bundles (view : Fingerprint.view) key =
+      let m = ref Iemap.empty in
+      for ei = Array.length view.Fingerprint.edges - 1 downto 0 do
+        let e = view.Fingerprint.edges.(ei) in
+        match key view.Fingerprint.esrc.(ei) view.Fingerprint.etgt.(ei) with
+        | Some (s, t) -> m := Iemap.update (s, t, e.Graph.edge_label) (cons e.Graph.edge_id) !m
+        | None -> ()
+      done;
+      !m
+    in
     let bundle1 =
-      List.fold_left
-        (fun m (e : Graph.edge) ->
-          if Sset.mem e.Graph.edge_src forced1 && Sset.mem e.Graph.edge_tgt forced1 then
-            Bmap.update
-              (Smap.find e.Graph.edge_src forced_map, Smap.find e.Graph.edge_tgt forced_map,
-               e.Graph.edge_label)
-              (cons e.Graph.edge_id) m
-          else m)
-        Bmap.empty (Graph.edges g1)
-      |> Bmap.map (List.sort String.compare)
+      bundles v1 (fun s t ->
+          if partner.(s) >= 0 && partner.(t) >= 0 then Some (partner.(s), partner.(t)) else None)
     in
-    let bundle2 =
-      List.fold_left
-        (fun m (e : Graph.edge) ->
-          if Sset.mem e.Graph.edge_src forced2 && Sset.mem e.Graph.edge_tgt forced2 then
-            Bmap.update
-              (e.Graph.edge_src, e.Graph.edge_tgt, e.Graph.edge_label)
-              (cons e.Graph.edge_id) m
-          else m)
-        Bmap.empty (Graph.edges g2)
-      |> Bmap.map (List.sort String.compare)
-    in
-    if not (Bmap.equal (fun a b -> List.length a = List.length b) bundle1 bundle2) then
+    let bundle2 = bundles v2 (fun s t -> if forced2.(s) && forced2.(t) then Some (s, t) else None) in
+    if not (Iemap.equal (fun a b -> List.length a = List.length b) bundle1 bundle2) then
       raise (Bail Mismatch);
     let forced_edges, bundle_segments =
-      Bmap.fold
+      Iemap.fold
         (fun key ids1 (fe, segs) ->
-          let ids2 = Bmap.find key bundle2 in
+          let ids2 = Iemap.find key bundle2 in
           match (ids1, ids2) with
           | [ a ], [ b ] -> ((a, b) :: fe, segs)
           | _ ->
@@ -403,27 +432,22 @@ let plan ?rounds g1 g2 =
     in
     let forced_edges = List.rev forced_edges in
     (* Ambiguous components on both sides. *)
-    let amb g forced =
-      List.fold_left
-        (fun s id -> if Sset.mem id forced then s else Sset.add id s)
-        Sset.empty (Graph.node_ids g)
+    let comps1 = components v1 (Array.map (fun b -> b < 0) partner)
+    and comps2 = components v2 (Array.map not forced2) in
+    let comp_of (view : Fingerprint.view) comps =
+      let a = Array.make (Array.length view.Fingerprint.nodes) (-1) in
+      List.iteri (fun ci members -> List.iter (fun i -> a.(i) <- ci) members) comps;
+      a
     in
-    let amb1 = amb g1 forced1 and amb2 = amb g2 forced2 in
-    let comps1 = components g1 amb1 and comps2 = components g2 amb2 in
-    let index comps =
-      List.fold_left
-        (fun (m, i) members ->
-          (List.fold_left (fun m id -> Smap.add id i m) m members, i + 1))
-        (Smap.empty, 0) comps
-      |> fst
-    in
-    let idx1 = index comps1 and idx2 = index comps2 in
-    let intra1, frontier1 = classify_edges g1 idx1 (List.length comps1) in
-    let intra2, frontier2 = classify_edges g2 idx2 (List.length comps2) in
+    let intra1, frontier1 = classify_edges v1 (comp_of v1 comps1) (List.length comps1) in
+    let intra2, frontier2 = classify_edges v2 (comp_of v2 comps2) (List.length comps2) in
+    let ids view comps = Array.of_list (List.map (List.map (node_id view)) comps) in
+    let comps1 = ids v1 comps1 and comps2 = ids v2 comps2 in
     let sigs comps colours counterpart intra frontier =
-      List.mapi
-        (fun i members -> comp_signature colours counterpart members intra.(i) frontier.(i))
-        comps
+      Array.to_list
+        (Array.mapi
+           (fun i members -> comp_signature colours counterpart members intra.(i) frontier.(i))
+           comps)
     in
     let sig1 = sigs comps1 col1 (fun id -> Smap.find id forced_map) intra1 frontier1 in
     let sig2 = sigs comps2 col2 (fun id -> id) intra2 frontier2 in
@@ -442,7 +466,7 @@ let plan ?rounds g1 g2 =
         (fun key is1 acc ->
           let is2 = Smap.find key grp2 in
           let pick comps intra frontier is =
-            ( List.map (fun i -> List.nth comps i) is,
+            ( List.map (fun i -> comps.(i)) is,
               List.map (fun i -> intra.(i) @ frontier.(i)) is )
           in
           let members1, edges1 = pick comps1 intra1 frontier1 is1 in

@@ -110,7 +110,8 @@ type t = {
   (* Set from the SIGTERM/SIGINT handler; the loop turns it into a
      bounded drain. *)
   stop : bool Atomic.t;
-  (* Completed results, appended by workers, for the shutdown trace. *)
+  (* Completed results, appended by workers for the shutdown trace
+     when [--trace] is set, and left empty otherwise. *)
   results_mutex : Mutex.t;
   mutable results : Provmark.Result.t list;
 }
@@ -138,10 +139,14 @@ let benchmark_config t (b : Protocol.benchmark) =
   }
 
 let exec_benchmark t ~client ~shunted (b : Protocol.benchmark) =
+  (* Only the trace file reads the results; without one, keeping them
+     would grow the heap with every request served. *)
   let sink r =
-    Mutex.lock t.results_mutex;
-    t.results <- r :: t.results;
-    Mutex.unlock t.results_mutex
+    if Option.is_some t.cfg.trace then begin
+      Mutex.lock t.results_mutex;
+      t.results <- r :: t.results;
+      Mutex.unlock t.results_mutex
+    end
   in
   let tags = if shunted then [ ("breaker", "shunt") ] else [] in
   let session = Session.create ~client ~tags ~sink (benchmark_config t b) in

@@ -225,6 +225,101 @@ let prop_components_bounds =
       s.Stats.connected_components >= min 1 s.Stats.nodes
       && s.Stats.connected_components <= max 1 s.Stats.nodes)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned refinement values                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A fixed graph with a parallel bundle (e1/e2), a self-loop (e3), two
+   interchangeable entities (c, f) and a seven-node chain of one label
+   that takes three rounds to separate. *)
+let pin_graph () =
+  let n g id label l = Graph.add_node g ~id ~label ~props:(props l) in
+  let e g id src tgt label = Graph.add_edge g ~id ~src ~tgt ~label ~props:Props.empty in
+  let g = Graph.empty in
+  let g = n g "a" "activity" [ ("name", "open") ] in
+  let g = n g "b" "entity" [ ("path", "/tmp/x") ] in
+  let g = n g "c" "entity" [] in
+  let g = n g "d" "agent" [ ("uid", "0") ] in
+  let g = n g "f" "entity" [] in
+  let g = e g "e1" "a" "b" "used" in
+  let g = e g "e2" "a" "b" "used" in
+  let g = e g "e3" "b" "b" "wasDerivedFrom" in
+  let g = e g "e4" "c" "a" "wasGeneratedBy" in
+  let g = e g "e5" "a" "d" "wasAssociatedWith" in
+  let g = e g "e6" "f" "a" "wasGeneratedBy" in
+  let g = ref g in
+  for i = 0 to 6 do
+    g := n !g (Printf.sprintf "p%d" i) "process" []
+  done;
+  for i = 0 to 5 do
+    g :=
+      e !g (Printf.sprintf "w%d" i) (Printf.sprintf "p%d" i)
+        (Printf.sprintf "p%d" (i + 1))
+        "wasInformedBy"
+  done;
+  !g
+
+let colours_digest l =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";" (List.map (fun (id, c) -> Printf.sprintf "%s=%016Lx" id c) l)))
+
+(* The refinement's hash values reach disk and the fault model: store
+   keys (graph_digest folds in of_graph), canonical digests and
+   witnesses, quotient digests, and the solver's fault-site names.  A
+   drift in any of them orphans every artifact store and moves every
+   chaos-plan fault, so the values are pinned, not just their
+   invariances. *)
+let test_refinement_pinned () =
+  let g = pin_graph () in
+  check_string "of_graph" "74db7f95956db36c" (Fingerprint.to_hex (Fingerprint.of_graph g));
+  check_int "stable_rounds" 3 (Fingerprint.stable_rounds g);
+  check_string "node_colours ~rounds:2" "13a716d0f91c628be7c1749276f2c03d"
+    (colours_digest (Fingerprint.node_colours ~rounds:2 g));
+  check_string "edge_colours ~rounds:3" "5a10432323713e712a8c3e16508e273b"
+    (colours_digest (Fingerprint.edge_colours ~rounds:3 g));
+  check_string "quotient_digest" "8c0e78af918498a5be34b9b9ff2ff896"
+    (Summarize.quotient_digest (Summarize.quotient g));
+  Alcotest.(check (option string))
+    "Canon.digest" (Some "c939f12e4a3241623cc8c076974321b8") (Canon.digest g);
+  check_string "Artifact_store.graph_digest" "48ce23ca7824d22a386494a757f744d4"
+    (Provmark.Artifact_store.graph_digest g);
+  let provgen nodes = fst (Provgen.pair ~seed:7 (Provgen.default_spec ~nodes)) in
+  check_string "of_graph, provgen 16" "8c61387fc99581b8"
+    (Fingerprint.to_hex (Fingerprint.of_graph (provgen 16)));
+  check_string "of_graph, provgen 128" "670b5f0ed316951c"
+    (Fingerprint.to_hex (Fingerprint.of_graph (provgen 128)))
+
+(* The same pins one level up, on a segmenting ProvGen pair: the plan's
+   forced pairs and segment digests, the quotient, and the canonical
+   digest with its witness order. *)
+let test_plan_pinned () =
+  let a, b = Provgen.pair ~seed:11 (Provgen.default_spec ~nodes:128) in
+  (match Summarize.plan a b with
+  | Summarize.Segmented p ->
+      let view =
+        String.concat "|"
+          (List.map (fun (x, y) -> x ^ ">" ^ y) (p.Summarize.forced_nodes @ p.Summarize.forced_edges)
+          @ List.map
+              (fun (s : Summarize.segment) -> Printf.sprintf "%s*%d" s.Summarize.digest s.Summarize.pieces)
+              p.Summarize.segments)
+      in
+      check_int "plan rounds" 2 p.Summarize.rounds;
+      check_int "plan segments" 1 (List.length p.Summarize.segments);
+      check_string "plan digest" "152d73cdd857e16aa8a771f73e82d83c"
+        (Digest.to_hex (Digest.string view))
+  | Summarize.Whole | Summarize.Mismatch -> Alcotest.fail "expected a segmented plan");
+  check_string "quotient_digest" "31340e8ac93782beb21e56e23273fc39"
+    (Summarize.quotient_digest (Summarize.quotient a));
+  match Canon.form a with
+  | Some f ->
+      check_string "Canon digest" "425ea52f4aeddc1b2a6fb9cbe64a9d17" f.Canon.digest;
+      check_string "Canon order" "b7694187af0e2e0bc45dee78cae365c7"
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "," (Array.to_list f.Canon.node_order @ Array.to_list f.Canon.edge_order))))
+  | None -> Alcotest.fail "expected a canonical form"
+
 let () =
   Alcotest.run "pgraph"
     [
@@ -258,6 +353,11 @@ let () =
         [
           Alcotest.test_case "basic stats" `Quick test_stats;
           Alcotest.test_case "components" `Quick test_stats_components;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "refinement values" `Quick test_refinement_pinned;
+          Alcotest.test_case "plan, quotient and canonical form" `Quick test_plan_pinned;
         ] );
       ( "properties",
         [

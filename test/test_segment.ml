@@ -286,6 +286,29 @@ let test_differential_provgen () =
         [ 24; 48 ])
     (List.map (fun (n, w) -> (n, w)) mixes)
 
+(* The serve daemon's [match generalize] requests at the sizes it is
+   sent (ProvGen pairs of 128-256 nodes, where every pair segments):
+   the rendered text under each backend is pinned to digests of the
+   recorded output, so a change to refinement, planning or stitching
+   that moves any witness line shows here. *)
+let test_serve_texts_pinned () =
+  List.iter
+    (fun (nodes, seed, expected) ->
+      let a, b = Provgen.pair ~seed (Provgen.default_spec ~nodes) in
+      List.iter
+        (fun backend ->
+          let text = Provmark.Match_op.run ~backend Provmark.Match_op.Generalize a b in
+          Alcotest.(check string)
+            (Printf.sprintf "%d nodes, %s" nodes (Engine.backend_to_string backend))
+            expected
+            (Digest.to_hex (Digest.string text)))
+        [ Engine.Direct; Engine.Auto; Engine.Incremental ])
+    [
+      (128, 11, "27b0da4749ff1506297fd23dea3d6350");
+      (192, 12, "1b73088b62c711d207e6c2e06710c8a2");
+      (256, 13, "eb71540e2a40202d924e9617aa1a5785");
+    ]
+
 let matching_view = function
   | None -> "none"
   | Some (m : Matching.t) ->
@@ -498,6 +521,8 @@ let () =
           Alcotest.test_case "segmented equals whole (asp)" `Slow test_differential_asp;
           Alcotest.test_case "segmented equals whole (provgen mixes)" `Slow
             test_differential_provgen;
+          Alcotest.test_case "serve texts at 128-256 nodes are pinned" `Quick
+            test_serve_texts_pinned;
           Alcotest.test_case "pool runner equals sequential" `Quick test_pool_runner_deterministic;
         ] );
       ( "degradation",
