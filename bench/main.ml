@@ -772,8 +772,8 @@ let canon_quick () = canon_run ~sizes:[ 4; 8; 12 ]
 (* Where do the stage costs diverge as the target grows?  match-scale
    stops at 12 nodes because it *solves*; this sweep grounds the
    (pruned) similarity instance, measures the per-graph stage costs
-   around it — fingerprint, canonical form, serialization, the two
-   parse paths and the artifact-store write — on generator pairs up to
+   around it — fingerprint, canonical form, serialization, the
+   PROV-JSON parse and the artifact-store write — on generator pairs up to
    two orders of magnitude larger, and then actually *matches* each
    pair through the segmented pruned-ASP path: the whole instance is
    never solved, only the plan's segments are, so grounded-atom counts
@@ -788,7 +788,6 @@ type corpus_row = {
   cr_atoms : int;
   cr_serialize_s : float;
   cr_parse_s : float;
-  cr_stream_s : float;
   cr_store_s : float;
   cr_match_s : float;
   cr_match_ok : bool;
@@ -824,11 +823,6 @@ let corpus_scale_run ~sizes =
         let ground, t_ground = timed (fun () -> Asp.Ground.ground rules facts) in
         let text, t_serialize = timed (fun () -> Recorders.Provjson.to_string g1) in
         let _, t_parse = timed (fun () -> Recorders.Provjson.of_string text) in
-        let _, t_stream =
-          timed (fun () ->
-              Recorders.Provjson.of_stream
-                ~read:(Recorders.Chunk_reader.of_string ~chunk:65536 text))
-        in
         let key =
           Provmark.Artifact_store.generated_input_key ~generator:"bench"
             ~spec:(Pgraph.Provgen.spec_to_string spec) ~seed:(41 + nodes) ~run:1
@@ -873,7 +867,6 @@ let corpus_scale_run ~sizes =
           cr_atoms = ground.Asp.Ground.atom_count;
           cr_serialize_s = t_serialize;
           cr_parse_s = t_parse;
-          cr_stream_s = t_stream;
           cr_store_s = t_store;
           cr_match_s = t_match;
           cr_match_ok = ok;
@@ -885,14 +878,14 @@ let corpus_scale_run ~sizes =
         })
       sizes
   in
-  Printf.printf "%-6s %-7s %10s %10s %10s %9s %10s %10s %10s %8s %6s %8s %9s %12s %10s\n" "nodes"
-    "edges" "gen(s)" "fp(s)" "ground(s)" "atoms" "parse(s)" "stream(s)" "match(s)" "segs"
-    "maxseg" "segatoms" "ok" "propagations" "decisions";
+  Printf.printf "%-6s %-7s %10s %10s %10s %9s %10s %10s %8s %6s %8s %9s %12s %10s\n" "nodes"
+    "edges" "gen(s)" "fp(s)" "ground(s)" "atoms" "parse(s)" "match(s)" "segs" "maxseg"
+    "segatoms" "ok" "propagations" "decisions";
   List.iter
     (fun r ->
-      Printf.printf "%-6d %-7d %10.4f %10.4f %10.4f %9d %10.4f %10.4f %10.4f %8d %6d %8d %9b %12d %10d\n"
+      Printf.printf "%-6d %-7d %10.4f %10.4f %10.4f %9d %10.4f %10.4f %8d %6d %8d %9b %12d %10d\n"
         r.cr_nodes r.cr_edges r.cr_generate_s r.cr_fingerprint_s r.cr_ground_s r.cr_atoms
-        r.cr_parse_s r.cr_stream_s r.cr_match_s r.cr_segments r.cr_max_segment_nodes
+        r.cr_parse_s r.cr_match_s r.cr_segments r.cr_max_segment_nodes
         r.cr_segment_atoms r.cr_match_ok r.cr_propagations r.cr_decisions)
     rows;
   let num f = Minijson.Json.Number f in
@@ -911,7 +904,6 @@ let corpus_scale_run ~sizes =
                 ("atoms", num (float_of_int r.cr_atoms));
                 ("serialize_s", num r.cr_serialize_s);
                 ("parse_s", num r.cr_parse_s);
-                ("stream_parse_s", num r.cr_stream_s);
                 ("store_write_s", num r.cr_store_s);
                 ("match_s", num r.cr_match_s);
                 ("match_ok", Minijson.Json.Bool r.cr_match_ok);

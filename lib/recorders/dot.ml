@@ -200,200 +200,19 @@ let of_string src =
   stmts ();
   (* Dangling edge endpoints are a parse-time reject with the edge
      statement's offset — a truncated graph whose node declarations were
-     cut off diagnoses here, not deep inside graph construction. *)
-  let declared = List.map (fun n -> n.n_id) !nodes in
+     cut off diagnoses here, not deep inside graph construction.  Edges
+     are checked in file order, source before target, so the first
+     dangling reference in the text is the one blamed. *)
+  let declared = Hashtbl.create (List.length !nodes) in
+  List.iter (fun n -> Hashtbl.replace declared n.n_id ()) !nodes;
   List.iter
     (fun (off, e) ->
-      if not (List.mem e.e_src declared) then
+      if not (Hashtbl.mem declared e.e_src) then
         parse_fail off "edge references undeclared node %s" e.e_src;
-      if not (List.mem e.e_tgt declared) then
+      if not (Hashtbl.mem declared e.e_tgt) then
         parse_fail off "edge references undeclared node %s" e.e_tgt)
     (List.rev !edges);
   { g_name = name; g_nodes = List.rev !nodes; g_edges = List.rev (List.map snd !edges) }
-
-(* ------------------------------------------------------------------ *)
-(* Streaming parser                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type stream_event =
-  | Sname of string
-  | Snode of node
-  | Sedge of int * edge  (* absolute offset of the edge statement *)
-
-(* One token at a time off a chunked cursor — the same lexical rules
-   as [tokenize], with the same failure offsets, but never holding
-   more than one chunk of input.  Returns the token with the absolute
-   offset it starts at. *)
-let next_token cur =
-  let fail_at off fmt = parse_fail off fmt in
-  let rec skip () =
-    match Chunk_reader.peek cur with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        Chunk_reader.advance cur;
-        skip ()
-    | Some '/' ->
-        (* // comment; a lone '/' is a lexical error at its offset. *)
-        let start = Chunk_reader.pos cur in
-        Chunk_reader.advance cur;
-        if Chunk_reader.peek cur = Some '/' then begin
-          let rec to_eol () =
-            match Chunk_reader.peek cur with
-            | Some '\n' | None -> ()
-            | Some _ ->
-                Chunk_reader.advance cur;
-                to_eol ()
-          in
-          to_eol ();
-          skip ()
-        end
-        else fail_at start "unexpected /"
-    | _ -> ()
-  in
-  skip ();
-  let start = Chunk_reader.pos cur in
-  match Chunk_reader.peek cur with
-  | None -> None
-  | Some c -> (
-      let simple t =
-        Chunk_reader.advance cur;
-        Some (t, start)
-      in
-      match c with
-      | '{' -> simple Tlbrace
-      | '}' -> simple Trbrace
-      | '[' -> simple Tlbracket
-      | ']' -> simple Trbracket
-      | '=' -> simple Teq
-      | ',' -> simple Tcomma
-      | ';' -> simple Tsemi
-      | '-' ->
-          Chunk_reader.advance cur;
-          if Chunk_reader.peek cur = Some '>' then begin
-            Chunk_reader.advance cur;
-            Some (Tarrow, start)
-          end
-          else fail_at start "expected ->"
-      | '"' ->
-          Chunk_reader.advance cur;
-          let b = Buffer.create 16 in
-          let rec loop () =
-            match Chunk_reader.peek cur with
-            | None -> fail_at (Chunk_reader.pos cur) "unterminated string"
-            | Some '"' -> Chunk_reader.advance cur
-            | Some '\\' ->
-                Chunk_reader.advance cur;
-                (match Chunk_reader.peek cur with
-                | None -> fail_at (Chunk_reader.pos cur) "unterminated escape"
-                | Some 'n' -> Buffer.add_char b '\n'
-                | Some c -> Buffer.add_char b c);
-                Chunk_reader.advance cur;
-                loop ()
-            | Some c ->
-                Buffer.add_char b c;
-                Chunk_reader.advance cur;
-                loop ()
-          in
-          loop ();
-          Some (Tid (Buffer.contents b), start)
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' ->
-          let b = Buffer.create 16 in
-          let rec word () =
-            match Chunk_reader.peek cur with
-            | Some (('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.') as c) ->
-                Buffer.add_char b c;
-                Chunk_reader.advance cur;
-                word ()
-            | _ -> ()
-          in
-          word ();
-          Some (Tid (Buffer.contents b), start)
-      | c -> fail_at start "unexpected character %C" c)
-
-let fold_stream ~read ~init ~f =
-  let cur = read in
-  let lookahead = ref None in
-  let peek () =
-    (match !lookahead with None -> lookahead := Some (next_token cur) | Some _ -> ());
-    match !lookahead with Some v -> v | None -> assert false
-  in
-  let here () = match peek () with Some (_, off) -> off | None -> Chunk_reader.pos cur in
-  (* [of_string] tokenizes the whole input before parsing, so a lexical
-     error anywhere outranks a grammar error earlier in the token
-     stream.  Preserve that precedence: before raising a grammar
-     reject, lex the rest of the stream and let any lexical reject win. *)
-  let fail fmt =
-    let offset = here () in
-    Printf.ksprintf
-      (fun reason ->
-        let rec drain () = match next_token cur with Some _ -> drain () | None -> () in
-        drain ();
-        raise (Parse_error { offset; reason }))
-      fmt
-  in
-  let next () =
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some (t, _) ->
-        lookahead := None;
-        t
-  in
-  let peek_tok () = Option.map fst (peek ()) in
-  let expect t = if next () <> t then fail "unexpected token" in
-  (match next () with Tid "digraph" -> () | _ -> fail "expected digraph");
-  let name = match next () with Tid s -> s | _ -> fail "expected graph name" in
-  expect Tlbrace;
-  let acc = ref (f init (Sname name)) in
-  let parse_attrs () =
-    match peek_tok () with
-    | Some Tlbracket ->
-        ignore (next ());
-        let rec loop attrs =
-          match next () with
-          | Trbracket -> List.rev attrs
-          | Tid k -> (
-              expect Teq;
-              match next () with
-              | Tid v -> (
-                  match peek_tok () with
-                  | Some Tcomma ->
-                      ignore (next ());
-                      loop ((k, v) :: attrs)
-                  | _ -> loop ((k, v) :: attrs))
-              | _ -> fail "expected attribute value")
-          | Tcomma -> loop attrs
-          | _ -> fail "expected attribute"
-        in
-        loop []
-    | _ -> []
-  in
-  let rec stmts () =
-    let stmt_off = here () in
-    match next () with
-    | Trbrace -> ()
-    | Tid id -> (
-        match peek_tok () with
-        | Some Tarrow ->
-            ignore (next ());
-            let tgt = match next () with Tid t -> t | _ -> fail "expected edge target" in
-            let attrs = parse_attrs () in
-            (match peek_tok () with Some Tsemi -> ignore (next ()) | _ -> ());
-            acc := f !acc (Sedge (stmt_off, { e_src = id; e_tgt = tgt; e_attrs = attrs }));
-            stmts ()
-        | _ ->
-            let attrs = parse_attrs () in
-            (match peek_tok () with Some Tsemi -> ignore (next ()) | _ -> ());
-            acc := f !acc (Snode { n_id = id; n_attrs = attrs });
-            stmts ())
-    | Tsemi -> stmts ()
-    | _ -> fail "expected statement"
-  in
-  stmts ();
-  (* [of_string] tokenizes the whole input up front, so lexical garbage
-     after the closing brace is a reject there; drain the tail for the
-     same verdict (tokens are ignored, malformed bytes still fail). *)
-  let rec drain () = match peek () with None -> () | Some _ -> ignore (next ()); drain () in
-  drain ();
-  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Property-graph conversion                                           *)
@@ -433,34 +252,6 @@ let to_pgraph g =
      edge id) surface from graph construction as [Invalid_argument];
      rewrap so only Parse_error leaves this module. *)
   try to_pgraph_unsafe g with Invalid_argument m -> parse_fail 0 "%s" m
-
-(* Streaming variant of [of_string |> to_pgraph].  Only the input text
-   is streamed — node and edge records are buffered until end of
-   stream (the result graph is O(nodes + edges) anyway, and DOT
-   permits a node declaration after the edges that reference it) and
-   the graph is then built by the same endpoint check and [to_pgraph]
-   conversion the batch path runs, so every reject — dangling
-   endpoint with the edge statement's offset, duplicate identifier
-   with offset 0 — is blamed identically, and in the same order
-   relative to lexical errors, by either path. *)
-let of_stream ~read =
-  let name, rev_nodes, rev_edges =
-    fold_stream ~read ~init:("", [], []) ~f:(fun (name, nodes, edges) ev ->
-        match ev with
-        | Sname n -> (n, nodes, edges)
-        | Snode n -> (name, n :: nodes, edges)
-        | Sedge (off, e) -> (name, nodes, (off, e) :: edges))
-  in
-  let nodes = List.rev rev_nodes and edges = List.rev rev_edges in
-  let declared = List.map (fun n -> n.n_id) nodes in
-  List.iter
-    (fun (off, e) ->
-      if not (List.mem e.e_src declared) then
-        parse_fail off "edge references undeclared node %s" e.e_src;
-      if not (List.mem e.e_tgt declared) then
-        parse_fail off "edge references undeclared node %s" e.e_tgt)
-    edges;
-  to_pgraph { g_name = name; g_nodes = nodes; g_edges = List.map snd edges }
 
 let of_pgraph ~name g =
   let open Pgraph in

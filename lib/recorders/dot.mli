@@ -1,7 +1,8 @@
 (** Graphviz DOT reader/writer for the subset SPADE emits: a [digraph]
     with quoted node statements and edge statements, each carrying an
     attribute list.  The node/edge [type] attribute holds the
-    OPM/PROV-style label; remaining attributes are properties. *)
+    OPM/PROV-style label; remaining attributes are properties.  The
+    reader parses a whole document held in memory. *)
 
 type node = { n_id : string; n_attrs : (string * string) list }
 
@@ -18,6 +19,12 @@ exception Parse_error of { offset : int; reason : string }
 
 val to_string : graph -> string
 
+(** [of_string text] tokenizes all of [text] before parsing it, so a
+    lexical error anywhere outranks an earlier grammar error.  A node
+    may be declared after the edges that use it; an edge endpoint that
+    is never declared rejects with the offset of the first such edge
+    statement (edges in file order, source before target).  Linear in
+    the number of statements. *)
 val of_string : string -> graph
 
 (** [to_pgraph g] converts to a property graph: the [type] attribute
@@ -29,34 +36,3 @@ val to_pgraph : graph -> Pgraph.Graph.t
 (** [of_pgraph ~name g] renders a property graph; edge identifiers are
     dropped (DOT edges are anonymous). *)
 val of_pgraph : name:string -> Pgraph.Graph.t -> graph
-
-(** {2 Streaming ingestion}
-
-    The streaming reader consumes the same DOT subset through a
-    {!Chunk_reader.t}, holding one chunk of input text resident at a
-    time instead of the whole buffer.  It raises the same
-    {!Parse_error} values as [of_string] — offsets are absolute into
-    the concatenated stream, so a malformed byte is blamed identically
-    by either path. *)
-
-(** One parse event, in file order. *)
-type stream_event =
-  | Sname of string  (** the [digraph] name, first event *)
-  | Snode of node
-  | Sedge of int * edge
-      (** edge plus the absolute offset of its statement — the offset
-          an undeclared-endpoint reject blames *)
-
-(** [fold_stream ~read ~init ~f] parses the stream, threading [f]
-    through the events.  The whole input is consumed: trailing garbage
-    after the closing brace rejects exactly as in [of_string]. *)
-val fold_stream : read:Chunk_reader.t -> init:'a -> f:('a -> stream_event -> 'a) -> 'a
-
-(** [of_stream ~read] folds the stream into a property graph with the
-    same semantics as [to_pgraph (of_string text)]: node [type]
-    attributes become labels, edges get synthetic identifiers [e0],
-    [e1], ... in file order, and references to undeclared nodes reject
-    with the edge statement's offset.  Edge records are buffered until
-    end of stream (DOT allows forward references); input text is never
-    buffered beyond the resident chunk. *)
-val of_stream : read:Chunk_reader.t -> Pgraph.Graph.t

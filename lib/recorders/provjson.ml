@@ -173,111 +173,3 @@ let of_string s =
   match Json.of_string_located s with
   | Error (offset, reason) -> fail_at offset "invalid JSON: %s" reason
   | Ok json -> to_pgraph json
-
-(* ------------------------------------------------------------------ *)
-(* Streaming ingestion                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type stream_event =
-  | Ssection of string * int
-  | Srecord of string * string * Json.t * int
-  | Svalue of string * Json.t * int
-  | Sdocument of Json.t
-
-(* Walk the two-level PROV-JSON shape — an object of sections, each an
-   object of records — off the cursor, parsing one record body at a
-   time with {!Json_stream} and never materializing the document.
-   Anything that deviates from that shape (a non-object section value,
-   a non-object top level) still parses, as a plain value, and is
-   carried in the event for the structural verdict to blame exactly as
-   the batch path would. *)
-let fold_stream ~read ~init ~f =
-  let cur = read in
-  let open Json_stream in
-  let shape_error () = raise (Error (Chunk_reader.pos cur, "expected , or } in object")) in
-  try
-    skip_ws cur;
-    match Chunk_reader.peek cur with
-    | Some '{' ->
-        Chunk_reader.advance cur;
-        skip_ws cur;
-        let acc = ref init in
-        (match Chunk_reader.peek cur with
-        | Some '}' -> Chunk_reader.advance cur
-        | _ ->
-            let rec sections () =
-              skip_ws cur;
-              let key_off = Chunk_reader.pos cur in
-              let key = parse_string cur in
-              skip_ws cur;
-              expect cur ':';
-              skip_ws cur;
-              (match Chunk_reader.peek cur with
-              | Some '{' ->
-                  acc := f !acc (Ssection (key, key_off));
-                  Chunk_reader.advance cur;
-                  skip_ws cur;
-                  (match Chunk_reader.peek cur with
-                  | Some '}' -> Chunk_reader.advance cur
-                  | _ ->
-                      let rec records () =
-                        skip_ws cur;
-                        let id_off = Chunk_reader.pos cur in
-                        let id = parse_string cur in
-                        skip_ws cur;
-                        expect cur ':';
-                        let body = value cur in
-                        acc := f !acc (Srecord (key, id, body, id_off));
-                        skip_ws cur;
-                        match Chunk_reader.peek cur with
-                        | Some ',' ->
-                            Chunk_reader.advance cur;
-                            records ()
-                        | Some '}' -> Chunk_reader.advance cur
-                        | _ -> shape_error ()
-                      in
-                      records ())
-              | _ ->
-                  let off = Chunk_reader.pos cur in
-                  let v = value cur in
-                  acc := f !acc (Svalue (key, v, off)));
-              skip_ws cur;
-              match Chunk_reader.peek cur with
-              | Some ',' ->
-                  Chunk_reader.advance cur;
-                  sections ()
-              | Some '}' -> Chunk_reader.advance cur
-              | _ -> shape_error ()
-            in
-            sections ());
-        check_eof cur;
-        !acc
-    | _ -> f init (Sdocument (document cur))
-  with Error (offset, reason) -> fail_at offset "invalid JSON: %s" reason
-
-(* Reassemble the section list the events described and hand it to the
-   batch structural pass — dangling endpoints, unknown sections and
-   duplicate identifiers are then blamed identically (offset [None])
-   by either path.  Only the input text is streamed; the record bodies
-   necessarily accumulate, as the graph they become. *)
-let of_stream ~read =
-  let doc = ref None in
-  let secs = ref [] in
-  fold_stream ~read ~init:() ~f:(fun () ev ->
-      match ev with
-      | Sdocument v -> doc := Some v
-      | Ssection (name, _) -> secs := (name, `Records (ref [])) :: !secs
-      | Srecord (_, id, body, _) -> (
-          match !secs with
-          | (_, `Records r) :: _ -> r := (id, body) :: !r
-          | _ -> assert false)
-      | Svalue (name, v, _) -> secs := (name, `Value v) :: !secs);
-  match !doc with
-  | Some v -> to_pgraph v
-  | None ->
-      to_pgraph
-        (Json.Object
-           (List.rev_map
-              (fun (name, c) ->
-                (name, match c with `Value v -> v | `Records r -> Json.Object (List.rev !r)))
-              !secs))

@@ -27,37 +27,7 @@ val to_pgraph : Minijson.Json.t -> Pgraph.Graph.t
 
 val to_string : Pgraph.Graph.t -> string
 
+(** [of_string text] parses the whole document with
+    {!Minijson.Json.of_string_located}, whose offset a JSON-level reject
+    carries, then converts it with {!to_pgraph}. *)
 val of_string : string -> Pgraph.Graph.t
-
-(** {2 Streaming ingestion}
-
-    The streaming reader walks the two-level PROV-JSON shape — an
-    object of sections, each an object of records — through a
-    {!Chunk_reader.t}, holding one chunk of input text and one record
-    body resident at a time.  It raises the same {!Format_error}
-    values as {!of_string}: JSON-level rejects carry the absolute
-    stream offset of the offending byte, structural rejects of
-    well-formed JSON carry [None], identically to the batch path. *)
-
-(** One parse event, in document order. *)
-type stream_event =
-  | Ssection of string * int
-      (** a section whose value is an object, at the offset of its key *)
-  | Srecord of string * string * Minijson.Json.t * int
-      (** enclosing section, record identifier, record body, offset of
-          the identifier key *)
-  | Svalue of string * Minijson.Json.t * int
-      (** a section whose value is {e not} an object — carried intact
-          so structural verdicts match the batch path *)
-  | Sdocument of Minijson.Json.t
-      (** the whole document, when the top level is not an object *)
-
-(** [fold_stream ~read ~init ~f] parses the stream, threading [f]
-    through the events.  The whole input is consumed: trailing garbage
-    rejects exactly as in {!of_string}. *)
-val fold_stream : read:Chunk_reader.t -> init:'a -> f:('a -> stream_event -> 'a) -> 'a
-
-(** [of_stream ~read] folds the stream into a property graph with the
-    same semantics — and the same rejects — as
-    [of_string text] for the concatenated stream. *)
-val of_stream : read:Chunk_reader.t -> Pgraph.Graph.t

@@ -6,6 +6,8 @@
    randomly generated property graphs, for every entry point the
    pipeline uses: similarity, generalization matching and comparison
    (subgraph) matching, plus the full comparison stage built on top.
+   A last group holds the recorders' parse rejects to located offsets:
+   PROV-JSON's against Minijson's located parser.
 
    Graphs are generated from a shrinkable op-list encoding — QCheck
    shrinks the list and its integers, so a disagreement reduces to a
@@ -160,150 +162,70 @@ let prop_pruning_comparison =
       && pruned = cost_opt (Vf2.sub_iso_min_cost g1 g2))
 
 (* ------------------------------------------------------------------ *)
-(* Streaming ingestion: the chunked readers and the whole-buffer
-   parsers are two implementations of the same parse, so they must
-   produce the same graph on every input that parses and the same
-   structured reject — same absolute offset, same reason — on every
-   input that does not.                                                *)
+(* Parse rejects: located offsets                                      *)
 (* ------------------------------------------------------------------ *)
 
-let prog_arb = Helpers.program_arbitrary ()
-
-let record_spade prog = Recorders.Spade.record (Oskernel.Kernel.run ~run_id:1 prog Oskernel.Program.Foreground)
-
-let record_camflow prog = Recorders.Camflow.record (Oskernel.Kernel.run ~run_id:1 prog Oskernel.Program.Foreground)
-
-(* Chunk sizes straddling the interesting regimes: single-byte refills,
-   chunks smaller than one token, and chunks larger than whole inputs. *)
-let chunk_sizes = [ 1; 7; 64; 4096 ]
-
-let reader ~chunk text = Recorders.Chunk_reader.of_string ~chunk text
-
-let prop_dot_stream_equals_memory =
-  Helpers.qcheck ~count:50 "DOT streaming parse equals in-memory parse" prog_arb (fun prog ->
-      let text = record_spade prog in
-      let mem = Recorders.Dot.to_pgraph (Recorders.Dot.of_string text) in
-      List.for_all
-        (fun chunk -> Graph.equal mem (Recorders.Dot.of_stream ~read:(reader ~chunk text)))
-        chunk_sizes)
-
-let prop_provjson_stream_equals_memory =
-  Helpers.qcheck ~count:50 "PROV-JSON streaming parse equals in-memory parse" prog_arb
-    (fun prog ->
-      let text = record_camflow prog in
-      let mem = Recorders.Provjson.of_string text in
-      List.for_all
-        (fun chunk -> Graph.equal mem (Recorders.Provjson.of_stream ~read:(reader ~chunk text)))
-        chunk_sizes)
-
-(* Seeded generator coordinates: the corpus the CI light tier
-   materializes goes through exactly these serialize/parse paths. *)
-let gen_arb =
-  QCheck.make
-    ~print:(fun (seed, nodes) -> Printf.sprintf "seed=%d nodes=%d" seed nodes)
-    (fun st -> (Random.State.int st 1_000_000, 2 + Random.State.int st 79))
-
-let prop_generated_corpus_stream_equals_memory =
-  Helpers.qcheck ~count:40 "generated corpus parses identically via either path" gen_arb
-    (fun (seed, nodes) ->
-      let g = Pgraph.Provgen.generate ~seed (Pgraph.Provgen.default_spec ~nodes) in
-      let json = Recorders.Provjson.to_string g in
-      let dot = Recorders.Dot.to_string (Recorders.Dot.of_pgraph ~name:"c" g) in
-      Graph.equal
-        (Recorders.Provjson.of_string json)
-        (Recorders.Provjson.of_stream ~read:(reader ~chunk:17 json))
-      && Graph.equal
-           (Recorders.Dot.to_pgraph (Recorders.Dot.of_string dot))
-           (Recorders.Dot.of_stream ~read:(reader ~chunk:17 dot)))
-
-(* Everything downstream keys on fingerprints and canonical digests, so
-   "same graph" must also mean "same digests" — a parse divergence that
-   WL colouring happens to mask would silently split the artifact
-   store's key space. *)
-let prop_stream_preserves_digests =
-  Helpers.qcheck ~count:30 "fingerprint and canon digest agree via either path" gen_arb
-    (fun (seed, nodes) ->
-      let g = Pgraph.Provgen.generate ~seed (Pgraph.Provgen.default_spec ~nodes) in
-      let json = Recorders.Provjson.to_string g in
-      let mem = Recorders.Provjson.of_string json in
-      let st = Recorders.Provjson.of_stream ~read:(reader ~chunk:13 json) in
-      let fp g = Fingerprint.to_hex (Fingerprint.of_graph g) in
-      Canon.clear ();
-      String.equal (fp mem) (fp st) && Canon.digest mem = Canon.digest st
-      && Canon.digest mem <> None)
-
-(* The pinned offset-parity regression: PROV-JSON offsets used to be
-   recovered by re-parsing the batch parser's message, which broke as
-   soon as the failure lay past the streaming reader's first chunk.
-   Corrupt and truncate a generated document strictly past the first
-   64-byte chunk boundary and require bit-identical structured rejects
-   from both paths. *)
-let dot_outcome parse =
-  match parse () with
-  | (_ : Graph.t) -> Ok ()
-  | exception Recorders.Dot.Parse_error { offset; reason } -> Error (offset, reason)
-
-let provjson_outcome parse =
-  match parse () with
-  | (_ : Graph.t) -> Ok ()
-  | exception Recorders.Provjson.Format_error { offset; reason } -> Error (offset, reason)
-
+(* The pinned offset regression: PROV-JSON offsets used to be recovered
+   by re-parsing the JSON parser's message, which went wrong once the
+   failure lay far enough into the document.  Corrupt and truncate a
+   generated document past byte 64 and require every JSON-level reject
+   of [Provjson.of_string] to carry exactly the offset and reason of
+   [Minijson.Json.of_string_located] on the same text, and every DOT
+   reject to point inside the text it was given. *)
 let set_byte text i c =
   let b = Bytes.of_string text in
   Bytes.set b i c;
   Bytes.to_string b
 
-let offset_parity_past_chunk_boundary () =
-  let chunk = 64 in
+let past = 64
+
+(* Apply [case] to each corruption and truncation of [text] past byte
+   [past], and fail unless at least one reject offset lies past it. *)
+let sweep ~tag text case =
+  if String.length text <= 2 * past then Alcotest.failf "%s: document too short to sweep" tag;
+  let rejected_past = ref 0 in
+  let check descr text' =
+    match case text' with
+    | None -> ()
+    | Some off ->
+        if off < 0 || off > String.length text' then
+          Alcotest.failf "%s %s: reject offset %d outside [0, %d]" tag descr off
+            (String.length text');
+        if off > past then incr rejected_past
+  in
+  let rec go p =
+    if p < String.length text then begin
+      check (Printf.sprintf "corrupt@%d" p) (set_byte text p '\001');
+      check (Printf.sprintf "truncate@%d" p) (String.sub text 0 p);
+      go (p + 13)
+    end
+  in
+  go (past + 1);
+  if !rejected_past = 0 then Alcotest.failf "%s: no reject reported an offset past byte %d" tag past
+
+let reject_offsets_deep_in_input () =
   let g = Pgraph.Provgen.generate ~seed:5 (Pgraph.Provgen.default_spec ~nodes:40) in
-  let exercise ~tag ~outcome_mem ~outcome_stream text =
-    if String.length text <= 2 * chunk then
-      Alcotest.failf "%s: document too short to cross the chunk boundary" tag;
-    let rejected_past_boundary = ref 0 in
-    let case descr text' =
-      match (outcome_mem text', outcome_stream text') with
-      | Ok (), Ok () -> ()
-      | Error (o1, r1), Error (o2, r2) ->
-          if (o1, r1) <> (o2, r2) then
-            Alcotest.failf "%s %s: memory rejects at %s (%s), stream at %s (%s)" tag descr
-              (match o1 with Some o -> string_of_int o | None -> "-")
-              r1
-              (match o2 with Some o -> string_of_int o | None -> "-")
-              r2
-          else if (match o1 with Some o -> o > chunk | None -> false) then
-            incr rejected_past_boundary
-      | Ok (), Error _ | Error _, Ok () ->
-          Alcotest.failf "%s %s: one path parses, the other rejects" tag descr
-    in
-    let len = String.length text in
-    let rec sweep p =
-      if p < len then begin
-        case (Printf.sprintf "corrupt@%d" p) (set_byte text p '\001');
-        case (Printf.sprintf "truncate@%d" p) (String.sub text 0 p);
-        sweep (p + 13)
-      end
-    in
-    sweep (chunk + 1);
-    if !rejected_past_boundary = 0 then
-      Alcotest.failf "%s: no reject reported an offset past the chunk boundary" tag
-  in
-  let json = Recorders.Provjson.to_string g in
-  exercise ~tag:"provjson" json
-    ~outcome_mem:(fun t -> provjson_outcome (fun () -> Recorders.Provjson.of_string t))
-    ~outcome_stream:(fun t ->
-      provjson_outcome (fun () -> Recorders.Provjson.of_stream ~read:(reader ~chunk t)));
+  sweep ~tag:"provjson" (Recorders.Provjson.to_string g) (fun t ->
+      let json = Minijson.Json.of_string_located t in
+      match (Recorders.Provjson.of_string t, json) with
+      | (_ : Graph.t), Ok _ -> None
+      | _, Error _ -> Alcotest.failf "provjson: of_string accepts what of_string_located rejects"
+      | exception Recorders.Provjson.Format_error { offset = Some o; reason } -> (
+          match json with
+          | Error (o', r') when o = o' && String.equal reason ("invalid JSON: " ^ r') -> Some o
+          | Error (o', r') ->
+              Alcotest.failf "provjson: of_string rejects at %d (%s), of_string_located at %d (%s)" o
+                reason o' r'
+          | Ok _ -> Alcotest.failf "provjson: located reject at %d (%s) on well-formed JSON" o reason)
+      | exception Recorders.Provjson.Format_error { offset = None; reason } -> (
+          match json with
+          | Ok _ -> None
+          | Error _ -> Alcotest.failf "provjson: unlocated reject (%s) on malformed JSON" reason));
   let dot = Recorders.Dot.to_string (Recorders.Dot.of_pgraph ~name:"parity" g) in
-  let dot_mem t =
-    match dot_outcome (fun () -> Recorders.Dot.to_pgraph (Recorders.Dot.of_string t)) with
-    | Ok () -> Ok ()
-    | Error (o, r) -> Error (Some o, r)
-  in
-  let dot_stream t =
-    match dot_outcome (fun () -> Recorders.Dot.of_stream ~read:(reader ~chunk t)) with
-    | Ok () -> Ok ()
-    | Error (o, r) -> Error (Some o, r)
-  in
-  exercise ~tag:"dot" dot ~outcome_mem:dot_mem ~outcome_stream:dot_stream
+  sweep ~tag:"dot" dot (fun t ->
+      match Recorders.Dot.to_pgraph (Recorders.Dot.of_string t) with
+      | (_ : Graph.t) -> None
+      | exception Recorders.Dot.Parse_error { offset; _ } -> Some offset)
 
 (* ------------------------------------------------------------------ *)
 (* Engine dispatch: all three public backends, one verdict             *)
@@ -326,13 +248,6 @@ let () =
       ("comparison", [ prop_comparison_cost_agrees; prop_compare_stage_agrees ]);
       ( "pruning",
         [ prop_pruning_similar; prop_pruning_generalization; prop_pruning_comparison ] );
-      ( "streaming",
-        [
-          prop_dot_stream_equals_memory;
-          prop_provjson_stream_equals_memory;
-          prop_generated_corpus_stream_equals_memory;
-          prop_stream_preserves_digests;
-          Alcotest.test_case "offset parity past the chunk boundary" `Quick
-            offset_parity_past_chunk_boundary;
-        ] );
+      ( "parsing",
+        [ Alcotest.test_case "reject offsets deep in the input" `Quick reject_offsets_deep_in_input ] );
     ]

@@ -190,61 +190,6 @@ let prop_store_dump_mutations_structured =
       let text = Graphstore.Store.dump (Recorders.Opus.record (run prog Program.Foreground)) in
       structured_only (fun s -> ignore (Recorders.Opus.of_dump s)) (mutations text k))
 
-(* The streaming readers face the same mutated inputs as the batch
-   parsers, with two extra obligations: the verdict (parsed graph or
-   structured reject, offset and reason included) must be identical to
-   the batch path's, and the reader must never fall back to buffering
-   the whole input — [chunks_read] stays within the chunk arithmetic of
-   the input length even on the reject paths. *)
-let stream_chunk = 32
-
-let chunks_bound len = max 1 ((len + stream_chunk - 1) / stream_chunk)
-
-let stream_agrees_with_batch ~batch ~stream ~reject_eq texts =
-  List.for_all
-    (fun text ->
-      let reader = Recorders.Chunk_reader.of_string ~chunk:stream_chunk text in
-      let outcome parse = match parse () with g -> Ok g | exception e -> Error e in
-      let verdicts_agree =
-        match (outcome (fun () -> batch text), outcome (fun () -> stream reader)) with
-        | Ok g1, Ok g2 -> Graph.equal g1 g2
-        | Error e1, Error e2 -> reject_eq e1 e2
-        | Ok _, Error _ | Error _, Ok _ -> false
-      in
-      verdicts_agree
-      && Recorders.Chunk_reader.chunks_read reader <= chunks_bound (String.length text))
-    texts
-
-let dot_reject_eq e1 e2 =
-  match (e1, e2) with
-  | ( Recorders.Dot.Parse_error { offset = o1; reason = r1 },
-      Recorders.Dot.Parse_error { offset = o2; reason = r2 } ) -> o1 = o2 && String.equal r1 r2
-  | _ -> false
-
-let provjson_reject_eq e1 e2 =
-  match (e1, e2) with
-  | ( Recorders.Provjson.Format_error { offset = o1; reason = r1 },
-      Recorders.Provjson.Format_error { offset = o2; reason = r2 } ) ->
-      o1 = o2 && String.equal r1 r2
-  | _ -> false
-
-let prop_dot_stream_mutations_agree =
-  Helpers.qcheck ~count:150 "mutated DOT: streaming verdict equals batch, bounded buffering"
-    mutated_arb (fun (prog, k) ->
-      let text = Recorders.Spade.record (run prog Program.Foreground) in
-      stream_agrees_with_batch
-        ~batch:(fun s -> Recorders.Dot.to_pgraph (Recorders.Dot.of_string s))
-        ~stream:(fun r -> Recorders.Dot.of_stream ~read:r)
-        ~reject_eq:dot_reject_eq (mutations text k))
-
-let prop_provjson_stream_mutations_agree =
-  Helpers.qcheck ~count:150 "mutated PROV-JSON: streaming verdict equals batch, bounded buffering"
-    mutated_arb (fun (prog, k) ->
-      let text = Recorders.Camflow.record (run prog Program.Foreground) in
-      stream_agrees_with_batch ~batch:Recorders.Provjson.of_string
-        ~stream:(fun r -> Recorders.Provjson.of_stream ~read:r)
-        ~reject_eq:provjson_reject_eq (mutations text k))
-
 (* ------------------------------------------------------------------ *)
 (* Full pipeline                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -305,8 +250,6 @@ let () =
           prop_dot_mutations_structured;
           prop_provjson_mutations_structured;
           prop_store_dump_mutations_structured;
-          prop_dot_stream_mutations_agree;
-          prop_provjson_stream_mutations_agree;
         ] );
       ( "pipeline",
         [ prop_pipeline_never_fails_without_flakiness; prop_pipeline_target_attaches_to_dummies ] );

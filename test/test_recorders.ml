@@ -57,13 +57,43 @@ let test_dot_parse_errors () =
   List.iter expect_fail
     [ "graph g {}"; "digraph g { \"a\" -> ; }"; "digraph g { \"a\" [x=]; }"; "digraph g {" ]
 
+(* DOT rejects pinned to exact (offset, reason) verdicts. *)
+let dot_verdict text =
+  match Recorders.Dot.to_pgraph (Recorders.Dot.of_string text) with
+  | g -> Ok (Graph.node_count g, Graph.edge_count g)
+  | exception Recorders.Dot.Parse_error { offset; reason } -> Error (offset, reason)
+
+let check_dot_verdict what expected text =
+  let show = function
+    | Ok (n, e) -> Printf.sprintf "parsed %d nodes, %d edges" n e
+    | Error (o, r) -> Printf.sprintf "reject at %d: %s" o r
+  in
+  check_string what (show expected) (show (dot_verdict text))
+
 let test_dot_undeclared_edge_node () =
-  match
-    Recorders.Dot.to_pgraph
-      (Recorders.Dot.of_string "digraph g { \"a\" [\"type\"=\"X\"]; \"a\" -> \"ghost\"; }")
-  with
-  | exception Recorders.Dot.Parse_error _ -> ()
-  | _ -> Alcotest.fail "edge to undeclared node must be rejected"
+  check_dot_verdict "single dangling edge"
+    (Error (30, "edge references undeclared node ghost"))
+    "digraph g { \"a\" [\"type\"=\"X\"]; \"a\" -> \"ghost\"; }";
+  (* Two dangling edges: the first edge statement in the file is blamed. *)
+  check_dot_verdict "first of two dangling edges"
+    (Error (34, "edge references undeclared node ghost"))
+    "digraph g {\n  \"a\" [\"type\"=\"X\"];\n  \"a\" -> \"ghost\";\n  \"phantom\" -> \"wraith\";\n}\n";
+  (* Both endpoints dangling: the source is blamed before the target. *)
+  check_dot_verdict "source before target"
+    (Error (14, "edge references undeclared node ghost"))
+    "digraph g {\n  \"ghost\" -> \"phantom\";\n  \"a\" [\"type\"=\"X\"];\n}\n"
+
+let test_dot_forward_reference () =
+  check_dot_verdict "edge before its node declarations" (Ok (2, 1))
+    "digraph g {\n  \"a\" -> \"b\" [\"type\"=\"used\"];\n  \"a\" [\"type\"=\"X\"];\n  \"b\" [\"type\"=\"Y\"];\n}\n"
+
+let test_dot_lexical_error_first () =
+  check_dot_verdict "grammar error alone" (Error (20, "expected statement"))
+    "digraph g {\n  \"a\" = ;\n  \"b\";\n}\n";
+  (* The whole input is tokenized before parsing, so a later lexical
+     error outranks the earlier grammar error. *)
+  check_dot_verdict "later lexical error wins" (Error (28, "unexpected character '@'"))
+    "digraph g {\n  \"a\" = ;\n  \"b\" @\n}\n"
 
 (* ------------------------------------------------------------------ *)
 (* PROV-JSON                                                           *)
@@ -530,6 +560,8 @@ let () =
           Alcotest.test_case "parse" `Quick test_dot_parse_plain;
           Alcotest.test_case "parse errors" `Quick test_dot_parse_errors;
           Alcotest.test_case "undeclared edge endpoint" `Quick test_dot_undeclared_edge_node;
+          Alcotest.test_case "edge before node declaration" `Quick test_dot_forward_reference;
+          Alcotest.test_case "lexical error outranks grammar" `Quick test_dot_lexical_error_first;
         ] );
       ( "provjson",
         [
