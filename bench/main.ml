@@ -286,7 +286,6 @@ let ablations () =
      creation-order alignment certifies most matchings without search;
      the certified/fallback split is the interesting statistic. *)
   Printf.printf "\n--- incremental matching (full SPADE benchmark suite) ---\n";
-  Gmatch.Incremental.reset_stats ();
   let t_direct =
     let t0 = Provmark.Trace_span.now_s () in
     List.iter
@@ -294,6 +293,9 @@ let ablations () =
       Provmark.Bench_registry.all;
     Provmark.Trace_span.now_s () -. t0
   in
+  (* Reset after the direct run: its cascade counts similarity solves
+     here too. *)
+  Gmatch.Incremental.reset_stats ();
   let t_inc =
     let t0 = Provmark.Trace_span.now_s () in
     List.iter
@@ -1057,17 +1059,20 @@ let segment_bench () = segment_run ~sizes:[ 128; 256; 512; 1024 ]
 let segment_quick () = segment_run ~sizes:[ 64; 128 ]
 
 (* ------------------------------------------------------------------ *)
-(* planner: Auto's delta re-solve fast path                            *)
+(* planner: the native cascade's delta re-solve fast path              *)
 (* ------------------------------------------------------------------ *)
 
 (* Canon stays on and the leg replays transient-only trials of one
-   structure — the serve daemon's steady-state shape — comparing every
-   fixed backend's cold solve against Auto's delta path (trial 1 pays
-   the rigidity refinement, trials 2..N ride the cached verdict).  It
-   merges one [planner] object into BENCH_match_scale.json: per-size
-   rows plus the global delta hit rate. *)
+   structure — the serve daemon's steady-state shape — comparing cold
+   solves (VF2 called directly, and the incremental backend) against
+   the [direct] backend's cascade, whose delta path certifies trial 1
+   with the rigidity refinement and lets trials 2..N ride the cached
+   verdict.  Pairs at or above the segmentation threshold skip delta
+   and take the segment plan instead.  It merges one [planner] object
+   into BENCH_match_scale.json: per-size rows plus the global delta
+   hit rate. *)
 let planner_run ~sizes =
-  section "planner: Auto's delta re-solve vs fixed backends";
+  section "planner: the direct cascade's delta re-solve vs cold solves";
   let num f = Minijson.Json.Number f in
   Gmatch.Incremental.reset_delta ();
   let gen_rows =
@@ -1076,50 +1081,52 @@ let planner_run ~sizes =
         let g = Provmark.Bench_gen.rigid_trace ~nodes ~seed:(41 + nodes) in
         let trial k = Provmark.Bench_gen.transient_variant ~seed:(1000 + (nodes * 17) + k) g in
         let trials = 5 in
-        let cold backend =
+        let cold solve =
           let total = ref 0. in
           for k = 1 to trials do
             let v = trial k in
-            let m, t = timed (fun () -> Gmatch.Engine.generalization_matching ~backend g v) in
+            let m, t = timed (fun () -> solve g v) in
             ignore m;
             total := !total +. t
           done;
           !total /. float_of_int trials
         in
-        let t_direct = cold Gmatch.Engine.Direct in
-        let t_incr = cold Gmatch.Engine.Incremental in
+        let t_vf2 = cold Gmatch.Vf2.iso_min_cost in
+        let t_incr =
+          cold (Gmatch.Engine.generalization_matching ~backend:Gmatch.Engine.Incremental)
+        in
         Gmatch.Incremental.reset_delta ();
-        let auto k =
+        let cascade k =
           snd
             (timed (fun () ->
-                 Gmatch.Engine.generalization_matching ~backend:Gmatch.Engine.Auto g (trial k)))
+                 Gmatch.Engine.generalization_matching ~backend:Gmatch.Engine.Direct g (trial k)))
         in
-        let t_auto_first = auto 1 in
-        let t_auto_warm =
+        let t_first = cascade 1 in
+        let t_warm =
           let total = ref 0. in
           for k = 2 to trials do
-            total := !total +. auto k
+            total := !total +. cascade k
           done;
           !total /. float_of_int (trials - 1)
         in
         let certified, fallbacks, cache_hits = Gmatch.Incremental.delta_stats () in
-        let best_fixed = Float.min t_direct t_incr in
-        let speedup = if t_auto_warm > 0. then best_fixed /. t_auto_warm else 0. in
+        let best_cold = Float.min t_vf2 t_incr in
+        let speedup = if t_warm > 0. then best_cold /. t_warm else 0. in
         (* the acceptance ratio: warm delta trials vs a cold solve
            of the same pair (trial 1 pays the rigidity refinement,
            trials 2..N ride the cached verdict) *)
-        let cold_over_warm = if t_auto_warm > 0. then t_auto_first /. t_auto_warm else 0. in
-        (nodes, t_direct, t_incr, t_auto_first, t_auto_warm, speedup, cold_over_warm, certified,
-         fallbacks, cache_hits))
+        let cold_over_warm = if t_warm > 0. then t_first /. t_warm else 0. in
+        (nodes, t_vf2, t_incr, t_first, t_warm, speedup, cold_over_warm, certified, fallbacks,
+         cache_hits))
       sizes
   in
   Printf.printf "generalization: transient-only trials (canon on, delta path live)\n";
-  Printf.printf "%-6s %12s %12s %12s %12s %9s %9s %9s %9s %9s\n" "nodes" "direct(s)" "incr(s)"
-    "auto1(s)" "autoN(s)" "speedup" "cold/warm" "certified" "fallback" "cachehit";
+  Printf.printf "%-6s %12s %12s %12s %12s %9s %9s %9s %9s %9s\n" "nodes" "vf2(s)" "incr(s)"
+    "direct1(s)" "directN(s)" "speedup" "cold/warm" "certified" "fallback" "cachehit";
   List.iter
-    (fun (nodes, td, ti, ta1, tan, sp, cw, cert, fall, hits) ->
-      Printf.printf "%-6d %12.6f %12.6f %12.6f %12.6f %9.1f %9.1f %9d %9d %9d\n" nodes td ti ta1
-        tan sp cw cert fall hits)
+    (fun (nodes, tv, ti, tf, tw, sp, cw, cert, fall, hits) ->
+      Printf.printf "%-6d %12.6f %12.6f %12.6f %12.6f %9.1f %9.1f %9d %9d %9d\n" nodes tv ti tf
+        tw sp cw cert fall hits)
     gen_rows;
   let d_cert = List.fold_left (fun a (_, _, _, _, _, _, _, c, _, _) -> a + c) 0 gen_rows in
   let d_fall = List.fold_left (fun a (_, _, _, _, _, _, _, _, f, _) -> a + f) 0 gen_rows in
@@ -1133,14 +1140,14 @@ let planner_run ~sizes =
          ( "generalization",
            Minijson.Json.Array
              (List.map
-                (fun (nodes, td, ti, ta1, tan, sp, cw, cert, fall, hits) ->
+                (fun (nodes, tv, ti, tf, tw, sp, cw, cert, fall, hits) ->
                   Minijson.Json.Object
                     [
                       ("nodes", num (float_of_int nodes));
-                      ("direct_s", num td);
+                      ("vf2_s", num tv);
                       ("incremental_s", num ti);
-                      ("auto_first_s", num ta1);
-                      ("auto_warm_s", num tan);
+                      ("direct_first_s", num tf);
+                      ("direct_warm_s", num tw);
                       ("delta_speedup", num sp);
                       ("delta_cold_over_warm", num cw);
                       ("delta_certified", num (float_of_int cert));
@@ -1153,7 +1160,7 @@ let planner_run ~sizes =
          ("delta_hit_rate", num hit_rate);
        ])
 
-let planner_bench () = planner_run ~sizes:[ 64; 128; 256 ]
+let planner_bench () = planner_run ~sizes:[ 32; 48; 128 ]
 let planner_quick () = planner_run ~sizes:[ 16; 32; 64 ]
 
 (* ------------------------------------------------------------------ *)

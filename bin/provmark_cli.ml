@@ -34,13 +34,13 @@ let trials_arg =
   Term.(const check $ Arg.(value & opt (some int) None & info [ "trials"; "t" ] ~docv:"N" ~doc))
 
 let backend_arg =
-  let doc = "Graph matching backend: auto (default; a fixed cascade of sound bypasses: \
-             canonical digests, delta witness reuse and segment plans, then the \
-             incremental matcher for similarity and VF2 for matchings), asp (the \
-             paper's Listing 3/4 specifications through the mini answer-set solver), \
-             direct (native matcher, the same backend for every instance) or \
-             incremental (creation-order fast path with exact fallback)." in
-  Arg.(value & opt backend_conv Gmatch.Engine.Auto & info [ "backend" ] ~docv:"B" ~doc)
+  let doc = "Graph matching backend: direct (default; the native cascade of sound \
+             bypasses: canonical digests, delta witness reuse and segment plans, then \
+             the incremental matcher for similarity and VF2 for matchings; auto and \
+             vf2 are aliases), asp (the paper's Listing 3/4 specifications through the \
+             mini answer-set solver) or incremental (creation-order fast path with \
+             exact fallback)." in
+  Arg.(value & opt backend_conv Gmatch.Engine.default_backend & info [ "backend" ] ~docv:"B" ~doc)
 
 let seed_arg =
   let doc = "Base seed for transient-value derivation." in
@@ -200,12 +200,16 @@ let write_trace trace (results : Provmark.Result.t list) =
           Out_channel.output_char oc '\n');
       Printf.eprintf "Trace written to %s\n%!" file
 
+(* The statistics epilogue goes to stderr: its counters depend on what
+   a run recomputed (a warm store replays without solving) and on how
+   concurrent solves met (coalescing), so on stdout it would break the
+   byte identity of results across -j and cold/warm runs. *)
 let print_cache_stats () =
   match Provmark.Report.stats_lines () with
   | "" -> ()
   | lines ->
-      print_newline ();
-      print_string lines
+      flush stdout;
+      Printf.eprintf "\n%s%!" lines
 
 (* Progress lines may come from any worker domain; serialize them. *)
 let progress_mutex = Mutex.create ()

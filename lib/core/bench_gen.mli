@@ -48,8 +48,8 @@ val rigid_trace : nodes:int -> seed:int -> Pgraph.Graph.t
     [seed]; identifiers, labels, topology and structural properties are
     untouched, so the result shares [g]'s canonical structure digest.
     This is the consecutive-trial shape the delta re-solve fast path
-    certifies, used by the Auto differential tests and the [planner]
-    benchmark section. *)
+    certifies, used by the native cascade's differential tests and the
+    [planner] benchmark section. *)
 val transient_variant : seed:int -> Pgraph.Graph.t -> Pgraph.Graph.t
 
 (** [json_update_file ~file ~key value] merges [(key, value)] into the

@@ -91,10 +91,10 @@ let transformation_fingerprint t = Printf.sprintf "canon=%b" t.opts.Gmatch.Match
    [opts.segment_min_nodes] (whose threshold decides *which* pairs
    decompose) joins them for the same reason again: stitched
    witnesses are cost-optimal but need not coincide with the
-   whole-graph solver's choice.  Auto needs no field of its own: it
-   is a backend, so "auto" lands in the fingerprint through
-   backend_to_string like any fixed choice, and its cascade is a fixed
-   function of the graphs (no timing steers it).  [opts.memo] never changes
+   whole-graph solver's choice.  The native cascade needs no field of
+   its own: it is what [Direct] does, a fixed function of the graphs
+   (no timing steers it), and backend_to_string renders it (and its
+   "vf2"/"auto" aliases) as "direct".  [opts.memo] never changes
    an answer and stays out.  The rendering is part of every stored
    key: changing it orphans the stores already on disk. *)
 let backend_fp t =

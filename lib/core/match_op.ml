@@ -45,9 +45,9 @@ let matching_lines (m : Gmatch.Matching.t) =
   Buffer.contents buf
 
 (* A match runs outside any stage, so no [Stage.compute] drains the
-   decision lines [Auto] leaves on this domain: drop them here, or a
-   long-lived daemon grows the log without bound and the next stage on
-   this domain reports them as its own. *)
+   decision lines the native cascade leaves on this domain: drop them
+   here, or a long-lived daemon grows the log without bound and the
+   next stage on this domain reports them as its own. *)
 let run ?opts ?backend kind a b =
   let answer () =
     match kind with

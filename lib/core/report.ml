@@ -219,12 +219,10 @@ let stats_lines () =
              (Gmatch.Engine.segment_fallbacks ())));
   (* Certified/fallback counts are pure functions of the pairs the
      incremental backend attempted (gated on nonzero so runs that never
-     touch it keep their historical bytes).  Auto's decision counts
-     and delta cache hits stay out of this block (delta cache hits
-     depend on which domain certified a structure first); they
-     surface in the serve [stats] op and the benches instead.  Auto's
-     similarity solves go through the incremental backend uncounted,
-     so an [auto] suite prints the same epilogue as a [direct] one. *)
+     touch it keep their historical bytes).  The cascade's decision
+     counts and delta cache hits stay out of this block (delta cache
+     hits depend on which domain certified a structure first); they
+     surface in the serve [stats] op and the benches instead. *)
   let certified, fallback = Gmatch.Incremental.stats () in
   if certified > 0 || fallback > 0 then
     Buffer.add_string buf

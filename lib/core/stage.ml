@@ -90,11 +90,11 @@ let tag_effort ctx before =
       if a > b then Trace_span.add_tag ctx name (string_of_int (a - b)))
     before (effort_counters ())
 
-(* Auto's decisions made during a stage surface as [planner.N] span
-   tags reading [<task>=<path>], so a trace export says which bypass
-   or solver answered each instance.  Same per-domain caveat as the
-   effort deltas: decisions taken on pool worker domains drain with
-   that domain's next stage. *)
+(* The native cascade's decisions made during a stage surface as
+   [planner.N] span tags reading [<task>=<path>], so a trace export
+   says which bypass or solver answered each instance.  Same
+   per-domain caveat as the effort deltas: decisions taken on pool
+   worker domains drain with that domain's next stage. *)
 let tag_planner ctx =
   List.iteri
     (fun i d -> Trace_span.add_tag ctx (Printf.sprintf "planner.%d" i) d)

@@ -1,28 +1,23 @@
-(* [Auto] is a fixed cascade of sound bypasses: canonical digests,
-   delta witness reuse (witness solves only) and the segment plan,
-   then the incremental matcher for similarity or VF2 for witnesses —
-   each path logged in [Planner], none chosen by timing.  It is a
-   distinct variant rather than a process-wide flag so that explicitly
-   configured backends keep today's behaviour bit for bit, and so
-   "auto" flows into Config.backend_fp like any other backend name —
-   cached artifacts never mix Auto and fixed-mode runs. *)
-type backend = Asp | Direct | Incremental | Auto
+(* [Direct] is the native backend: a fixed cascade of sound bypasses
+   (canonical digests, delta witness reuse, the segment plan), then the
+   incremental matcher for similarity or VF2 for witnesses — each path
+   logged in [Planner], none chosen by timing.  "vf2" and the retired
+   "auto" parse as aliases of it. *)
+type backend = Asp | Direct | Incremental
 
 let default_backend = Direct
 
 let backend_of_string = function
   | "asp" -> Ok Asp
-  | "direct" | "vf2" -> Ok Direct
+  | "direct" | "vf2" | "auto" -> Ok Direct
   | "incremental" | "inc" -> Ok Incremental
-  | "auto" -> Ok Auto
   | s ->
-      Error (Printf.sprintf "unknown matching backend %S (expected asp, direct, incremental or auto)" s)
+      Error (Printf.sprintf "unknown matching backend %S (expected asp, direct or incremental)" s)
 
 let backend_to_string = function
   | Asp -> "asp"
   | Direct -> "direct"
   | Incremental -> "incremental"
-  | Auto -> "auto"
 
 (* Degradation notes are collected per domain, inside scopes.  A
    benchmark's stage runs on one domain, so the notes of its scope are
@@ -180,12 +175,12 @@ let reset_segment_stats () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Auto's delta step                                                   *)
+(* Canonical bypasses and the delta step                               *)
 
-(* The delta path under Auto: only a hit is a decision (a miss costs a
-   cached rigidity lookup and falls through to the rest of the
+(* The native cascade's delta step: only a hit is a decision (a miss
+   costs a cached rigidity lookup and falls through to the rest of the
    cascade). *)
-let auto_delta ~task ~sub f1 f2 g1 g2 =
+let native_delta ~task ~sub f1 f2 g1 g2 =
   let m = Incremental.delta ~sub f1 f2 g1 g2 in
   if Option.is_some m then Planner.note ~task Planner.Delta;
   m
@@ -220,7 +215,10 @@ let zero_cost_witness g1 g2 f1 f2 =
    note on its own domain after all segments finish.  This keeps the
    merged result tagged degraded exactly once — and keeps notes off the
    pool's worker domains, whose per-domain note buffers the submitting
-   benchmark never drains. *)
+   benchmark never drains.  [Direct]'s segment instances run on VF2:
+   they are small by construction (bounded by the largest ambiguous
+   component), and the cascade logs the segmented path once per plan,
+   on the calling domain. *)
 
 let segment_similar ~opts ~backend (p : Pgraph.Summarize.plan) =
   let segs = Array.of_list p.Pgraph.Summarize.segments in
@@ -233,11 +231,7 @@ let segment_similar ~opts ~backend (p : Pgraph.Summarize.plan) =
     let left = s.Pgraph.Summarize.left and right = s.Pgraph.Summarize.right in
     verdicts.(i) <-
       (match backend with
-      (* Auto's segment instances stay on VF2: they are small by
-         construction (bounded by the largest ambiguous component).
-         Auto logs the segmented path once per plan, on the calling
-         domain. *)
-      | Direct | Auto -> Vf2.similar left right
+      | Direct -> Vf2.similar left right
       | Incremental -> Incremental.similar left right
       | Asp -> (
           match Asp_backend.similar_checked ~opts left right with
@@ -266,7 +260,7 @@ let segment_iso ~opts ~backend g1 g2 (p : Pgraph.Summarize.plan) =
     let left = s.Pgraph.Summarize.left and right = s.Pgraph.Summarize.right in
     witnesses.(i) <-
       (match backend with
-      | Direct | Auto -> Vf2.iso_min_cost left right
+      | Direct -> Vf2.iso_min_cost left right
       | Incremental -> Incremental.iso_min_cost left right
       | Asp -> (
           match Asp_backend.iso_min_cost_checked ~opts left right with
@@ -303,29 +297,24 @@ let segment_iso ~opts ~backend g1 g2 (p : Pgraph.Summarize.plan) =
     Some m
 
 let similar ?(opts = Match_opts.default) ?(backend = default_backend) g1 g2 =
-  let asp_similar () =
-    match Asp_backend.similar_checked ~opts g1 g2 with
-    | Ok b -> b
-    | Error `Step_limit ->
-        if opts.Match_opts.fallback then begin
-          degraded "similarity";
-          Vf2.similar g1 g2
-        end
-        else false
-  in
   let whole () =
     match backend with
-    | Asp -> asp_similar ()
-    | Direct -> Vf2.similar g1 g2
+    | Asp -> (
+        match Asp_backend.similar_checked ~opts g1 g2 with
+        | Ok b -> b
+        | Error `Step_limit ->
+            if opts.Match_opts.fallback then begin
+              degraded "similarity";
+              Vf2.similar g1 g2
+            end
+            else false)
     | Incremental -> Incremental.similar g1 g2
-    | Auto ->
-        (* A verdict is backend-independent, so Auto takes the matcher
-           that is cheapest on the suite's pairs: greedy creation-order
-           alignment, falling back to exact VF2.  Its counters stay
-           untouched so an [auto] run prints the same stats epilogue as
-           [direct]. *)
+    | Direct ->
+        (* A verdict is witness-independent, so the cascade takes the
+           matcher that is cheapest on the suite's pairs: greedy
+           creation-order alignment, falling back to exact VF2. *)
         Planner.note ~task:"similarity" Planner.Incr;
-        Incremental.similar ~counted:false g1 g2
+        Incremental.similar g1 g2
   in
   match canon_pair ~opts g1 g2 with
   | Some (f1, f2) ->
@@ -342,7 +331,7 @@ let similar ?(opts = Match_opts.default) ?(backend = default_backend) g1 g2 =
         | Pgraph.Summarize.Whole -> whole ()
         | Pgraph.Summarize.Segmented p ->
             seg_mark_pair "similarity";
-            if backend = Auto then Planner.note ~task:"similarity" Planner.Seg;
+            if backend = Direct then Planner.note ~task:"similarity" Planner.Seg;
             segment_similar ~opts ~backend p
       else whole ()
 
@@ -358,17 +347,17 @@ let generalization_matching ?(opts = Match_opts.default) ?(backend = default_bac
               Vf2.iso_min_cost g1 g2
             end
             else Asp_backend.iso_min_cost ~opts g1 g2)
-    | Direct -> Vf2.iso_min_cost g1 g2
     | Incremental -> Incremental.iso_min_cost g1 g2
-    | Auto ->
+    | Direct ->
         (* Witness-producing: the optimal witness is part of the
-           observable answer, so when no bypass applied (digest,
-           delta) Auto runs the default backend. *)
+           observable answer, so when no bypass applied the cascade
+           ends in the exact search. *)
         Planner.note ~task:"generalization" Planner.Vf2;
         Vf2.iso_min_cost g1 g2
   in
+  let segmented = segmentable ~opts g1 g2 in
   let solve () =
-    if segmentable ~opts g1 g2 then
+    if segmented then
       match Pgraph.Summarize.plan g1 g2 with
       | Pgraph.Summarize.Mismatch ->
           seg_skip "generalization";
@@ -376,14 +365,11 @@ let generalization_matching ?(opts = Match_opts.default) ?(backend = default_bac
       | Pgraph.Summarize.Whole -> whole ()
       | Pgraph.Summarize.Segmented p -> (
           seg_mark_pair "generalization";
-          let segmented () =
-            try segment_iso ~opts ~backend g1 g2 p
-            with Stitch_mismatch ->
-              Atomic.incr seg_fallback_count;
-              whole ()
-          in
-          if backend = Auto then Planner.note ~task:"generalization" Planner.Seg;
-          segmented ())
+          if backend = Direct then Planner.note ~task:"generalization" Planner.Seg;
+          try segment_iso ~opts ~backend g1 g2 p
+          with Stitch_mismatch ->
+            Atomic.incr seg_fallback_count;
+            whole ())
     else whole ()
   in
   match canon_pair ~opts g1 g2 with
@@ -396,10 +382,13 @@ let generalization_matching ?(opts = Match_opts.default) ?(backend = default_bac
       | Some m ->
           canon_skip "generalization";
           Some m
-      | None when backend = Auto -> (
+      | None when backend = Direct && not segmented -> (
           (* Same structure, transient property deltas: reuse the
-             provably unique witness instead of solving cold. *)
-          match auto_delta ~task:"generalization" ~sub:false f1 f2 g1 g2 with
+             provably unique witness instead of solving cold.  Pairs the
+             segment plan takes skip it: on a rigid pair the plan forces
+             every node and stitches the same unique witness, so the
+             rigidity refinement would be pure overhead there. *)
+          match native_delta ~task:"generalization" ~sub:false f1 f2 g1 g2 with
           | Some m -> Some m
           | None -> solve ())
       | None -> solve ())
@@ -417,9 +406,8 @@ let subgraph_matching ?(opts = Match_opts.default) ?(backend = default_backend) 
               Vf2.sub_iso_min_cost g1 g2
             end
             else Asp_backend.sub_iso_min_cost ~opts g1 g2)
-    | Direct -> Vf2.sub_iso_min_cost g1 g2
     | Incremental -> Incremental.sub_iso_min_cost g1 g2
-    | Auto ->
+    | Direct ->
         (* Witness-producing, like generalization. *)
         Planner.note ~task:"comparison" Planner.Vf2;
         Vf2.sub_iso_min_cost g1 g2
@@ -434,8 +422,8 @@ let subgraph_matching ?(opts = Match_opts.default) ?(backend = default_backend) 
       | Some m ->
           canon_skip "comparison";
           Some m
-      | None when backend = Auto -> (
-          match auto_delta ~task:"comparison" ~sub:true f1 f2 g1 g2 with
+      | None when backend = Direct -> (
+          match native_delta ~task:"comparison" ~sub:true f1 f2 g1 g2 with
           | Some m -> Some m
           | None -> solve ())
       | None -> solve ())

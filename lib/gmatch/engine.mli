@@ -1,9 +1,9 @@
 (** Backend-dispatching entry points used by the ProvMark pipeline.
 
     [Asp] runs the paper's Listing 3/4 specifications through the
-    mini-ASP solver (the reference semantics); [Direct] runs the native
-    VF2-style matcher (much faster on larger graphs).  Both compute the
-    same answers — this is enforced by the property-based test suite.
+    mini-ASP solver (the reference semantics); [Direct] is the native
+    backend (much faster on larger graphs).  Both compute the same
+    answers — this is enforced by the property-based test suite.
 
     The three entry points at the bottom take the run's
     {!Match_opts.t} as [?opts] (default {!Match_opts.default}); the
@@ -14,24 +14,26 @@
 type backend =
   | Asp
   | Direct
+      (** the native cascade of sound bypasses, never steered by
+          timing.  Similarity: canonical digest, then the
+          quotient/segment plan, then {!Incremental.similar} (greedy,
+          exact VF2 fallback).  Generalization and comparison:
+          canonical digest, then the zero-cost canonical witness, then
+          {!Incremental.delta} witness reuse on rigid transient-only
+          pairs (generalization pairs the segment plan takes skip it),
+          then (for generalization) the segment plan, then VF2.  Each
+          path taken is logged in {!Planner}. *)
   | Incremental
       (** creation-order greedy alignment with certified optimality and
           exact fallback (the paper's Section 5.4 suggestion); always
-          returns the same answers as [Direct] *)
-  | Auto
-      (** a fixed cascade of sound bypasses, never steered by timing.
-          Similarity: canonical digest, then the quotient/segment plan,
-          then {!Incremental.similar} (greedy, exact VF2 fallback).
-          Generalization and comparison: canonical digest, then the
-          zero-cost canonical witness, then {!Incremental.delta}
-          witness reuse on rigid transient-only pairs, then (for
-          generalization) the segment plan, then VF2 — so output is byte-identical to
-          [Direct].  Each path taken is logged in {!Planner}.
-          Participates in [Config.backend_fp] as ["auto"] like any
-          fixed backend. *)
+          returns the same verdicts and optimal costs as [Direct] *)
 
+(** [Direct]: the CLI, the serve protocol and [Config.default] all
+    default to it. *)
 val default_backend : backend
 
+(** Accepts ["asp"], ["direct"], ["incremental"] and the aliases
+    ["vf2"] and ["auto"] (both [Direct]) and ["inc"]. *)
 val backend_of_string : string -> (backend, string) result
 val backend_to_string : backend -> string
 

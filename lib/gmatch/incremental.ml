@@ -119,18 +119,14 @@ let attempt ~sub g1 g2 =
       None
 
 (* Similarity ignores properties, so any verified bijection certifies it
-   — no cost bound needed.  [~counted:false] is Auto's similarity
-   route: the certified/fallback counters feed the batch CLI's
-   cache-stats epilogue, and an [auto] run must print the same
-   epilogue as [direct] and as its own warm-store replay (which skips
-   these solves). *)
-let similar ?(counted = true) g1 g2 =
+   — no cost bound needed. *)
+let similar g1 g2 =
   match greedy ~sub:false g1 g2 with
   | Some _ ->
-      if counted then Atomic.incr certified;
+      Atomic.incr certified;
       true
   | None ->
-      if counted then Atomic.incr fallbacks;
+      Atomic.incr fallbacks;
       Vf2.similar g1 g2
 
 let iso_min_cost g1 g2 =
@@ -158,8 +154,8 @@ let sub_iso_min_cost g1 g2 =
    of the canonical orders is a label-isomorphism whenever digests are
    equal, hence *the* one), it is trivially cost-optimal for any
    property values (no alternative exists), and it is byte-identical
-   to what every backend returns — which is what lets the Auto backend
-   take this path without perturbing fixed-backend output.  When the
+   to what every backend returns — which is what lets the native
+   cascade take this path without perturbing its output.  When the
    counts are equal — canonical digests pin node and edge counts — the
    same argument covers sub-iso embeddings: an injective embedding
    between equal-sized graphs is a bijection, hence the unique iso.

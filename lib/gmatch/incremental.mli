@@ -18,11 +18,7 @@ val stats : unit -> int * int
 
 val reset_stats : unit -> unit
 
-(** [?counted:false] leaves the certified/fallback counters untouched —
-    used by the [Auto] backend's similarity route, because the counters
-    feed the batch CLI's stats epilogue and an [auto] run must print
-    the same epilogue as [direct] and as its own warm-store replay. *)
-val similar : ?counted:bool -> Pgraph.Graph.t -> Pgraph.Graph.t -> bool
+val similar : Pgraph.Graph.t -> Pgraph.Graph.t -> bool
 
 val iso_min_cost : Pgraph.Graph.t -> Pgraph.Graph.t -> Matching.t option
 
@@ -39,8 +35,8 @@ val sub_iso_min_cost : Pgraph.Graph.t -> Pgraph.Graph.t -> Matching.t option
     one label-isomorphism exists between the digest-equal graphs.
     That unique bijection is [Canon.witness f1 f2]; it is optimal for
     any property values and byte-identical to every backend's answer,
-    which is why the Auto backend may take this path without changing
-    output.  Equal digests pin the element counts, so with [~sub:true]
+    which is why the [Direct] backend's cascade may take this path
+    without changing output.  Equal digests pin the element counts, so with [~sub:true]
     the same argument covers embeddings (injective + equal sizes =
     bijective).
 

@@ -1,4 +1,4 @@
-(* The Auto backend's decision log: which path of its fixed cascade
+(* The native backend's decision log: which path of its fixed cascade
    answered each instance that got past the digest gates.  A counter
    per path, and a per-domain log that [Stage.compute] drains into
    span tags. *)

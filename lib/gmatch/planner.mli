@@ -1,12 +1,12 @@
-(** The [Auto] backend's decision log.
+(** The native backend's decision log.
 
-    [Auto] answers every instance through a fixed cascade of sound
-    bypasses (see {!Engine}); nothing in it depends on timing.  This
-    module only records which path answered each solve that reached
-    a solver or a delta certificate, so traces and the serve [stats]
-    op can say why an answer came out as it did. *)
+    [Engine.Direct] answers every instance through a fixed cascade of
+    sound bypasses (see {!Engine}); nothing in it depends on timing.
+    This module only records which path answered each solve that
+    reached a solver or a delta certificate, so traces and the serve
+    [stats] op can say why an answer came out as it did. *)
 
-(** The paths a logged [Auto] solve can take. *)
+(** The paths a logged [Direct] solve can take. *)
 type path =
   | Delta  (** {!Incremental.delta}: the provably unique witness reused *)
   | Incr  (** {!Incremental.similar}: greedy alignment, exact VF2 fallback *)

@@ -276,8 +276,8 @@ let stats_response t ~id =
             ("fallbacks", num (Gmatch.Engine.segment_fallbacks ())) ] );
       (let certified, fallback = Gmatch.Incremental.stats () in
        ("incremental", Json.Object [ ("certified", num certified); ("fallbacks", num fallback) ]));
-      (* Auto's decision log is server-lifetime, like the memo:
-         decisions per path and the delta path's reuse counters. *)
+      (* The native cascade's decision log is server-lifetime, like the
+         memo: decisions per path and the delta path's reuse counters. *)
       (let d_cert, d_fall, d_hits = Gmatch.Incremental.delta_stats () in
        ( "planner",
          Json.Object

@@ -1,19 +1,20 @@
-(* The Auto backend's cascade and the delta re-solve fast path.
+(* The native backend's cascade and the delta re-solve fast path.
 
    Four layers are pinned here:
    - the decision log: notes drain into the span-tag log exactly once,
      and match ops (which run outside any stage) leave none behind;
-   - the differential contract: the Auto backend agrees with every
-     fixed backend on verdict and optimal cost — over random pairs,
-     ProvGen corpus pairs, perturbed and transient-only variants — and
-     every witness it returns verifies;
+   - the differential contract: [Direct] returns the witnesses of the
+     Vf2 reference module, called directly, and agrees with the
+     incremental and ASP backends on verdicts and optimal costs — over
+     random pairs, ProvGen corpus pairs, perturbed and transient-only
+     variants, with canon on and off;
    - delta soundness: consecutive transient-only trials of a rigid
      structure reuse the certified canonical witness (trial 2 hits the
      rigidity cache), non-rigid structures fall back to a real solve,
-     and no graph is canonicalized twice along the way;
-   - the pipeline: suite output is byte-identical under Auto and the
-     fixed default, and across job counts, and so is Auto's decision
-     mix. *)
+     pairs the segment plan takes skip the delta step, and no graph is
+     canonicalized twice along the way;
+   - the pipeline: suite output is byte-identical across job counts,
+     and so is the cascade's decision mix. *)
 
 open Pgraph
 module Engine = Gmatch.Engine
@@ -46,35 +47,55 @@ let test_decision_log_drains () =
       check_int "decisions counted" 2 (Planner.decisions_total ()))
 
 (* ------------------------------------------------------------------ *)
-(* Differential: Auto equals every fixed backend                        *)
+(* Differential: Direct equals VF2 and every other backend              *)
 (* ------------------------------------------------------------------ *)
 
 let cost_view = function None -> None | Some (m : Matching.t) -> Some m.Matching.cost
 
-(* One pair, one fixed backend: Auto must agree on the similarity
-   verdict and both optimal costs, and its witnesses must verify. *)
-let auto_agrees ?opts ~fixed g h =
-  let sim_auto = Engine.similar ?opts ~backend:Engine.Auto g h in
-  check_bool "similar agrees" (Engine.similar ?opts ~backend:fixed g h) sim_auto;
-  let gen_auto = Engine.generalization_matching ?opts ~backend:Engine.Auto g h in
-  Alcotest.(check (option int))
-    "generalization cost agrees"
-    (cost_view (Engine.generalization_matching ?opts ~backend:fixed g h))
-    (cost_view gen_auto);
-  (match gen_auto with
-  | Some m ->
-      check_bool "generalization witness verifies" true (Matching.verify ~sub:false g h m = Ok ());
-      check_int "reported cost is the witness cost" m.Matching.cost (Matching.cost_of g h m)
-  | None -> ());
-  let sub_auto = Engine.subgraph_matching ?opts ~backend:Engine.Auto g h in
-  Alcotest.(check (option int))
-    "comparison cost agrees"
-    (cost_view (Engine.subgraph_matching ?opts ~backend:fixed g h))
-    (cost_view sub_auto);
-  match sub_auto with
-  | Some m ->
-      check_bool "comparison witness verifies" true (Matching.verify ~sub:true g h m = Ok ())
-  | None -> ()
+(* Sorted, like [Match_op]'s rendering: the bytes a user sees. *)
+let witness_view (m : Matching.t) =
+  String.concat "|"
+    (List.map (fun (a, b) -> a ^ ">" ^ b)
+       (List.sort compare m.Matching.node_map @ List.sort compare m.Matching.edge_map))
+
+(* The cascade's bypasses must not show in its witnesses: the delta
+   witness is the unique one, so it is VF2's.  The one exception is
+   the zero-cost canonical witness, which may be another of several
+   zero-cost witnesses; every zero-cost matching yields the same
+   downstream result, so there only the cost is pinned. *)
+let check_witness msg ~sub g h reference (m : Matching.t option) =
+  Alcotest.(check (option int)) (msg ^ ": cost") (cost_view reference) (cost_view m);
+  match (reference, m) with
+  | Some r, Some m ->
+      check_bool (msg ^ ": verifies") true (Matching.verify ~sub g h m = Ok ());
+      check_int (msg ^ ": reported cost is the witness cost") m.Matching.cost
+        (Matching.cost_of g h m);
+      if m.Matching.cost > 0 then
+        Alcotest.(check string) (msg ^ ": witness bytes") (witness_view r) (witness_view m)
+  | _ -> ()
+
+(* One pair: [Direct] must return VF2's answers (the module called
+   directly, no engine in between), and agree with each [others]
+   backend on the similarity verdict and both optimal costs. *)
+let direct_agrees ?opts ~others g h =
+  let sim = Engine.similar ?opts ~backend:Engine.Direct g h in
+  check_bool "similar equals vf2" (Gmatch.Vf2.similar g h) sim;
+  let gen = Engine.generalization_matching ?opts ~backend:Engine.Direct g h in
+  check_witness "generalization" ~sub:false g h (Gmatch.Vf2.iso_min_cost g h) gen;
+  let sub = Engine.subgraph_matching ?opts ~backend:Engine.Direct g h in
+  check_witness "comparison" ~sub:true g h (Gmatch.Vf2.sub_iso_min_cost g h) sub;
+  List.iter
+    (fun backend ->
+      check_bool "similar agrees" (Engine.similar ?opts ~backend g h) sim;
+      Alcotest.(check (option int))
+        "generalization cost agrees"
+        (cost_view (Engine.generalization_matching ?opts ~backend g h))
+        (cost_view gen);
+      Alcotest.(check (option int))
+        "comparison cost agrees"
+        (cost_view (Engine.subgraph_matching ?opts ~backend g h))
+        (cost_view sub))
+    others
 
 let perturb_prop g =
   match Graph.nodes g with
@@ -91,21 +112,19 @@ let both_regimes f =
   f Gmatch.Match_opts.default;
   f { Gmatch.Match_opts.default with canon = false }
 
-let test_differential_direct_incremental () =
+let test_differential_vf2_incremental () =
   Planner.reset ();
   let st = Random.State.make [| 23 |] in
   for _ = 1 to 25 do
     let g = Helpers.random_graph st in
     let iso = Helpers.permute_ids g in
     let other = Helpers.random_graph st in
-    List.iter
-      (fun fixed ->
-        both_regimes (fun opts ->
-            auto_agrees ~opts ~fixed g iso;
-            auto_agrees ~opts ~fixed g (perturb_prop iso);
-            auto_agrees ~opts ~fixed g (perturb_shape iso);
-            auto_agrees ~opts ~fixed g other))
-      [ Engine.Direct; Engine.Incremental ]
+    both_regimes (fun opts ->
+        let agrees = direct_agrees ~opts ~others:[ Engine.Incremental ] in
+        agrees g iso;
+        agrees g (perturb_prop iso);
+        agrees g (perturb_shape iso);
+        agrees g other)
   done
 
 let test_differential_asp () =
@@ -117,8 +136,8 @@ let test_differential_asp () =
     let g = Helpers.random_graph ~max_nodes:4 ~max_edges:4 st in
     let iso = Helpers.rename_with_prefix "r:" g in
     both_regimes (fun opts ->
-        auto_agrees ~opts ~fixed:Engine.Asp g iso;
-        auto_agrees ~opts ~fixed:Engine.Asp g (perturb_prop iso))
+        direct_agrees ~opts ~others:[ Engine.Asp ] g iso;
+        direct_agrees ~opts ~others:[ Engine.Asp ] g (perturb_prop iso))
   done
 
 let test_differential_provgen_and_transient () =
@@ -126,19 +145,22 @@ let test_differential_provgen_and_transient () =
   List.iter
     (fun nodes ->
       let spec = Provgen.default_spec ~nodes in
-      (* A permuted cross-run pair, a transient-only variant pair, and a
-         cross-seed pair with no reason to align. *)
-      let g, h = Provgen.match_pair ~seed:(400 + nodes) spec in
-      auto_agrees ~fixed:Engine.Direct g h;
-      let v1, v2 = Provgen.pair ~seed:(500 + nodes) spec in
-      auto_agrees ~fixed:Engine.Direct v1 v2;
-      auto_agrees ~fixed:Engine.Direct g (Provgen.generate ~seed:(600 + nodes) spec);
-      (* The bench generator's transient-only rewrite: identical ids and
-         structure, fresh transient values — the delta fast path's home
-         turf, which must stay invisible in the answers. *)
-      let b, _ = Bench_gen.match_pair ~nodes ~seed:(700 + nodes) in
-      auto_agrees ~fixed:Engine.Direct b (Bench_gen.transient_variant ~seed:(800 + nodes) b);
-      auto_agrees ~fixed:Engine.Incremental b (Bench_gen.transient_variant ~seed:(900 + nodes) b))
+      both_regimes (fun opts ->
+          let agrees = direct_agrees ~opts ~others:[ Engine.Incremental ] in
+          (* A permuted cross-run pair, a transient-only variant pair,
+             and a cross-seed pair with no reason to align. *)
+          let g, h = Provgen.match_pair ~seed:(400 + nodes) spec in
+          agrees g h;
+          let v1, v2 = Provgen.pair ~seed:(500 + nodes) spec in
+          agrees v1 v2;
+          agrees g (Provgen.generate ~seed:(600 + nodes) spec);
+          (* The bench generator's transient-only rewrite: identical ids
+             and structure, fresh transient values — the delta fast
+             path's home turf, which must stay invisible in the
+             answers. *)
+          let b, _ = Bench_gen.match_pair ~nodes ~seed:(700 + nodes) in
+          agrees b (Bench_gen.transient_variant ~seed:(800 + nodes) b);
+          agrees b (Bench_gen.transient_variant ~seed:(900 + nodes) b)))
     [ 24; 48 ]
 
 (* ------------------------------------------------------------------ *)
@@ -177,13 +199,10 @@ let test_match_op_leaves_no_decisions () =
       let g = chain 6 in
       let h = Bench_gen.transient_variant ~seed:7 g in
       for _ = 1 to 1000 do
-        ignore (Provmark.Match_op.run ~backend:Engine.Auto Provmark.Match_op.Generalize g h)
+        ignore (Provmark.Match_op.run ~backend:Engine.Direct Provmark.Match_op.Generalize g h)
       done;
       check_bool "the match ops were decisions" true (Planner.decisions_total () >= 1000);
       Alcotest.(check (list string)) "decision log empty" [] (Planner.drain_decisions ()))
-
-let witness_view (m : Matching.t) =
-  String.concat "|" (List.map (fun (a, b) -> a ^ ">" ^ b) (m.Matching.node_map @ m.Matching.edge_map))
 
 let test_delta_reuses_trial_witness () =
   Incremental.reset_delta ();
@@ -191,7 +210,7 @@ let test_delta_reuses_trial_witness () =
       let g = chain 12 in
       let trial k = Bench_gen.transient_variant ~seed:(1000 + k) g in
       let solve h =
-        match Engine.generalization_matching ~backend:Engine.Auto g h with
+        match Engine.generalization_matching ~backend:Engine.Direct g h with
         | Some m -> m
         | None -> Alcotest.fail "transient-only pair must match"
       in
@@ -209,14 +228,15 @@ let test_delta_reuses_trial_witness () =
       check_bool "trials 2..N hit the rigidity cache" true (cache_hits >= 2);
       Alcotest.(check string) "trial 2 reuses the witness" (witness_view m1) (witness_view m2);
       Alcotest.(check string) "trial 3 reuses the witness" (witness_view m1) (witness_view m3);
-      (* The certified witness is the true optimum: the fixed default
-         agrees on cost for every trial. *)
+      (* The certified witness is the true optimum: exact search agrees
+         on cost. *)
       Alcotest.(check (option int))
-        "delta cost equals the fixed default" (Some m2.Matching.cost)
-        (cost_view (Engine.generalization_matching ~backend:Engine.Direct g (trial 2)));
+        "delta cost equals vf2's" (Some m2.Matching.cost)
+        (cost_view (Gmatch.Vf2.iso_min_cost g (trial 2)));
       (* Comparison rides the same theorem (equal digests pin sizes). *)
-      (match Engine.subgraph_matching ~backend:Engine.Auto g (trial 4) with
-      | Some m -> check_bool "embedding verifies" true (Matching.verify ~sub:true g (trial 4) m = Ok ())
+      (match Engine.subgraph_matching ~backend:Engine.Direct g (trial 4) with
+      | Some m ->
+          check_bool "embedding verifies" true (Matching.verify ~sub:true g (trial 4) m = Ok ())
       | None -> Alcotest.fail "transient-only pair must embed");
       let certified', _, _ = Incremental.delta_stats () in
       check_int "comparison certified too" 4 certified')
@@ -234,14 +254,34 @@ let test_non_rigid_falls_back () =
         Graph.add_node g ~id:"q" ~label:"process" ~props:(Props.of_list [ ("token", b) ])
       in
       let g = twins "a" "b" and h = twins "c" "d" in
-      let auto = Engine.generalization_matching ~backend:Engine.Auto g h in
       Alcotest.(check (option int))
         "non-rigid pair still optimally matched"
-        (cost_view (Engine.generalization_matching ~backend:Engine.Direct g h))
-        (cost_view auto);
+        (cost_view (Gmatch.Vf2.iso_min_cost g h))
+        (cost_view (Engine.generalization_matching ~backend:Engine.Direct g h));
       let certified, fallbacks, _ = Incremental.delta_stats () in
       check_int "nothing certified" 0 certified;
       check_bool "fallback counted" true (fallbacks >= 1))
+
+(* A generalization pair the segment plan takes skips the delta step:
+   on a rigid pair the plan forces every node and stitches the unique
+   witness, which is exactly [Canon.witness]'s bijection. *)
+let test_segmentable_skips_delta () =
+  Incremental.reset_delta ();
+  Fun.protect ~finally:Incremental.reset_delta (fun () ->
+      let g = Bench_gen.rigid_trace ~nodes:Gmatch.Match_opts.default_segment_min_nodes ~seed:5 in
+      let h = Bench_gen.transient_variant ~seed:6 g in
+      let unique =
+        match (Canon.form g, Canon.form h) with
+        | Some f1, Some f2 -> Matching.of_pairs g (Canon.witness f1 f2) 0
+        | _ -> Alcotest.fail "canonical forms must be available"
+      in
+      let before = Incremental.delta_stats () in
+      match Engine.generalization_matching ~backend:Engine.Direct g h with
+      | None -> Alcotest.fail "transient-only pair must match"
+      | Some m ->
+          check_bool "a costly pair (no zero-cost bypass)" true (m.Matching.cost > 0);
+          check_bool "delta counters unchanged" true (Incremental.delta_stats () = before);
+          Alcotest.(check string) "the unique witness" (witness_view unique) (witness_view m))
 
 let test_delta_direct_api () =
   Incremental.reset_delta ();
@@ -268,8 +308,8 @@ let test_no_duplicate_canonicalization () =
       let g = chain 10 in
       let v2 = Bench_gen.transient_variant ~seed:2000 g in
       let v3 = Bench_gen.transient_variant ~seed:2001 g in
-      ignore (Engine.generalization_matching ~backend:Engine.Auto g v2);
-      ignore (Engine.generalization_matching ~backend:Engine.Auto g v3);
+      ignore (Engine.generalization_matching ~backend:Engine.Direct g v2);
+      ignore (Engine.generalization_matching ~backend:Engine.Direct g v3);
       let computed, hits = Canon.stats () in
       (* The form cache is keyed on identifiers and structure, not
          property values, so every transient variant shares g's entry:
@@ -297,19 +337,15 @@ let suite_views ~jobs config progs =
 
 let test_suite_identical_across_planner_and_jobs () =
   let progs = Provmark.Bench_registry.all in
-  let fixed = Config.default Recorder.Spade in
-  let auto = { fixed with Config.backend = Engine.Auto } in
-  let reference = suite_views ~jobs:1 fixed progs in
+  let config = Config.default Recorder.Spade in
   Planner.reset ();
-  Alcotest.(check (list string))
-    "auto equals direct" reference
-    (suite_views ~jobs:1 auto progs);
+  let reference = suite_views ~jobs:1 config progs in
   let counts_j1 = Planner.decision_counts () in
-  check_bool "auto decided something" true (Planner.decisions_total () > 0);
+  check_bool "the cascade decided something" true (Planner.decisions_total () > 0);
   Planner.reset ();
   Alcotest.(check (list string))
-    "auto at -j4 equals the fixed reference" reference
-    (suite_views ~jobs:4 auto progs);
+    "-j4 equals -j1" reference
+    (suite_views ~jobs:4 config progs);
   (* No choice depends on timing, so the decision mix is a function of
      the suite alone — whichever domain made each decision. *)
   Alcotest.(check (list (pair string int)))
@@ -321,15 +357,15 @@ let () =
       ( "mechanics",
         [
           Alcotest.test_case "decision log drains once" `Quick test_decision_log_drains;
-          Alcotest.test_case "auto match ops leave no decision lines" `Quick
+          Alcotest.test_case "match ops leave no decision lines" `Quick
             test_match_op_leaves_no_decisions;
         ] );
       ( "differential",
         [
-          Alcotest.test_case "auto equals direct and incremental" `Quick
-            test_differential_direct_incremental;
-          Alcotest.test_case "auto equals asp" `Slow test_differential_asp;
-          Alcotest.test_case "auto equals fixed on provgen and transient pairs" `Slow
+          Alcotest.test_case "direct equals vf2 and incremental" `Quick
+            test_differential_vf2_incremental;
+          Alcotest.test_case "direct equals asp" `Slow test_differential_asp;
+          Alcotest.test_case "direct equals vf2 on provgen pairs" `Slow
             test_differential_provgen_and_transient;
         ] );
       ( "delta",
@@ -337,6 +373,8 @@ let () =
           Alcotest.test_case "transient trials reuse the certified witness" `Quick
             test_delta_reuses_trial_witness;
           Alcotest.test_case "non-rigid pairs fall back soundly" `Quick test_non_rigid_falls_back;
+          Alcotest.test_case "segmentable rigid pairs skip delta" `Quick
+            test_segmentable_skips_delta;
           Alcotest.test_case "delta API certifies rigid pairs" `Quick test_delta_direct_api;
           Alcotest.test_case "no duplicate canonicalization" `Quick
             test_no_duplicate_canonicalization;

@@ -123,6 +123,37 @@ let test_cli_rejects_nonpositive_trials () =
     ];
   Sys.remove err
 
+(* Batch stdout is the suite's result and nothing else.  The statistics
+   epilogue goes to stderr: its counters depend on what a run
+   recomputed (a warm store replays without solving) and on how
+   concurrent ASP solves met (coalescing), so on stdout it would break
+   the byte identity of cold and warm runs, and of -j 1 and -j 4. *)
+let test_cli_stdout_deterministic () =
+  let out = Filename.temp_file "provmark_cli" ".out" in
+  let stdout_of args =
+    check_int
+      (Printf.sprintf "%s exits 0" args)
+      0
+      (Sys.command
+         (Printf.sprintf "../bin/provmark_cli.exe %s >%s 2>/dev/null" args (Filename.quote out)));
+    In_channel.with_open_bin out In_channel.input_all
+  in
+  let store =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "provmark_cli_store_%d" (Unix.getpid ()))
+  in
+  let batch =
+    Printf.sprintf "batch --tool spg --backend incremental --store %s" (Filename.quote store)
+  in
+  let cold = stdout_of batch in
+  let warm = stdout_of batch in
+  ignore (Sys.command ("rm -rf " ^ Filename.quote store));
+  Alcotest.(check string) "incremental: warm store stdout equals cold" cold warm;
+  let asp jobs = stdout_of (Printf.sprintf "batch --tool opu --backend asp --no-store -j %d" jobs) in
+  let j1 = asp 1 in
+  Alcotest.(check string) "asp: -j 4 stdout equals -j 1" j1 (asp 4);
+  Sys.remove out
+
 let () =
   Alcotest.run "runner"
     [
@@ -137,5 +168,7 @@ let () =
           Alcotest.test_case "injection is transparent" `Quick test_injected_equals_default;
           Alcotest.test_case "CLI rejects non-positive trials" `Quick
             test_cli_rejects_nonpositive_trials;
+          Alcotest.test_case "CLI batch stdout is deterministic" `Slow
+            test_cli_stdout_deterministic;
         ] );
     ]

@@ -302,7 +302,7 @@ let test_serve_texts_pinned () =
             (Printf.sprintf "%d nodes, %s" nodes (Engine.backend_to_string backend))
             expected
             (Digest.to_hex (Digest.string text)))
-        [ Engine.Direct; Engine.Auto; Engine.Incremental ])
+        [ Engine.Direct; Engine.Incremental ])
     [
       (128, 11, "27b0da4749ff1506297fd23dea3d6350");
       (192, 12, "1b73088b62c711d207e6c2e06710c8a2");

@@ -313,6 +313,48 @@ let first_line s = match String.index_opt s '\n' with Some i -> String.sub s 0 i
 
 let stats_req = { Protocol.id = None; op = Protocol.Stats }
 
+(* "auto" names the native cascade that [direct] now is: a request
+   naming it must be answered byte for byte like one naming "direct",
+   on a pair the canonical bypasses cannot answer and on a ProvGen pair
+   the segment plan takes. *)
+let test_auto_alias_answers_as_direct () =
+  let raw_line endpoint line =
+    with_raw_conn endpoint (fun fd ->
+        ignore (Unix.write_substring fd line 0 (String.length line));
+        let buf = Bytes.create 65536 and out = Buffer.create 4096 in
+        let rec go () =
+          if not (String.contains (Buffer.contents out) '\n') then
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 -> ()
+            | n ->
+                Buffer.add_subbytes out buf 0 n;
+                go ()
+        in
+        go ();
+        first_line (Buffer.contents out))
+  in
+  let line_for backend pair =
+    match Protocol.request_to_json { (match_request pair) with Protocol.id = Some "m" } with
+    | Json.Object fields ->
+        Protocol.response_line
+          (Json.Object
+             (List.map
+                (fun (k, v) -> if k = "backend" then (k, Json.String backend) else (k, v))
+                fields))
+    | _ -> Alcotest.fail "a request is a JSON object"
+  in
+  let provgen =
+    let a, b = Provgen.pair ~seed:11 (Provgen.default_spec ~nodes:128) in
+    (dot_of a, dot_of b)
+  in
+  with_daemon ~jobs:2 (fun endpoint ->
+      List.iter
+        (fun pair ->
+          let direct = raw_line endpoint (line_for "direct" pair) in
+          check_string "direct answers" "ok" (Client.response_status (Json.of_string direct));
+          check_string "auto answers as direct" direct (raw_line endpoint (line_for "auto" pair)))
+        [ solve_pair "al"; provgen ])
+
 let test_slow_loris_timeout () =
   let limits = { Daemon.default_limits with Daemon.idle_timeout_s = Some 0.2 } in
   with_daemon ~jobs:1 ~limits (fun endpoint ->
@@ -542,6 +584,8 @@ let () =
             test_warm_renamed_match_no_resolve;
           Alcotest.test_case "queue-full rejection" `Quick test_queue_full_rejection;
           Alcotest.test_case "malformed request" `Quick test_malformed_request;
+          Alcotest.test_case "auto alias answers as direct" `Quick
+            test_auto_alias_answers_as_direct;
         ] );
       ( "lifecycle",
         [

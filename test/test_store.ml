@@ -403,8 +403,15 @@ let test_backend_fp_pinned () =
     (Config.transformation_fingerprint
        { base with Config.opts = { base.Config.opts with Gmatch.Match_opts.canon = false } });
   check_string "comparison fingerprint"
-    "backend=auto,prune=true,fallback=true,canon=true,segment=on@64"
-    (Config.comparison_fingerprint { base with Config.backend = Gmatch.Engine.Auto })
+    "backend=incremental,prune=true,fallback=true,canon=true,segment=on@64"
+    (Config.comparison_fingerprint { base with Config.backend = Gmatch.Engine.Incremental });
+  (* "auto" and "vf2" are aliases of the native cascade: same key. *)
+  List.iter
+    (fun alias ->
+      check_string alias "direct,prune=true,fallback=true,canon=true,segment=on@64"
+        (Config.backend_fp
+           { base with Config.backend = Result.get_ok (Gmatch.Engine.backend_of_string alias) }))
+    [ "auto"; "vf2" ]
 
 let test_knob_flip_invalidates_only_readers () =
   with_store (fun store ->
