@@ -82,6 +82,223 @@ let graph_of_base ~gid b =
     g
     (Base.facts_with_pred b (prop_pred gid))
 
-let graph_to_string ~gid g = Base.to_string (graph_to_base ~gid g)
+(* The store and digest paths render and read fact text directly, with
+   no interning and no fact sets.  The text is byte-identical to
+   [Base.to_string (graph_to_base ~gid g)], and [graph_of_string]
+   returns, or raises, what [graph_of_base ~gid (Parser.parse_base s)]
+   would. *)
 
-let graph_of_string ~gid s = graph_of_base ~gid (Parser.parse_base s)
+let add_quoted b s =
+  Buffer.add_char b '"';
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\n') as c ->
+        Buffer.add_substring b s !run (i - !run);
+        Buffer.add_char b '\\';
+        Buffer.add_char b (if Char.equal c '\n' then 'n' else c);
+        run := i + 1
+    | _ -> ()
+  done;
+  Buffer.add_substring b s !run (n - !run);
+  Buffer.add_char b '"'
+
+(* An identifier as [Fact.sym_of_string] prints it. *)
+let add_id b s = if Fact.is_bare s then Buffer.add_string b s else add_quoted b s
+
+(* [Base] orders a predicate's facts by their arguments, a bare
+   constant before a quoted one.  Identifiers are unique, so the first
+   argument decides: bare ids in [String.compare] order, then quoted
+   ones. *)
+let bare_first id xs =
+  let bare, quoted = List.partition (fun x -> Fact.is_bare (id x)) xs in
+  bare @ quoted
+
+let compare_ids a b =
+  match (Fact.is_bare a, Fact.is_bare b) with
+  | true, false -> -1
+  | false, true -> 1
+  | _ -> String.compare a b
+
+let graph_to_string ~gid g =
+  let open Pgraph in
+  let b = Buffer.create (64 * (Graph.size g + 1)) in
+  let start pred =
+    Buffer.add_string b pred;
+    Buffer.add_char b '('
+  in
+  let finish () = Buffer.add_string b ").\n" in
+  let nodes = bare_first (fun (n : Graph.node) -> n.Graph.node_id) (Graph.nodes g) in
+  let edges = bare_first (fun (e : Graph.edge) -> e.Graph.edge_id) (Graph.edges g) in
+  (* Predicates in [String.compare] order: e<gid>, n<gid>, p<gid>. *)
+  let ep = edge_pred gid in
+  List.iter
+    (fun (e : Graph.edge) ->
+      start ep;
+      add_id b e.Graph.edge_id;
+      Buffer.add_char b ',';
+      add_id b e.Graph.edge_src;
+      Buffer.add_char b ',';
+      add_id b e.Graph.edge_tgt;
+      Buffer.add_char b ',';
+      add_quoted b e.Graph.edge_label;
+      finish ())
+    edges;
+  let np = node_pred gid in
+  List.iter
+    (fun (n : Graph.node) ->
+      start np;
+      add_id b n.Graph.node_id;
+      Buffer.add_char b ',';
+      add_quoted b n.Graph.node_label;
+      finish ())
+    nodes;
+  let pp = prop_pred gid in
+  let elements =
+    List.merge
+      (fun (x, _) (y, _) -> compare_ids x y)
+      (List.map (fun (n : Graph.node) -> (n.Graph.node_id, n.Graph.node_props)) nodes)
+      (List.map (fun (e : Graph.edge) -> (e.Graph.edge_id, e.Graph.edge_props)) edges)
+  in
+  List.iter
+    (fun (id, props) ->
+      Props.iter
+        (fun k v ->
+          start pp;
+          add_id b id;
+          Buffer.add_char b ',';
+          add_quoted b k;
+          Buffer.add_char b ',';
+          add_quoted b v;
+          finish ())
+        props)
+    elements;
+  (* [Base.to_string] of no facts is a lone newline. *)
+  if Buffer.length b = 0 then Buffer.add_char b '\n';
+  Buffer.contents b
+
+(* Parsed arguments in [Fact.compare]'s order: bare before quoted before
+   integer, then by payload; a shorter list before its extensions. *)
+let compare_term (a : Parser.term) (b : Parser.term) =
+  match (a, b) with
+  | Sym x, Sym y | Str x, Str y -> String.compare x y
+  | Int x, Int y -> Int.compare x y
+  | Sym _, _ -> -1
+  | _, Sym _ -> 1
+  | Str _, _ -> -1
+  | _, Str _ -> 1
+
+let rec compare_args xs ys =
+  match (xs, ys) with
+  | [], [] -> 0
+  | [], _ -> -1
+  | _, [] -> 1
+  | x :: xs, y :: ys ->
+      let c = compare_term x y in
+      if c <> 0 then c else compare_args xs ys
+
+let string_of_term : Parser.term -> string = function
+  | Sym s | Str s -> s
+  | Int n -> string_of_int n
+
+(* A parsed fact as [Fact.to_string] prints it, for error messages. *)
+let fact_text pred args =
+  let b = Buffer.create 64 in
+  Buffer.add_string b pred;
+  Buffer.add_char b '(';
+  List.iteri
+    (fun i (t : Parser.term) ->
+      if i > 0 then Buffer.add_char b ',';
+      match t with
+      | Sym s -> Buffer.add_string b s
+      | Str s -> add_quoted b s
+      | Int n -> Buffer.add_string b (string_of_int n))
+    args;
+  Buffer.add_string b ").";
+  Buffer.contents b
+
+(* One predicate's facts, collected in reverse text order, noting whether
+   the text listed them strictly ascending (as [graph_to_string] writes
+   them) so that [ordered] sorts and removes duplicates only when not. *)
+type facts = { mutable rev : Parser.term list list; mutable ascending : bool }
+
+let collect () = { rev = []; ascending = true }
+
+let push fs args =
+  (match fs.rev with
+  | prev :: _ when compare_args prev args >= 0 -> fs.ascending <- false
+  | _ -> ());
+  fs.rev <- args :: fs.rev
+
+let ordered fs = if fs.ascending then List.rev fs.rev else List.sort_uniq compare_args fs.rev
+
+let graph_of_string ~gid s =
+  let open Pgraph in
+  let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt in
+  let np = node_pred gid and ep = edge_pred gid and pp = prop_pred gid in
+  let node_facts = collect () and edge_facts = collect () and prop_facts = collect () in
+  Parser.fold_facts
+    (fun pred args () ->
+      if String.equal pred np then push node_facts args
+      else if String.equal pred ep then push edge_facts args
+      else if String.equal pred pp then push prop_facts args)
+    () s;
+  let prop_facts = ordered prop_facts in
+  (* Each element's properties, added in fact order so that a repeated
+     key keeps its last value, as successive [Props.add]s would. *)
+  let props = Hashtbl.create 64 in
+  let malformed_props = ref false in
+  List.iter
+    (function
+      | [ id; key; value ] ->
+          let id = string_of_term id in
+          let current = Option.value (Hashtbl.find_opt props id) ~default:Props.empty in
+          Hashtbl.replace props id (Props.add (string_of_term key) (string_of_term value) current)
+      | _ -> malformed_props := true)
+    prop_facts;
+  let attached = ref 0 in
+  let props_of id =
+    match Hashtbl.find_opt props id with
+    | Some p ->
+        incr attached;
+        p
+    | None -> Props.empty
+  in
+  let g =
+    List.fold_left
+      (fun g args ->
+        match args with
+        | [ id; label ] ->
+            let id = string_of_term id in
+            Graph.add_node g ~id ~label:(string_of_term label) ~props:(props_of id)
+        | _ -> fail "node fact %s has wrong shape" (fact_text np args))
+      Graph.empty (ordered node_facts)
+  in
+  let g =
+    List.fold_left
+      (fun g args ->
+        match args with
+        | [ id; src; tgt; label ] ->
+            let src = string_of_term src and tgt = string_of_term tgt in
+            if not (Graph.mem_node g src) then
+              fail "edge %s refers to unknown source %s" (fact_text ep args) src;
+            if not (Graph.mem_node g tgt) then
+              fail "edge %s refers to unknown target %s" (fact_text ep args) tgt;
+            let id = string_of_term id in
+            Graph.add_edge g ~id ~src ~tgt ~label:(string_of_term label) ~props:(props_of id)
+        | _ -> fail "edge fact %s has wrong shape" (fact_text ep args))
+      g (ordered edge_facts)
+  in
+  if !malformed_props || !attached < Hashtbl.length props then
+    (* Some property fact is at fault: report the first, in fact order. *)
+    List.iter
+      (fun args ->
+        match args with
+        | [ id; _; _ ] ->
+            let id = string_of_term id in
+            if not (Graph.mem_node g id || Graph.mem_edge g id) then
+              fail "property fact %s refers to unknown element" (fact_text pp args)
+        | _ -> fail "property fact %s has wrong shape" (fact_text pp args))
+      prop_facts;
+  g

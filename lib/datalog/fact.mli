@@ -41,6 +41,10 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
+(** [is_bare s] holds when [s] is a valid bare Datalog constant: a
+    lowercase letter followed by letters, digits and underscores. *)
+val is_bare : string -> bool
+
 (** [sym_of_string s] returns [sym s] when [s] is a valid bare Datalog
     constant (lowercase letter followed by letters, digits, underscores)
     and [str s] otherwise. *)

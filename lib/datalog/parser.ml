@@ -1,5 +1,7 @@
 exception Parse_error of string
 
+type term = Sym of string | Str of string | Int of int
+
 type token =
   | Tident of string
   | Tstring of string
@@ -8,102 +10,137 @@ type token =
   | Trparen
   | Tcomma
   | Tdot
+  | Teof
 
-let tokenize src =
+let is_ident_char = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false
+
+(* A lexer over [src] that hands out one token per call.  Lexical errors
+   carry the offset; [drain] lexes the rest of the input so that a
+   syntax error can defer to a lexical error further on, as it would
+   when the whole input is tokenized first. *)
+let lexer src =
   let n = String.length src in
-  let tokens = ref [] in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some src.[!pos] else None in
-  while !pos < n do
-    match src.[!pos] with
-    | ' ' | '\t' | '\n' | '\r' -> incr pos
-    | '%' ->
-        while !pos < n && src.[!pos] <> '\n' do
-          incr pos
-        done
-    | '(' ->
-        tokens := Tlparen :: !tokens;
-        incr pos
-    | ')' ->
-        tokens := Trparen :: !tokens;
-        incr pos
-    | ',' ->
-        tokens := Tcomma :: !tokens;
-        incr pos
-    | '.' ->
-        tokens := Tdot :: !tokens;
-        incr pos
-    | '"' ->
-        incr pos;
-        let b = Buffer.create 16 in
-        let rec loop () =
-          match peek () with
-          | None -> fail "unterminated string"
-          | Some '"' -> incr pos
-          | Some '\\' -> (
-              incr pos;
-              match peek () with
-              | Some '"' -> Buffer.add_char b '"'; incr pos; loop ()
-              | Some '\\' -> Buffer.add_char b '\\'; incr pos; loop ()
-              | Some 'n' -> Buffer.add_char b '\n'; incr pos; loop ()
-              | Some c -> Buffer.add_char b c; incr pos; loop ()
-              | None -> fail "unterminated escape")
-          | Some c ->
-              Buffer.add_char b c;
-              incr pos;
-              loop ()
-        in
-        loop ();
-        tokens := Tstring (Buffer.contents b) :: !tokens
-    | '-' | '0' .. '9' ->
-        let start = !pos in
-        if src.[!pos] = '-' then incr pos;
-        while !pos < n && (match src.[!pos] with '0' .. '9' -> true | _ -> false) do
-          incr pos
-        done;
-        let s = String.sub src start (!pos - start) in
-        (match int_of_string_opt s with
-        | Some v -> tokens := Tint v :: !tokens
-        | None -> fail (Printf.sprintf "bad integer %S" s))
-    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
-        let start = !pos in
-        while
-          !pos < n
-          && match src.[!pos] with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false
-        do
-          incr pos
-        done;
-        tokens := Tident (String.sub src start (!pos - start)) :: !tokens
-    | c -> fail (Printf.sprintf "unexpected character %C" c)
-  done;
-  List.rev !tokens
+  (* A quoted string, [!pos] just past the opening quote: runs without
+     escapes are copied with one [String.sub] each. *)
+  let quoted () =
+    let run_end () =
+      let i = ref !pos in
+      while !i < n && (match String.unsafe_get src !i with '"' | '\\' -> false | _ -> true) do
+        incr i
+      done;
+      !i
+    in
+    let start = !pos in
+    let stop = run_end () in
+    if stop < n && Char.equal src.[stop] '"' then begin
+      pos := stop + 1;
+      String.sub src start (stop - start)
+    end
+    else begin
+      let b = Buffer.create (stop - start + 16) in
+      Buffer.add_substring b src start (stop - start);
+      pos := stop;
+      let rec loop () =
+        if !pos >= n then fail "unterminated string"
+        else if Char.equal src.[!pos] '"' then incr pos
+        else begin
+          (* A backslash: the run scan stops only there or at a quote. *)
+          incr pos;
+          if !pos >= n then fail "unterminated escape";
+          Buffer.add_char b (match src.[!pos] with 'n' -> '\n' | c -> c);
+          incr pos;
+          let start = !pos in
+          let stop = run_end () in
+          Buffer.add_substring b src start (stop - start);
+          pos := stop;
+          loop ()
+        end
+      in
+      loop ();
+      Buffer.contents b
+    end
+  in
+  let rec next () =
+    if !pos >= n then Teof
+    else
+      match src.[!pos] with
+      | ' ' | '\t' | '\n' | '\r' ->
+          incr pos;
+          next ()
+      | '%' ->
+          while !pos < n && not (Char.equal src.[!pos] '\n') do
+            incr pos
+          done;
+          next ()
+      | '(' -> incr pos; Tlparen
+      | ')' -> incr pos; Trparen
+      | ',' -> incr pos; Tcomma
+      | '.' -> incr pos; Tdot
+      | '"' ->
+          incr pos;
+          Tstring (quoted ())
+      | '-' | '0' .. '9' -> (
+          let start = !pos in
+          if Char.equal src.[!pos] '-' then incr pos;
+          while !pos < n && match src.[!pos] with '0' .. '9' -> true | _ -> false do
+            incr pos
+          done;
+          let s = String.sub src start (!pos - start) in
+          match int_of_string_opt s with
+          | Some v -> Tint v
+          | None -> fail (Printf.sprintf "bad integer %S" s))
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+          let start = !pos in
+          while !pos < n && is_ident_char src.[!pos] do
+            incr pos
+          done;
+          Tident (String.sub src start (!pos - start))
+      | c -> fail (Printf.sprintf "unexpected character %C" c)
+  in
+  let rec drain () = match next () with Teof -> () | _ -> drain () in
+  (next, drain)
 
-let parse_facts src =
-  let tokens = tokenize src in
-  let fail msg = raise (Parse_error msg) in
-  let rec parse_args acc = function
-    | Tstring s :: rest -> after_arg (Fact.str s :: acc) rest
-    | Tint v :: rest -> after_arg (Fact.Int v :: acc) rest
-    | Tident s :: rest -> after_arg (Fact.sym s :: acc) rest
+let fold_facts f init src =
+  let next, drain = lexer src in
+  let fail msg =
+    drain ();
+    raise (Parse_error msg)
+  in
+  let rec args acc =
+    match next () with
+    | Tstring s -> after_arg (Str s :: acc)
+    | Tint v -> after_arg (Int v :: acc)
+    | Tident s -> after_arg (Sym s :: acc)
     | _ -> fail "expected argument"
-  and after_arg acc = function
-    | Tcomma :: rest -> parse_args acc rest
-    | Trparen :: rest -> (List.rev acc, rest)
+  and after_arg acc =
+    match next () with
+    | Tcomma -> args acc
+    | Trparen -> List.rev acc
     | _ -> fail "expected , or ) after argument"
   in
-  let rec parse_all acc = function
-    | [] -> List.rev acc
-    | Tident pred :: Tlparen :: rest -> (
-        let args, rest = parse_args [] rest in
-        match rest with
-        | Tdot :: rest -> parse_all (Fact.make pred args :: acc) rest
-        | _ -> fail (Printf.sprintf "expected . after fact %s(...)" pred))
-    | Tident pred :: Tdot :: rest ->
-        (* Nullary fact written without parentheses. *)
-        parse_all (Fact.make pred [] :: acc) rest
+  let rec facts acc =
+    match next () with
+    | Teof -> acc
+    | Tident pred -> (
+        match next () with
+        | Tlparen -> (
+            let a = args [] in
+            match next () with
+            | Tdot -> facts (f pred a acc)
+            | _ -> fail (Printf.sprintf "expected . after fact %s(...)" pred))
+        | Tdot ->
+            (* Nullary fact written without parentheses. *)
+            facts (f pred [] acc)
+        | _ -> fail "expected fact")
     | _ -> fail "expected fact"
   in
-  parse_all [] tokens
+  facts init
+
+let intern = function Sym s -> Fact.sym s | Str s -> Fact.str s | Int v -> Fact.Int v
+
+let parse_facts src =
+  List.rev (fold_facts (fun pred args acc -> Fact.make pred (List.map intern args) :: acc) [] src)
 
 let parse_base s = Base.of_list (parse_facts s)

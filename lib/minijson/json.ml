@@ -80,6 +80,9 @@ let to_string ?(pretty = false) j =
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The parser scans [src] by index: a character test never builds an
+   option, and a string without escapes is copied out with one
+   [String.sub]. *)
 type state = { src : string; mutable pos : int }
 
 (* Internal located reject; converted to {!Parse_error} (message form)
@@ -88,21 +91,25 @@ exception Located of int * string
 
 let error st msg = raise (Located (st.pos, msg))
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let at_end st = st.pos >= String.length st.src
+
+(* The current character; only called when [not (at_end st)]. *)
+let current st = String.unsafe_get st.src st.pos
 
 let advance st = st.pos <- st.pos + 1
 
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      skip_ws st
-  | _ -> ()
+let skip_ws st =
+  let src = st.src in
+  let n = String.length src in
+  let i = ref st.pos in
+  while !i < n && (match String.unsafe_get src !i with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
+    incr i
+  done;
+  st.pos <- !i
 
 let expect st c =
-  match peek st with
-  | Some c' when Char.equal c c' -> advance st
-  | _ -> error st (Printf.sprintf "expected %c" c)
+  if (not (at_end st)) && Char.equal (current st) c then advance st
+  else error st (Printf.sprintf "expected %c" c)
 
 let parse_literal st word value =
   let n = String.length word in
@@ -135,62 +142,85 @@ let add_utf8 b cp =
     Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
     Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F))))
 
+(* Advance past a run of characters that need no decoding. *)
+let skip_plain st =
+  let src = st.src in
+  let n = String.length src in
+  let i = ref st.pos in
+  while !i < n && (match String.unsafe_get src !i with '"' | '\\' -> false | _ -> true) do
+    incr i
+  done;
+  st.pos <- !i
+
+(* Decode one escape sequence, [st.pos] just past its backslash. *)
+let add_escape st b =
+  if at_end st then error st "unterminated escape";
+  let c = current st in
+  advance st;
+  match c with
+  | '"' -> Buffer.add_char b '"'
+  | '\\' -> Buffer.add_char b '\\'
+  | '/' -> Buffer.add_char b '/'
+  | 'n' -> Buffer.add_char b '\n'
+  | 't' -> Buffer.add_char b '\t'
+  | 'r' -> Buffer.add_char b '\r'
+  | 'b' -> Buffer.add_char b '\b'
+  | 'f' -> Buffer.add_char b '\012'
+  | 'u' ->
+      let hi = parse_hex4 st in
+      if hi >= 0xD800 && hi <= 0xDBFF then (
+        (* surrogate pair *)
+        expect st '\\';
+        expect st 'u';
+        let lo = parse_hex4 st in
+        if lo < 0xDC00 || lo > 0xDFFF then error st "invalid low surrogate";
+        add_utf8 b (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)))
+      else add_utf8 b hi
+  | _ -> error st "bad escape character"
+
 let parse_string st =
   expect st '"';
-  let b = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> error st "unterminated string"
-    | Some '"' ->
-        advance st;
-        Buffer.contents b
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | None -> error st "unterminated escape"
-        | Some c ->
-            advance st;
-            (match c with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | '/' -> Buffer.add_char b '/'
-            | 'n' -> Buffer.add_char b '\n'
-            | 't' -> Buffer.add_char b '\t'
-            | 'r' -> Buffer.add_char b '\r'
-            | 'b' -> Buffer.add_char b '\b'
-            | 'f' -> Buffer.add_char b '\012'
-            | 'u' ->
-                let hi = parse_hex4 st in
-                if hi >= 0xD800 && hi <= 0xDBFF then (
-                  (* surrogate pair *)
-                  expect st '\\';
-                  expect st 'u';
-                  let lo = parse_hex4 st in
-                  if lo < 0xDC00 || lo > 0xDFFF then error st "invalid low surrogate";
-                  add_utf8 b (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)))
-                else add_utf8 b hi
-            | _ -> error st "bad escape character");
-            loop ())
-    | Some c ->
-        advance st;
-        Buffer.add_char b c;
-        loop ()
-  in
-  loop ()
+  let start = st.pos in
+  skip_plain st;
+  if at_end st then error st "unterminated string";
+  if Char.equal (current st) '"' then (
+    advance st;
+    String.sub st.src start (st.pos - 1 - start))
+  else begin
+    (* An escape: decode the rest of the body character by character. *)
+    let src = st.src in
+    let n = String.length src in
+    let b = Buffer.create (2 * (st.pos - start) + 64) in
+    Buffer.add_substring b src start (st.pos - start);
+    let rec loop i =
+      if i >= n then (
+        st.pos <- i;
+        error st "unterminated string")
+      else
+        match String.unsafe_get src i with
+        | '"' ->
+            st.pos <- i + 1;
+            Buffer.contents b
+        | '\\' ->
+            st.pos <- i + 1;
+            add_escape st b;
+            loop st.pos
+        | c ->
+            Buffer.add_char b c;
+            loop (i + 1)
+    in
+    loop st.pos
+  end
 
 let parse_number st =
   let start = st.pos in
-  let is_num_char c =
-    match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-  in
-  let rec eat () =
-    match peek st with
-    | Some c when is_num_char c ->
-        advance st;
-        eat ()
-    | _ -> ()
-  in
-  eat ();
+  let n = String.length st.src in
+  while
+    st.pos < n
+    && match current st with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+  do
+    advance st
+  done;
   let s = String.sub st.src start (st.pos - start) in
   match float_of_string_opt s with
   | Some f -> Number f
@@ -198,69 +228,68 @@ let parse_number st =
 
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> error st "unexpected end of input"
-  | Some '{' -> parse_object st
-  | Some '[' -> parse_array st
-  | Some '"' -> String (parse_string st)
-  | Some 't' -> parse_literal st "true" (Bool true)
-  | Some 'f' -> parse_literal st "false" (Bool false)
-  | Some 'n' -> parse_literal st "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> error st (Printf.sprintf "unexpected character %C" c)
+  if at_end st then error st "unexpected end of input";
+  match current st with
+  | '{' -> parse_object st
+  | '[' -> parse_array st
+  | '"' -> String (parse_string st)
+  | 't' -> parse_literal st "true" (Bool true)
+  | 'f' -> parse_literal st "false" (Bool false)
+  | 'n' -> parse_literal st "null" Null
+  | '-' | '0' .. '9' -> parse_number st
+  | c -> error st (Printf.sprintf "unexpected character %C" c)
+
+(* After an object member or array item: [true] on a comma, [false] on
+   the closing bracket [close], both consumed. *)
+and next_or_close st ~close ~what =
+  skip_ws st;
+  if at_end st then error st what
+  else
+    match current st with
+    | ',' ->
+        advance st;
+        true
+    | c when Char.equal c close ->
+        advance st;
+        false
+    | _ -> error st what
 
 and parse_object st =
   expect st '{';
   skip_ws st;
-  match peek st with
-  | Some '}' ->
-      advance st;
-      Object []
-  | _ ->
-      let rec members acc =
-        skip_ws st;
-        let key = parse_string st in
-        skip_ws st;
-        expect st ':';
-        let value = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-            advance st;
-            members ((key, value) :: acc)
-        | Some '}' ->
-            advance st;
-            Object (List.rev ((key, value) :: acc))
-        | _ -> error st "expected , or } in object"
-      in
-      members []
+  if (not (at_end st)) && Char.equal (current st) '}' then (
+    advance st;
+    Object [])
+  else
+    let rec members acc =
+      skip_ws st;
+      let key = parse_string st in
+      skip_ws st;
+      expect st ':';
+      let acc = (key, parse_value st) :: acc in
+      if next_or_close st ~close:'}' ~what:"expected , or } in object" then members acc
+      else Object (List.rev acc)
+    in
+    members []
 
 and parse_array st =
   expect st '[';
   skip_ws st;
-  match peek st with
-  | Some ']' ->
-      advance st;
-      Array []
-  | _ ->
-      let rec items acc =
-        let value = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-            advance st;
-            items (value :: acc)
-        | Some ']' ->
-            advance st;
-            Array (List.rev (value :: acc))
-        | _ -> error st "expected , or ] in array"
-      in
-      items []
+  if (not (at_end st)) && Char.equal (current st) ']' then (
+    advance st;
+    Array [])
+  else
+    let rec items acc =
+      let acc = parse_value st :: acc in
+      if next_or_close st ~close:']' ~what:"expected , or ] in array" then items acc
+      else Array (List.rev acc)
+    in
+    items []
 
 let parse_document st =
   let v = parse_value st in
   skip_ws st;
-  (match peek st with None -> () | Some _ -> error st "trailing garbage");
+  if not (at_end st) then error st "trailing garbage";
   v
 
 let of_string_located s =

@@ -1,6 +1,8 @@
 module Json = Minijson.Json
 
-type t = { fd : Unix.file_descr; mutable rbuf : string }
+(* [rbuf] holds bytes read past the last returned line; every socket
+   read of the connection lands in [chunk]. *)
+type t = { fd : Unix.file_descr; mutable rbuf : string; chunk : Bytes.t }
 
 (* A signal landing during a blocking read/write must not drop half a
    request or a response: every syscall below retries on EINTR. *)
@@ -18,7 +20,7 @@ let connect endpoint =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; rbuf = "" }
+  { fd; rbuf = ""; chunk = Bytes.create 65536 }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -27,31 +29,39 @@ let with_connection endpoint f =
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
 let write_all fd s =
-  let data = Bytes.of_string s in
-  let len = Bytes.length data in
+  let len = String.length s in
   let rec go off =
-    if off < len then go (off + retry_eintr (fun () -> Unix.write fd data off (len - off)))
+    if off < len then go (off + retry_eintr (fun () -> Unix.write_substring fd s off (len - off)))
   in
   go 0
 
 (* Responses arrive one per line; requests may be pipelined, so bytes
    past the first newline are kept for the next [read_line]. *)
 let read_line t =
-  let rec go () =
-    match String.index_opt t.rbuf '\n' with
-    | Some nl ->
-        let line = String.sub t.rbuf 0 nl in
-        t.rbuf <- String.sub t.rbuf (nl + 1) (String.length t.rbuf - nl - 1);
-        Ok line
-    | None -> (
-        let buf = Bytes.create 65536 in
-        match retry_eintr (fun () -> Unix.read t.fd buf 0 (Bytes.length buf)) with
-        | 0 -> Error "connection closed before a response arrived"
-        | n ->
-            t.rbuf <- t.rbuf ^ Bytes.sub_string buf 0 n;
-            go ())
-  in
-  go ()
+  match String.index_opt t.rbuf '\n' with
+  | Some nl ->
+      let line = String.sub t.rbuf 0 nl in
+      t.rbuf <- String.sub t.rbuf (nl + 1) (String.length t.rbuf - nl - 1);
+      Ok line
+  | None ->
+      let line = Buffer.create (String.length t.rbuf + 1024) in
+      Buffer.add_string line t.rbuf;
+      let rec go () =
+        match retry_eintr (fun () -> Unix.read t.fd t.chunk 0 (Bytes.length t.chunk)) with
+        | 0 ->
+            t.rbuf <- Buffer.contents line;
+            Error "connection closed before a response arrived"
+        | n -> (
+            match Protocol.newline_in t.chunk 0 n with
+            | None ->
+                Buffer.add_subbytes line t.chunk 0 n;
+                go ()
+            | Some nl ->
+                Buffer.add_subbytes line t.chunk 0 nl;
+                t.rbuf <- Bytes.sub_string t.chunk (nl + 1) (n - nl - 1);
+                Ok (Buffer.contents line))
+      in
+      go ()
 
 let read_response t =
   match read_line t with

@@ -79,6 +79,8 @@ type t = {
   listen_fd : Unix.file_descr;
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
+  (* The one buffer every connection's socket reads land in. *)
+  rdbuf : Bytes.t;
   (* Completion queue: workers post under [done_mutex] and write one
      byte to [pipe_w]; the loop drains both.  Everything else below is
      touched only by the loop domain and needs no lock, except the
@@ -381,17 +383,23 @@ let handle_request t conn line =
             ignore (Pool.async t.pool (fun () -> exec_compute t conn id ~shunted op))
           end)
 
-(* Split complete lines off the connection's read buffer and handle
-   each; a trailing partial line stays buffered. *)
-let consume_lines t conn =
-  let data = Buffer.contents conn.rbuf in
+(* Handle each complete line in the first [n] bytes of [buf], the
+   first one prefixed by the connection's buffered partial line; a
+   trailing partial line is buffered.  Only the new bytes are scanned. *)
+let consume_lines t conn buf n =
   let rec go start =
-    match String.index_from_opt data start '\n' with
-    | None ->
-        Buffer.clear conn.rbuf;
-        Buffer.add_substring conn.rbuf data start (String.length data - start)
+    match Protocol.newline_in buf start n with
+    | None -> Buffer.add_subbytes conn.rbuf buf start (n - start)
     | Some nl ->
-        let line = String.sub data start (nl - start) in
+        let line =
+          if Buffer.length conn.rbuf = 0 then Bytes.sub_string buf start (nl - start)
+          else begin
+            Buffer.add_subbytes conn.rbuf buf start (nl - start);
+            let line = Buffer.contents conn.rbuf in
+            Buffer.clear conn.rbuf;
+            line
+          end
+        in
         if String.trim line <> "" then handle_request t conn line;
         go (nl + 1)
   in
@@ -403,13 +411,11 @@ let close_conn t conn =
   try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
 let read_chunk t conn =
-  let buf = Bytes.create 65536 in
-  match retry_eintr (fun () -> Unix.read conn.fd buf 0 (Bytes.length buf)) with
+  match retry_eintr (fun () -> Unix.read conn.fd t.rdbuf 0 (Bytes.length t.rdbuf)) with
   | 0 -> close_conn t conn
   | n ->
-      Buffer.add_subbytes conn.rbuf buf 0 n;
       conn.last_activity <- now ();
-      consume_lines t conn;
+      consume_lines t conn t.rdbuf n;
       (* A partial line larger than the cap will never become a valid
          request: answer with a 400-family error and flush-then-close
          instead of buffering it without bound. *)
@@ -426,10 +432,10 @@ let read_chunk t conn =
   | exception Unix.Unix_error (Unix.EAGAIN, _, _) -> ()
 
 let write_chunk t conn =
-  let data = Bytes.of_string conn.wbuf in
-  match retry_eintr (fun () -> Unix.write conn.fd data 0 (Bytes.length data)) with
+  let len = String.length conn.wbuf in
+  match retry_eintr (fun () -> Unix.write_substring conn.fd conn.wbuf 0 len) with
   | n ->
-      conn.wbuf <- String.sub conn.wbuf n (String.length conn.wbuf - n);
+      conn.wbuf <- (if n = len then "" else String.sub conn.wbuf n (len - n));
       if n > 0 then conn.last_activity <- now ();
       if conn.closing && conn.wbuf = "" then close_conn t conn
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> close_conn t conn
@@ -644,6 +650,7 @@ let run ?(on_ready = fun () -> ()) cfg =
       listen_fd;
       pipe_r;
       pipe_w;
+      rdbuf = Bytes.create 65536;
       done_mutex = Mutex.create ();
       done_q = Queue.create ();
       conns = [];

@@ -244,3 +244,8 @@ let retry_hint ?queue_depth retry_after_s =
      | Some d -> [ ("queue_depth", Json.Number (float_of_int d)) ])
 
 let response_line json = Json.to_string json ^ "\n"
+
+let rec newline_in buf start stop =
+  if start >= stop then None
+  else if Char.equal (Bytes.get buf start) '\n' then Some start
+  else newline_in buf (start + 1) stop

@@ -117,3 +117,7 @@ val retry_hint :
 
 (** One response line, newline-terminated. *)
 val response_line : Minijson.Json.t -> string
+
+(** [newline_in buf start stop] is the index of the first ['\n'] in
+    [buf] from [start] up to, not including, [stop]. *)
+val newline_in : Bytes.t -> int -> int -> int option

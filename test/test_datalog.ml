@@ -121,6 +121,182 @@ let prop_fact_count =
       let s = Stats.of_graph g in
       List.length (Encode.graph_to_facts ~gid:"1" g) = s.Stats.nodes + s.Stats.edges + s.Stats.properties)
 
+(* ------------------------------------------------------------------ *)
+(* Direct codec against the fact-base oracle                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [graph_to_string]/[graph_of_string] render and read fact text
+   directly; the interned path through [Base] is the oracle. *)
+let oracle_render ~gid g = Base.to_string (Encode.graph_to_base ~gid g)
+let oracle_decode ~gid s = Encode.graph_of_base ~gid (Parser.parse_base s)
+
+(* A decode's verdict: the graph, or the exception with its message. *)
+let verdict decode =
+  match decode () with
+  | g -> Ok g
+  | exception (Parser.Parse_error _ as e) -> Error (Printexc.to_string e)
+  | exception (Encode.Decode_error _ as e) -> Error (Printexc.to_string e)
+  | exception (Invalid_argument _ as e) -> Error (Printexc.to_string e)
+
+let verdicts ~gid s =
+  (verdict (fun () -> Encode.graph_of_string ~gid s), verdict (fun () -> oracle_decode ~gid s))
+
+let same_verdict ~gid s =
+  match verdicts ~gid s with
+  | Ok g, Ok g' -> Graph.equal g g'
+  | Error e, Error e' -> String.equal e e'
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let check_same_verdict ~gid s =
+  if not (same_verdict ~gid s) then
+    let show = function Ok g -> Graph.summary g | Error e -> e in
+    let got, want = verdicts ~gid s in
+    Alcotest.failf "%S: graph_of_string gives %s, the oracle %s" s (show got) (show want)
+
+(* Identifiers in every spelling class: bare, leading capital, leading
+   digit or underscore, and quoted with a quote, backslash, newline or
+   space inside. *)
+let id_styles =
+  [|
+    (fun i -> "n" ^ i);
+    (fun i -> "a_b" ^ i);
+    (fun i -> "N" ^ i);
+    (fun i -> i ^ "x");
+    (fun i -> "_u" ^ i);
+    (fun i -> "q\"" ^ i);
+    (fun i -> "b\\" ^ i);
+    (fun i -> "nl\n" ^ i);
+    (fun i -> "s p" ^ i);
+    (fun i -> "d-" ^ i);
+  |]
+
+let tricky_strings =
+  [| "File"; ""; "a\"b"; "back\\slash"; "line\nbreak"; "%not a comment"; "cr\r"; "\xc3\xbc"; "x"; "\\n" |]
+
+let tricky_graph st =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let id i = (pick id_styles) (string_of_int i) in
+  let props () =
+    Props.of_list (List.init (Random.State.int st 4) (fun _ -> (pick tricky_strings, pick tricky_strings)))
+  in
+  let n = Random.State.int st 8 in
+  let ids = List.init n id in
+  let g =
+    List.fold_left (fun g id -> Graph.add_node g ~id ~label:(pick tricky_strings) ~props:(props ())) Graph.empty ids
+  in
+  if n = 0 then g
+  else
+    let ids = Array.of_list ids in
+    List.fold_left
+      (fun g j ->
+        Graph.add_edge g ~id:(id (100 + j)) ~src:(pick ids) ~tgt:(pick ids) ~label:(pick tricky_strings)
+          ~props:(props ()))
+      g
+      (List.init (Random.State.int st 10) Fun.id)
+
+let gids = [ "d"; "1"; "bg"; "g2" ]
+
+let tricky_arb = QCheck.make ~print:(fun g -> Format.asprintf "%a" Graph.pp g) tricky_graph
+
+let prop_render_matches_oracle =
+  Helpers.qcheck ~count:300 "graph_to_string is Base.to_string of graph_to_base" tricky_arb (fun g ->
+      List.for_all (fun gid -> String.equal (Encode.graph_to_string ~gid g) (oracle_render ~gid g)) gids)
+
+let prop_decode_matches_oracle =
+  Helpers.qcheck ~count:300 "graph_of_string decodes as graph_of_base" tricky_arb (fun g ->
+      List.for_all
+        (fun gid ->
+          let text = Encode.graph_to_string ~gid g in
+          Graph.equal g (Encode.graph_of_string ~gid text) && same_verdict ~gid text)
+        gids)
+
+(* Out-of-order text — shuffled lines, some repeated, another graph's
+   facts mixed in — takes the sorting path and must still agree. *)
+let prop_shuffled_matches_oracle =
+  Helpers.qcheck ~count:300 "shuffled, repeated and mixed facts decode as the oracle"
+    (QCheck.pair tricky_arb (QCheck.make QCheck.Gen.int))
+    (fun (g, seed) ->
+      let st = Random.State.make [| seed |] in
+      let lines gid = List.filter (( <> ) "") (String.split_on_char '\n' (Encode.graph_to_string ~gid g)) in
+      let mixed =
+        List.concat_map
+          (fun l -> if Random.State.int st 4 = 0 then [ l; l ] else [ l ])
+          (lines "1" @ lines "2")
+      in
+      let keyed = List.map (fun l -> (Random.State.bits st, l)) mixed in
+      let text = String.concat "\n" (List.map snd (List.sort compare keyed)) in
+      same_verdict ~gid:"1" text)
+
+let test_decode_malformed_table () =
+  List.iter (check_same_verdict ~gid:"1")
+    [
+      "";
+      "\n";
+      (* wrong arity *)
+      "n1(a).";
+      "n1.";
+      "n1(a,\"x\"). e1(e,a,a).";
+      "n1(a,\"x\"). p1(a,\"k\").";
+      "n1(a,\"x\"). p1(a,\"k\",\"v\",\"w\"). p1(zz,\"k\",\"v\").";
+      (* unknown endpoints and elements *)
+      "n1(a,\"x\"). e1(e,a,b,\"l\").";
+      "n1(a,\"x\"). e1(e,b,a,\"l\").";
+      "n1(a,\"x\"). p1(z,\"k\",\"v\").";
+      "n1(a,\"x\"). p1(\"Z q\",\"k\",\"v\"). p1(a,\"k\",\"v\").";
+      "n1(a,\"x\"). e1(e,a,a,\"l\"). p1(e,\"k\",\"v\"). p1(a,\"k\",\"w\").";
+      (* comments, integers and other predicates *)
+      "% header\nn1(a,\"x\"). % trailing\n";
+      "n1(5,\"x\"). n1(-3,\"y\"). e1(7,5,-3,\"l\"). p1(5,\"k\",7). p1(7,\"k\",-1).";
+      "n2(a,\"x\"). q(1,2). n1(b,\"y\"). foo. eg1(b,b,b,\"l\"). p(b,\"k\",\"v\").";
+      (* exact duplicates and repeated (element, key) *)
+      "n1(a,\"x\"). n1(a,\"x\"). p1(a,\"k\",\"v\"). p1(a,\"k\",\"v\").";
+      "n1(a,\"x\"). p1(a,\"k\",\"v2\"). p1(a,\"k\",\"v1\").";
+      "n1(a,\"x\"). p1(a,\"k\",\"aa\"). p1(a,\"k\",zz). p1(a,\"k\",3).";
+      "n1(a,\"x\"). p1(\"a\",\"k\",\"v\"). p1(a,\"k\",\"w\").";
+      (* one identifier, two facts *)
+      "n1(a,\"x\"). n1(\"a\",\"x\").";
+      "n1(a,\"x\"). n1(a,\"y\").";
+      "n1(a,\"x\"). e1(a,a,a,\"l\").";
+      "n1(a,\"x\"). e1(e,a,a,\"l\"). e1(e,a,a,\"m\").";
+      "n1(b). n1(a,\"x\"). n1(a,\"y\").";
+      "n1(a). n1(b,\"x\"). n1(b,\"y\").";
+      "n1(a,\"x\"). e1(e). p1(zz,\"k\",\"v\").";
+      (* quoting and escapes *)
+      "n1(\"a\\\"b\",\"x\"). p1(\"a\\\"b\",\"k\\\\\",\"v\\n\").";
+      "n1(a,\"t\\tab\").";
+      "n1(\"n1\",\"x\"). n1(n2,\"y\"). e1(\"E\",\"n1\",n2,\"l\").";
+      (* lexical and syntax errors *)
+      "n1(a,\"x";
+      "n1(a,\"x\\";
+      "n1(a,@).";
+      "n1(-,\"x\").";
+      "n1(99999999999999999999,\"x\").";
+      "n1(a,\"x\")";
+      "n1(a,,\"x\").";
+      "(a).";
+      "n1(a,\"x\") n1(b,\"y\").";
+      "f(a,). \"unterminated";
+      "n1(). n1(a,\"x\").";
+    ]
+
+(* The store and digest paths render and parse fact text without
+   touching the intern table, so a long-lived process does not grow it
+   with every graph it reads or keys. *)
+let test_store_path_interns_nothing () =
+  let fresh = "store_path_probe_" in
+  let g =
+    Graph.empty
+    |> (fun g -> Graph.add_node g ~id:(fresh ^ "a") ~label:(fresh ^ "L") ~props:(Props.of_list [ (fresh ^ "k", fresh ^ "v") ]))
+    |> (fun g -> Graph.add_node g ~id:("Q" ^ fresh) ~label:"File" ~props:Props.empty)
+    |> fun g -> Graph.add_edge g ~id:(fresh ^ "e") ~src:(fresh ^ "a") ~tgt:("Q" ^ fresh) ~label:(fresh ^ "E") ~props:Props.empty
+  in
+  let before = Symtab.size () in
+  let text = Encode.graph_to_string ~gid:"d" g in
+  let g' = Encode.graph_of_string ~gid:"d" text in
+  ignore (Provmark.Artifact_store.graph_digest g');
+  check_int "no strings interned" before (Symtab.size ());
+  check_bool "round trip" true (Graph.equal g g')
+
 let () =
   Alcotest.run "datalog"
     [
@@ -142,6 +318,15 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
           Alcotest.test_case "graph ids are independent" `Quick test_distinct_gids_do_not_mix;
+          Alcotest.test_case "malformed text decodes as the oracle" `Quick test_decode_malformed_table;
+          Alcotest.test_case "store path interns nothing" `Quick test_store_path_interns_nothing;
         ] );
-      ("properties", [ prop_roundtrip; prop_fact_count ]);
+      ( "properties",
+        [
+          prop_roundtrip;
+          prop_fact_count;
+          prop_render_matches_oracle;
+          prop_decode_matches_oracle;
+          prop_shuffled_matches_oracle;
+        ] );
     ]

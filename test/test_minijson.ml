@@ -42,6 +42,43 @@ let test_parse_errors () =
   List.iter expect_fail
     [ "{"; "[1,"; "\"unterminated"; "tru"; "{\"a\" 1}"; "[1 2]"; "1 2"; "{'a':1}"; "" ]
 
+(* Exact (offset, reason) pairs for malformed documents, as the
+   option-per-character parser reported them: the index scanner must
+   blame the same byte with the same words. *)
+let test_located_errors () =
+  let table =
+    [
+      ("{\"a\": \"abc", 10, "unterminated string");
+      ("\"abc\\", 5, "unterminated escape");
+      ("\"a\\qb\"", 4, "bad escape character");
+      ("\"\\u12\"", 3, "truncated \\u escape");
+      ("\"\\u12", 3, "truncated \\u escape");
+      ("\"\\uzzzz\"", 7, "bad \\u escape");
+      ("\"\\ud83d\\u0041\"", 13, "invalid low surrogate");
+      ("\"\\ud83dx\"", 7, "expected \\");
+      ("\"\\ud83d\\x\"", 8, "expected u");
+      ("{\"a\" 1}", 5, "expected :");
+      ("{1:2}", 1, "expected \"");
+      ("[1.2.3]", 6, "bad number \"1.2.3\"");
+      ("-", 1, "bad number \"-\"");
+      ("{} x", 3, "trailing garbage");
+      ("", 0, "unexpected end of input");
+      ("   ", 3, "unexpected end of input");
+      ("tru", 0, "expected true");
+      ("[1 2]", 3, "expected , or ] in array");
+      ("[1,]", 3, "unexpected character ']'");
+      ("{\"a\":1 \"b\":2}", 7, "expected , or } in object");
+      ("@", 0, "unexpected character '@'");
+    ]
+  in
+  List.iter
+    (fun (doc, offset, reason) ->
+      match Json.of_string_located doc with
+      | Ok _ -> Alcotest.failf "expected a located error for %S" doc
+      | Error got ->
+          Alcotest.(check (pair int string)) (Printf.sprintf "%S" doc) (offset, reason) got)
+    table
+
 let test_member () =
   let j = Json.of_string "{\"a\": 1, \"b\": \"x\"}" in
   check_bool "mem" true (Json.mem "a" j);
@@ -88,6 +125,54 @@ let prop_pretty_equivalent =
   Helpers.qcheck "pretty and compact parse to the same value" json_arb (fun j ->
       Json.equal (Json.of_string (Json.to_string j)) (Json.of_string (Json.to_string ~pretty:true j)))
 
+(* String pieces the scanner treats specially, each as (decoded bytes,
+   one JSON spelling): control bytes, quotes, backslashes, multi-byte
+   UTF-8 written raw or as [\u] escapes, and an astral character as a
+   surrogate pair. *)
+let piece_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map
+        (fun c ->
+          let c = Char.chr c in
+          (String.make 1 c, Printf.sprintf "\\u%04x" (Char.code c)))
+        (int_range 0 0x1f);
+      oneofl
+        [
+          ("\"", "\\\"");
+          ("\\", "\\\\");
+          ("/", "\\/");
+          ("\n", "\\n");
+          ("\t", "\\t");
+          ("\r", "\\r");
+          ("\b", "\\b");
+          ("\012", "\\f");
+          ("\xc3\xa9", "\xc3\xa9");
+          ("\xc3\xa9", "\\u00e9");
+          ("\xe2\x82\xac", "\\u20AC");
+          ("\xf0\x9f\x99\x82", "\xf0\x9f\x99\x82");
+          ("\xf0\x9f\x99\x82", "\\ud83d\\ude42");
+        ];
+      map
+        (fun s ->
+          let quoted = Json.to_string (Json.String s) in
+          (s, String.sub quoted 1 (String.length quoted - 2)))
+        (string_size ~gen:printable (int_range 0 6));
+    ]
+
+let prop_string_roundtrip =
+  Helpers.qcheck "strings with escapes and UTF-8 round-trip"
+    (QCheck.make
+       ~print:(fun pieces -> Printf.sprintf "%S" (String.concat "" (List.map snd pieces)))
+       QCheck.Gen.(list_size (int_range 0 12) piece_gen))
+    (fun pieces ->
+      let decoded = String.concat "" (List.map fst pieces) in
+      let spelled = "\"" ^ String.concat "" (List.map snd pieces) ^ "\"" in
+      let value = Json.Array [ Json.String decoded; Json.Object [ (decoded, Json.Null) ] ] in
+      Json.equal (Json.of_string spelled) (Json.String decoded)
+      && Json.equal (Json.of_string (Json.to_string value)) value)
+
 let () =
   Alcotest.run "minijson"
     [
@@ -102,8 +187,9 @@ let () =
           Alcotest.test_case "basic" `Quick test_parse_basic;
           Alcotest.test_case "unicode escapes" `Quick test_parse_unicode_escape;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "located errors" `Quick test_located_errors;
           Alcotest.test_case "member access" `Quick test_member;
           Alcotest.test_case "pretty roundtrip" `Quick test_pretty_roundtrip;
         ] );
-      ("properties", [ prop_roundtrip; prop_pretty_equivalent ]);
+      ("properties", [ prop_roundtrip; prop_pretty_equivalent; prop_string_roundtrip ]);
     ]
