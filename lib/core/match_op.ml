@@ -32,16 +32,31 @@ let parse_graph format text =
   | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
   | exception e -> Error (Printf.sprintf "graph parse error: %s" (Printexc.to_string e))
 
-(* Witness rendering: sorted mapping lines make the text independent of
-   the order the solver emitted matching atoms in. *)
-let matching_lines (m : Gmatch.Matching.t) =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "  n %s -> %s\n" a b))
-    (List.sort compare m.Gmatch.Matching.node_map);
-  List.iter
-    (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "  e %s -> %s\n" a b))
-    (List.sort compare m.Gmatch.Matching.edge_map);
+(* Witness rendering: a [<kind>: cost=<n>] line, then sorted mapping
+   lines, which make the text independent of the order the solver
+   emitted matching atoms in.  The buffer is sized to the text up
+   front. *)
+let witness_text kind (m : Gmatch.Matching.t) =
+  let header = Printf.sprintf "%s: cost=%d\n" kind m.Gmatch.Matching.cost in
+  let size pairs = List.fold_left (fun acc (a, b) -> acc + String.length a + String.length b + 9) 0 pairs in
+  let buf =
+    Buffer.create
+      (String.length header + size m.Gmatch.Matching.node_map + size m.Gmatch.Matching.edge_map)
+  in
+  Buffer.add_string buf header;
+  let lines tag pairs =
+    List.sort
+      (fun (a1, b1) (a2, b2) -> match String.compare a1 a2 with 0 -> String.compare b1 b2 | c -> c)
+      pairs
+    |> List.iter (fun (a, b) ->
+           Buffer.add_string buf tag;
+           Buffer.add_string buf a;
+           Buffer.add_string buf " -> ";
+           Buffer.add_string buf b;
+           Buffer.add_char buf '\n')
+  in
+  lines "  n " m.Gmatch.Matching.node_map;
+  lines "  e " m.Gmatch.Matching.edge_map;
   Buffer.contents buf
 
 (* A match runs outside any stage, so no [Stage.compute] drains the
@@ -57,11 +72,10 @@ let run ?opts ?backend kind a b =
     | Generalize -> (
         match Gmatch.Engine.generalization_matching ?opts ?backend a b with
         | None -> "generalize: no (graphs are not similar)\n"
-        | Some m ->
-            Printf.sprintf "generalize: cost=%d\n%s" m.Gmatch.Matching.cost (matching_lines m))
+        | Some m -> witness_text "generalize" m)
     | Compare -> (
         match Gmatch.Engine.subgraph_matching ?opts ?backend a b with
         | None -> "compare: no (first graph does not embed into the second)\n"
-        | Some m -> Printf.sprintf "compare: cost=%d\n%s" m.Gmatch.Matching.cost (matching_lines m))
+        | Some m -> witness_text "compare" m)
   in
   Fun.protect ~finally:(fun () -> ignore (Gmatch.Planner.drain_decisions ())) answer

@@ -185,12 +185,20 @@ let native_delta ~task ~sub f1 f2 g1 g2 =
   if Option.is_some m then Planner.note ~task Planner.Delta;
   m
 
-let canon_pair ~opts g1 g2 =
+(* [s1]/[s2] are the graphs' settled colourings, forced on a form
+   cache miss or by the segment plan, whichever comes first. *)
+let canon_pair ~opts (g1, s1) (g2, s2) =
   if opts.Match_opts.canon then
-    match (Pgraph.Canon.form g1, Pgraph.Canon.form g2) with
+    match (Pgraph.Canon.form_with g1 s1, Pgraph.Canon.form_with g2 s2) with
     | Some f1, Some f2 -> Some (f1, f2)
     | _ -> None
   else None
+
+(* Each graph of a pair is refined once per call: its settled
+   colouring is built by the first consumer (a form cache miss or the
+   segment plan) and shared with the other. *)
+let settled g = lazy (Pgraph.Fingerprint.settled g)
+let plan s1 s2 = Pgraph.Summarize.plan_settled (Lazy.force s1) (Lazy.force s2)
 
 let same_digest (f1 : Pgraph.Canon.form) (f2 : Pgraph.Canon.form) =
   String.equal f1.Pgraph.Canon.digest f2.Pgraph.Canon.digest
@@ -203,8 +211,8 @@ let same_digest (f1 : Pgraph.Canon.form) (f2 : Pgraph.Canon.form) =
    Any positive cost falls through to the solver, whose choice among
    cost-minimal witnesses is part of the observable answer. *)
 let zero_cost_witness g1 g2 f1 f2 =
-  let m = Matching.of_pairs g1 (Pgraph.Canon.witness f1 f2) 0 in
-  if Matching.cost_of g1 g2 m = 0 then Some m else None
+  let m = Matching.of_canon f1 f2 in
+  if Matching.zero_cost g1 g2 m then Some m else None
 
 (* ------------------------------------------------------------------ *)
 (* Segment solving proper.
@@ -249,7 +257,7 @@ let segment_similar ~opts ~backend (p : Pgraph.Summarize.plan) =
 
 exception Stitch_mismatch
 
-let segment_iso ~opts ~backend g1 g2 (p : Pgraph.Summarize.plan) =
+let segment_iso ~opts ~backend (v1 : Pgraph.Fingerprint.view) v2 (p : Pgraph.Summarize.plan) =
   let segs = Array.of_list p.Pgraph.Summarize.segments in
   let n = Array.length segs in
   let witnesses = Array.make n None in
@@ -279,22 +287,20 @@ let segment_iso ~opts ~backend g1 g2 (p : Pgraph.Summarize.plan) =
        matching restricts to a valid matching of each segment instance. *)
     None
   else
-    let seg_pairs =
+    let node_map, edge_map =
       Array.to_list witnesses
       |> List.map (fun m ->
              let m = Option.get m in
-             m.Matching.node_map @ m.Matching.edge_map)
+             (m.Matching.node_map, m.Matching.edge_map))
+      |> Pgraph.Summarize.stitch p
     in
-    let pairs = Pgraph.Summarize.stitch p seg_pairs in
-    let probe = Matching.of_pairs g1 pairs 0 in
-    let m = { probe with Matching.cost = Matching.cost_of g1 g2 probe } in
+    let m = { Matching.node_map; edge_map; cost = 0 } in
     (* Safety net: the decomposition argument says this cannot fail, but
        a wrong stitched witness must never leave the engine — fall back
        to the whole-graph solver instead. *)
-    (match Matching.verify ~sub:false g1 g2 m with
-    | Ok () -> ()
-    | Error _ -> raise Stitch_mismatch);
-    Some m
+    match Matching.verify_cost ~sub:false v1 v2 m with
+    | Ok cost -> Some { m with Matching.cost }
+    | Error _ -> raise Stitch_mismatch
 
 let similar ?(opts = Match_opts.default) ?(backend = default_backend) g1 g2 =
   let whole () =
@@ -316,7 +322,8 @@ let similar ?(opts = Match_opts.default) ?(backend = default_backend) g1 g2 =
         Planner.note ~task:"similarity" Planner.Incr;
         Incremental.similar g1 g2
   in
-  match canon_pair ~opts g1 g2 with
+  let s1 = settled g1 and s2 = settled g2 in
+  match canon_pair ~opts (g1, s1) (g2, s2) with
   | Some (f1, f2) ->
       (* Digest equality is exactly label-isomorphism, which is exactly
          the Section 3.4 similarity every backend decides. *)
@@ -324,7 +331,7 @@ let similar ?(opts = Match_opts.default) ?(backend = default_backend) g1 g2 =
       same_digest f1 f2
   | None ->
       if segmentable ~opts g1 g2 then
-        match Pgraph.Summarize.plan g1 g2 with
+        match plan s1 s2 with
         | Pgraph.Summarize.Mismatch ->
             seg_skip "similarity";
             false
@@ -356,9 +363,10 @@ let generalization_matching ?(opts = Match_opts.default) ?(backend = default_bac
         Vf2.iso_min_cost g1 g2
   in
   let segmented = segmentable ~opts g1 g2 in
+  let s1 = settled g1 and s2 = settled g2 in
   let solve () =
     if segmented then
-      match Pgraph.Summarize.plan g1 g2 with
+      match plan s1 s2 with
       | Pgraph.Summarize.Mismatch ->
           seg_skip "generalization";
           None
@@ -366,13 +374,14 @@ let generalization_matching ?(opts = Match_opts.default) ?(backend = default_bac
       | Pgraph.Summarize.Segmented p -> (
           seg_mark_pair "generalization";
           if backend = Direct then Planner.note ~task:"generalization" Planner.Seg;
-          try segment_iso ~opts ~backend g1 g2 p
+          let view s = (Lazy.force s).Pgraph.Fingerprint.view in
+          try segment_iso ~opts ~backend (view s1) (view s2) p
           with Stitch_mismatch ->
             Atomic.incr seg_fallback_count;
             whole ())
     else whole ()
   in
-  match canon_pair ~opts g1 g2 with
+  match canon_pair ~opts (g1, s1) (g2, s2) with
   | Some (f1, f2) when not (same_digest f1 f2) ->
       (* Not label-isomorphic: no bijective matching exists. *)
       canon_skip "generalization";
@@ -416,7 +425,7 @@ let subgraph_matching ?(opts = Match_opts.default) ?(backend = default_backend) 
      may still exist), so only the equal-digest zero-cost case can
      bypass the search.  Equal digests pin equal sizes, which is what
      extends the delta path's uniqueness argument to embeddings. *)
-  match canon_pair ~opts g1 g2 with
+  match canon_pair ~opts (g1, settled g1) (g2, settled g2) with
   | Some (f1, f2) when same_digest f1 f2 -> (
       match zero_cost_witness g1 g2 f1 f2 with
       | Some m ->

@@ -104,8 +104,8 @@ let greedy ~sub g1 g2 =
   match (node_pairs, edge_pairs) with
   | Some node_map, Some edge_map ->
       let m = { Matching.node_map; edge_map; cost = 0 } in
-      let m = { m with Matching.cost = Matching.cost_of g1 g2 m } in
-      if Result.is_ok (Matching.verify ~sub g1 g2 m) then Some m else None
+      let v1 = Fingerprint.view_of g1 and v2 = Fingerprint.view_of g2 in
+      Result.to_option (Result.map (fun cost -> { m with Matching.cost }) (Matching.verify_cost ~sub v1 v2 m))
   | _ -> None
 
 (* Accept the greedy alignment only when it is provably optimal. *)
@@ -150,7 +150,7 @@ let sub_iso_min_cost g1 g2 =
    distinct), the graph has a trivial automorphism group.  Two
    digest-equal graphs then admit exactly ONE label-isomorphism: any
    two would differ by a nontrivial automorphism.  That unique
-   bijection is what [Canon.witness] returns (the positional pairing
+   bijection is what [Matching.of_canon] returns (the positional pairing
    of the canonical orders is a label-isomorphism whenever digests are
    equal, hence *the* one), it is trivially cost-optimal for any
    property values (no alternative exists), and it is byte-identical
@@ -230,15 +230,15 @@ let delta ~sub f1 f2 g1 g2 =
       Atomic.incr delta_fallbacks;
       None)
     else
-      let m = Matching.of_pairs g1 (Canon.witness f1 f2) 0 in
-      let m = { m with Matching.cost = Matching.cost_of g1 g2 m } in
+      let m = Matching.of_canon f1 f2 in
       (* Safety net, same posture as stitched witnesses: the theorem
          says this cannot fail, the verifier makes sure a bug here can
          only cost performance, never correctness. *)
-      match Matching.verify ~sub g1 g2 m with
-      | Ok () ->
+      let v1 = Fingerprint.view_of g1 and v2 = Fingerprint.view_of g2 in
+      match Matching.verify_cost ~sub v1 v2 m with
+      | Ok cost ->
           Atomic.incr delta_certified;
-          Some m
+          Some { m with Matching.cost }
       | Error _ ->
           Atomic.incr delta_fallbacks;
           None

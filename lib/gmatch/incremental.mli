@@ -33,7 +33,7 @@ val sub_iso_min_cost : Pgraph.Graph.t -> Pgraph.Graph.t -> Matching.t option
     refinement at the pair's common stable depth separates every node
     and every edge, so the automorphism group is trivial and exactly
     one label-isomorphism exists between the digest-equal graphs.
-    That unique bijection is [Canon.witness f1 f2]; it is optimal for
+    That unique bijection is [Matching.of_canon f1 f2]; it is optimal for
     any property values and byte-identical to every backend's answer,
     which is why the [Direct] backend's cascade may take this path
     without changing output.  Equal digests pin the element counts, so with [~sub:true]

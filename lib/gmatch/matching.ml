@@ -17,70 +17,92 @@ let of_pairs g1 pairs cost =
   in
   { node_map; edge_map; cost }
 
-let injective pairs =
-  let module Sset = Set.Make (String) in
-  let rec go dom rng = function
-    | [] -> true
-    | (x, y) :: rest ->
-        (not (Sset.mem x dom)) && (not (Sset.mem y rng))
-        && go (Sset.add x dom) (Sset.add y rng) rest
-  in
-  go Sset.empty Sset.empty pairs
+let of_canon (f1 : Canon.form) (f2 : Canon.form) =
+  if not (String.equal f1.Canon.digest f2.Canon.digest) then
+    invalid_arg "Matching.of_canon: forms have different digests";
+  let pairs a b = Array.to_list (Array.map2 (fun x y -> (x, y)) a b) in
+  {
+    node_map = pairs f1.Canon.node_order f2.Canon.node_order;
+    edge_map = pairs f1.Canon.edge_order f2.Canon.edge_order;
+    cost = 0;
+  }
 
-let is_injective m = injective m.node_map && injective m.edge_map
+module Stbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* [pairs] as a table from left to right ids, when no left and no
+   right id repeats. *)
+let injective_table pairs =
+  let n = List.length pairs in
+  let image = Stbl.create n and seen = Stbl.create n in
+  (* A repeated id leaves its table's size unchanged: one hash per id. *)
+  let fresh (x, y) =
+    let k = Stbl.length image in
+    Stbl.replace image x y;
+    Stbl.replace seen y ();
+    Stbl.length image > k && Stbl.length seen > k
+  in
+  if List.for_all fresh pairs then Some image else None
+
+let is_injective m =
+  Option.is_some (injective_table m.node_map) && Option.is_some (injective_table m.edge_map)
+
+let verify_cost ~sub (v1 : Fingerprint.view) (v2 : Fingerprint.view) m =
+  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  let nodes (v : Fingerprint.view) = Array.length v.Fingerprint.nodes
+  and edges (v : Fingerprint.view) = Array.length v.Fingerprint.edges in
+  let node (v : Fingerprint.view) id =
+    Option.map (fun i -> v.Fingerprint.nodes.(i)) (Fingerprint.node_index v id)
+  and edge (v : Fingerprint.view) id =
+    Option.map (fun i -> v.Fingerprint.edges.(i)) (Fingerprint.edge_index v id)
+  in
+  match (injective_table m.node_map, injective_table m.edge_map) with
+  | None, _ | _, None -> err "matching is not injective"
+  | Some image, Some _ ->
+      if List.length m.node_map <> nodes v1 then err "not all left nodes are matched"
+      else if List.length m.edge_map <> edges v1 then err "not all left edges are matched"
+      else if
+        (not sub) && not (List.length m.node_map = nodes v2 && List.length m.edge_map = edges v2)
+      then err "matching is not surjective"
+      else
+        (* Node pairs in map order, then edge pairs; the node image is
+           the injective table, so endpoint checks stay O(1). *)
+        let rec node_pairs cost = function
+          | [] -> edge_pairs cost m.edge_map
+          | (x, y) :: rest -> (
+              match (node v1 x, node v2 y) with
+              | Some n1, Some n2 ->
+                  if String.equal n1.Graph.node_label n2.Graph.node_label then
+                    node_pairs (cost + Props.mismatch_cost n1.Graph.node_props n2.Graph.node_props) rest
+                  else err "node %s -> %s changes label" x y
+              | _ -> err "node pair %s -> %s refers to missing nodes" x y)
+        and edge_pairs cost = function
+          | [] -> Ok cost
+          | (x, y) :: rest -> (
+              match (edge v1 x, edge v2 y) with
+              | Some e1, Some e2 ->
+                  let maps_to a b =
+                    match Stbl.find_opt image a with Some c -> String.equal b c | None -> false
+                  in
+                  if not (String.equal e1.Graph.edge_label e2.Graph.edge_label) then
+                    err "edge %s -> %s changes label" x y
+                  else if
+                    not
+                      (maps_to e1.Graph.edge_src e2.Graph.edge_src
+                      && maps_to e1.Graph.edge_tgt e2.Graph.edge_tgt)
+                  then err "edge %s -> %s does not preserve endpoints" x y
+                  else
+                    edge_pairs (cost + Props.mismatch_cost e1.Graph.edge_props e2.Graph.edge_props) rest
+              | _ -> err "edge pair %s -> %s refers to missing edges" x y)
+        in
+        node_pairs 0 m.node_map
 
 let verify ~sub g1 g2 m =
-  let ( let* ) r f = Result.bind r f in
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let* () = if is_injective m then Ok () else err "matching is not injective" in
-  let* () =
-    if List.length m.node_map = Graph.node_count g1 then Ok ()
-    else err "not all left nodes are matched"
-  in
-  let* () =
-    if List.length m.edge_map = Graph.edge_count g1 then Ok ()
-    else err "not all left edges are matched"
-  in
-  let* () =
-    if sub then Ok ()
-    else if
-      List.length m.node_map = Graph.node_count g2
-      && List.length m.edge_map = Graph.edge_count g2
-    then Ok ()
-    else err "matching is not surjective"
-  in
-  (* The node image, tabled once: the maps are injective by now, so the
-     table agrees with [find_node] and endpoint checks stay O(1). *)
-  let image = Hashtbl.create (List.length m.node_map) in
-  List.iter (fun (x, y) -> Hashtbl.replace image x y) m.node_map;
-  let check_node (x, y) =
-    match (Graph.find_node g1 x, Graph.find_node g2 y) with
-    | Some n1, Some n2 ->
-        if String.equal n1.Graph.node_label n2.Graph.node_label then Ok ()
-        else err "node %s -> %s changes label" x y
-    | _ -> err "node pair %s -> %s refers to missing nodes" x y
-  in
-  let check_edge (x, y) =
-    match (Graph.find_edge g1 x, Graph.find_edge g2 y) with
-    | Some e1, Some e2 ->
-        if not (String.equal e1.Graph.edge_label e2.Graph.edge_label) then
-          err "edge %s -> %s changes label" x y
-        else if
-          not
-            (Hashtbl.find_opt image e1.Graph.edge_src = Some e2.Graph.edge_src
-            && Hashtbl.find_opt image e1.Graph.edge_tgt = Some e2.Graph.edge_tgt)
-        then err "edge %s -> %s does not preserve endpoints" x y
-        else Ok ()
-    | _ -> err "edge pair %s -> %s refers to missing edges" x y
-  in
-  let rec all f = function
-    | [] -> Ok ()
-    | x :: rest ->
-        let* () = f x in
-        all f rest
-  in
-  let* () = all check_node m.node_map in
-  all check_edge m.edge_map
+  Result.map ignore (verify_cost ~sub (Fingerprint.view_of g1) (Fingerprint.view_of g2) m)
 
 let cost_of g1 g2 m =
   let node_cost =
@@ -100,6 +122,20 @@ let cost_of g1 g2 m =
       0 m.edge_map
   in
   node_cost + edge_cost
+
+let zero_cost g1 g2 m =
+  List.for_all
+    (fun (x, y) ->
+      match (Graph.find_node g1 x, Graph.find_node g2 y) with
+      | Some n1, Some n2 -> Props.mismatch_free n1.Graph.node_props n2.Graph.node_props
+      | _ -> true)
+    m.node_map
+  && List.for_all
+       (fun (x, y) ->
+         match (Graph.find_edge g1 x, Graph.find_edge g2 y) with
+         | Some e1, Some e2 -> Props.mismatch_free e1.Graph.edge_props e2.Graph.edge_props
+         | _ -> true)
+       m.edge_map
 
 let pp ppf m =
   let pp_pair ppf (x, y) = Format.fprintf ppf "%s->%s" x y in

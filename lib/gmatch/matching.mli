@@ -20,6 +20,15 @@ val find_edge : t -> string -> string option
     components according to which identifiers are nodes of [g1]. *)
 val of_pairs : Pgraph.Graph.t -> (string * string) list -> int -> t
 
+(** [of_canon f1 f2] pairs two canonical orders positionally: node [i]
+    of [f1]'s order with node [i] of [f2]'s, likewise for edges, with
+    cost [0].  It is a label- and incidence-preserving bijection of
+    [f1]'s graph onto [f2]'s whenever the digests are equal (raises
+    [Invalid_argument] otherwise).  Property mismatch costs are {e not}
+    considered; callers re-check them before using the witness where
+    costs matter. *)
+val of_canon : Pgraph.Canon.form -> Pgraph.Canon.form -> t
+
 (** [is_injective m] checks both maps are injective functions. *)
 val is_injective : t -> bool
 
@@ -29,8 +38,20 @@ val is_injective : t -> bool
     Returns an error message naming the violated condition. *)
 val verify : sub:bool -> Pgraph.Graph.t -> Pgraph.Graph.t -> t -> (unit, string) result
 
+(** [verify_cost ~sub v1 v2 m], over the views of [g1] and [g2]
+    ({!Pgraph.Fingerprint.view_of}), is [Ok (cost_of g1 g2 m)] when
+    [verify ~sub g1 g2 m] succeeds and its error otherwise, in one pass
+    over the maps with hashed id lookups.  [verify] is this on freshly
+    built views; a caller holding the views already passes them. *)
+val verify_cost :
+  sub:bool -> Pgraph.Fingerprint.view -> Pgraph.Fingerprint.view -> t -> (int, string) result
+
 (** Recompute the Listing-4 cost of a matching (left properties without an
     equal right counterpart). *)
 val cost_of : Pgraph.Graph.t -> Pgraph.Graph.t -> t -> int
+
+(** [zero_cost g1 g2 m] is [cost_of g1 g2 m = 0], stopping at the first
+    property mismatch. *)
+val zero_cost : Pgraph.Graph.t -> Pgraph.Graph.t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

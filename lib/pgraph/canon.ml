@@ -50,72 +50,91 @@ let indiv_mark = H.string H.seed "individualized"
 
 (* The cell to branch on: among non-singleton colour classes, the one
    with the fewest members, ties broken by colour value — a pure
-   function of the (isomorphism-invariant) colouring. *)
+   function of the (isomorphism-invariant) colouring.  Members are
+   listed in ascending index order. *)
 let non_singleton_cell colours =
-  let module M = Map.Make (Int64) in
-  let cells =
-    Array.to_seqi colours
-    |> Seq.fold_left (fun m (i, c) -> M.update c (function None -> Some [ i ] | Some l -> Some (i :: l)) m) M.empty
-  in
-  M.fold
-    (fun _c members best ->
-      let size = List.length members in
-      if size < 2 then best
-      else
-        match best with
-        | Some (bsize, _) when bsize <= size -> best
-        | _ -> Some (size, List.rev members))
-    cells None
-  |> Option.map snd
+  let n = Array.length colours in
+  let by_colour = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int64.compare colours.(a) colours.(b)) by_colour;
+  (* [best] is the (start, size) of the smallest cell seen so far; a
+     later cell of equal size has a larger colour and loses. *)
+  let best = ref None in
+  let start = ref 0 in
+  while !start < n do
+    let c = colours.(by_colour.(!start)) in
+    let stop = ref (!start + 1) in
+    while !stop < n && Int64.equal colours.(by_colour.(!stop)) c do
+      incr stop
+    done;
+    let size = !stop - !start in
+    (match !best with
+    | Some (_, bsize) when bsize <= size -> ()
+    | _ -> if size >= 2 then best := Some (!start, size));
+    start := !stop
+  done;
+  Option.map (fun (start, size) -> List.init size (fun k -> by_colour.(start + k))) !best
 
 (* ------------------------------------------------------------------ *)
 (* Certificates                                                        *)
 
 (* Canonical node order of a discrete colouring: positions sorted by
    colour.  The certificate renders the complete structure under that
-   order (length-prefixed tokens, so no label can alias a separator). *)
+   order (length-prefixed tokens, so no label can alias a separator):
+   [g<nodes>,<edges>|], one [<len>:<label>;] per node, [|], then per
+   edge in (source, target, label, index) order [<s>><t>,<len>:<label>;]. *)
 let certificate view colours =
   let n = Array.length colours in
   let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> Int64.compare colours.(a) colours.(b)) order;
+  Array.stable_sort (fun a b -> Int64.compare colours.(a) colours.(b)) order;
   let pos = Array.make n 0 in
   Array.iteri (fun p i -> pos.(i) <- p) order;
+  let edges = view.Fingerprint.edges in
   let buf = Buffer.create 256 in
-  let token s = Buffer.add_string buf (Printf.sprintf "%d:%s;" (String.length s) s) in
-  Buffer.add_string buf (Printf.sprintf "g%d,%d|" n (Array.length view.Fingerprint.edges));
+  let int i = Buffer.add_string buf (string_of_int i) in
+  let token s =
+    int (String.length s);
+    Buffer.add_char buf ':';
+    Buffer.add_string buf s;
+    Buffer.add_char buf ';'
+  in
+  Buffer.add_char buf 'g';
+  int n;
+  Buffer.add_char buf ',';
+  int (Array.length edges);
+  Buffer.add_char buf '|';
   Array.iter (fun i -> token view.Fingerprint.nodes.(i).Graph.node_label) order;
   Buffer.add_char buf '|';
-  let triples =
-    Array.to_list
-      (Array.mapi
-         (fun ei (e : Graph.edge) ->
-           (pos.(view.Fingerprint.esrc.(ei)), pos.(view.Fingerprint.etgt.(ei)), e.Graph.edge_label, ei))
-         view.Fingerprint.edges)
-  in
-  let triples =
-    List.sort
-      (fun (s1, t1, l1, e1) (s2, t2, l2, e2) ->
-        match compare (s1, t1) (s2, t2) with
-        | 0 -> ( match String.compare l1 l2 with 0 -> compare e1 e2 | c -> c)
-        | c -> c)
-      triples
-  in
-  List.iter
-    (fun (s, t, l, _) ->
-      Buffer.add_string buf (Printf.sprintf "%d>%d," s t);
-      token l)
-    triples;
-  (Buffer.contents buf, order, Array.of_list (List.map (fun (_, _, _, ei) -> ei) triples))
+  let src ei = pos.(view.Fingerprint.esrc.(ei)) and tgt ei = pos.(view.Fingerprint.etgt.(ei)) in
+  let eorder = Array.init (Array.length edges) Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      match Int.compare (src a) (src b) with
+      | 0 -> (
+          match Int.compare (tgt a) (tgt b) with
+          | 0 -> String.compare edges.(a).Graph.edge_label edges.(b).Graph.edge_label
+          | c -> c)
+      | c -> c)
+    eorder;
+  Array.iter
+    (fun ei ->
+      int (src ei);
+      Buffer.add_char buf '>';
+      int (tgt ei);
+      Buffer.add_char buf ',';
+      token edges.(ei).Graph.edge_label)
+    eorder;
+  (Buffer.contents buf, order, eorder)
 
 (* ------------------------------------------------------------------ *)
 (* Individualization-refinement search                                 *)
 
-let search view =
-  let initial = Fingerprint.label_colours view in
+(* The root of the tree is the settled label colouring; every branch
+   individualizes one member of the chosen cell and refines again. *)
+let search (s : Fingerprint.settled) =
+  let view = s.Fingerprint.view in
   let leaves = ref 0 in
   let best = ref None in
   let rec go colours =
-    let colours = refine_fix view colours in
     match non_singleton_cell colours with
     | None ->
         incr leaves;
@@ -129,10 +148,10 @@ let search view =
           (fun v ->
             let colours' = Array.copy colours in
             colours'.(v) <- H.int64 colours'.(v) indiv_mark;
-            go colours')
+            go (refine_fix view colours'))
           members
   in
-  match go initial with () -> !best | exception Budget -> None
+  match go s.Fingerprint.next with () -> !best | exception Budget -> None
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
@@ -164,17 +183,41 @@ let reset_stats () =
   Atomic.set forms_computed 0;
   Atomic.set cache_hits 0
 
+(* One [n<id>\x00<label>\n] line per node, then one
+   [e<id>\x00<src>\x00<tgt>\x00<label>\n] line per edge, in id order. *)
 let cache_key g =
-  let buf = Buffer.create 256 in
+  let nodes = Graph.nodes g and edges = Graph.edges g in
+  let size =
+    List.fold_left
+      (fun acc (n : Graph.node) -> acc + String.length n.Graph.node_id + String.length n.Graph.node_label + 3)
+      0 nodes
+    + List.fold_left
+        (fun acc (e : Graph.edge) ->
+          acc + String.length e.Graph.edge_id + String.length e.Graph.edge_src
+          + String.length e.Graph.edge_tgt + String.length e.Graph.edge_label + 5)
+        0 edges
+  in
+  let buf = Buffer.create size in
+  let field s =
+    Buffer.add_char buf '\x00';
+    Buffer.add_string buf s
+  in
   List.iter
-    (fun (n : Graph.node) -> Buffer.add_string buf (Printf.sprintf "n%s\x00%s\n" n.Graph.node_id n.Graph.node_label))
-    (Graph.nodes g);
+    (fun (n : Graph.node) ->
+      Buffer.add_char buf 'n';
+      Buffer.add_string buf n.Graph.node_id;
+      field n.Graph.node_label;
+      Buffer.add_char buf '\n')
+    nodes;
   List.iter
     (fun (e : Graph.edge) ->
-      Buffer.add_string buf
-        (Printf.sprintf "e%s\x00%s\x00%s\x00%s\n" e.Graph.edge_id e.Graph.edge_src e.Graph.edge_tgt
-           e.Graph.edge_label))
-    (Graph.edges g);
+      Buffer.add_char buf 'e';
+      Buffer.add_string buf e.Graph.edge_id;
+      field e.Graph.edge_src;
+      field e.Graph.edge_tgt;
+      field e.Graph.edge_label;
+      Buffer.add_char buf '\n')
+    edges;
   Digest.string (Buffer.contents buf)
 
 let with_lock f =
@@ -183,9 +226,9 @@ let with_lock f =
 
 let clear () = with_lock (fun () -> Hashtbl.reset cache)
 
-let compute_form g =
-  let view = Fingerprint.view_of g in
-  match search view with
+let compute_form (s : Fingerprint.settled) =
+  let view = s.Fingerprint.view in
+  match search s with
   | None -> None
   | Some (cert, order, eorder) ->
       Some
@@ -195,7 +238,7 @@ let compute_form g =
           edge_order = Array.map (fun ei -> view.Fingerprint.edges.(ei).Graph.edge_id) eorder;
         }
 
-let form g =
+let form_with g settled =
   let key = cache_key g in
   let cached = with_lock (fun () -> Hashtbl.find_opt cache key) in
   match cached with
@@ -204,11 +247,13 @@ let form g =
       f
   | None ->
       Atomic.incr forms_computed;
-      let f = compute_form g in
+      let f = compute_form (Lazy.force settled) in
       with_lock (fun () ->
           if Hashtbl.length cache >= max_cache_entries then Hashtbl.reset cache;
           Hashtbl.replace cache key f);
       f
+
+let form g = form_with g (lazy (Fingerprint.settled g))
 
 let digest g = Option.map (fun f -> f.digest) (form g)
 
@@ -231,9 +276,3 @@ let of_canonical f =
   fun id -> match Hashtbl.find_opt tbl id with Some c -> c | None -> id
 
 let relabel g f = Graph.map_ids (to_canonical f) g
-
-let witness f1 f2 =
-  if not (String.equal f1.digest f2.digest) then
-    invalid_arg "Canon.witness: forms have different digests";
-  let pair a b = Array.to_list (Array.map2 (fun x y -> (x, y)) a b) in
-  pair f1.node_order f2.node_order @ pair f1.edge_order f2.edge_order

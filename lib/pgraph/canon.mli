@@ -46,6 +46,13 @@ type form = {
     solver" without risking asymmetric answers. *)
 val form : Graph.t -> form option
 
+(** [form_with g s] is [form g], where [s] is [Fingerprint.settled g]:
+    a cache miss computes the form from [s] instead of refining [g]
+    again, and a hit leaves [s] unforced.  A caller that also needs the
+    settled colouring itself (the segment plan) builds it once and
+    passes it to both. *)
+val form_with : Graph.t -> Fingerprint.settled Lazy.t -> form option
+
 (** [digest g] is [Option.map (fun f -> f.digest) (form g)]. *)
 val digest : Graph.t -> string option
 
@@ -62,14 +69,6 @@ val to_canonical : form -> string -> string
 (** Canonical-id → original-id mapping — the translation step applied
     to model atoms solved on a canonically relabelled instance. *)
 val of_canonical : form -> string -> string
-
-(** [witness f1 f2] pairs the two canonical orders positionally into
-    [(left id, right id)] node and edge pairs — a label- and
-    incidence-preserving bijection whenever the digests are equal
-    (raises [Invalid_argument] otherwise).  Property mismatch costs
-    are {e not} considered; callers must re-check them before using
-    the witness where costs matter. *)
-val witness : form -> form -> (string * string) list
 
 (** Drop every cached form (for benchmarks timing cold
     canonicalization). *)

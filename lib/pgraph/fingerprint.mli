@@ -79,7 +79,10 @@ val compare : t -> t -> int
     edge lists.  [outs.(i)] lists [(edge label hash, target index)] for
     node [i]'s outgoing edges, [ins.(i)] [(marked edge label hash,
     source index)] for its incoming ones (a self-loop appears in both);
-    [esrc]/[etgt] give each edge's endpoint indices. *)
+    [esrc]/[etgt] give each edge's endpoint indices; [labels] lists the
+    distinct edge labels in first-use order and [elabel] numbers each
+    edge's label by its position there; [index] finds an element's
+    index by id ({!node_index}, {!edge_index}). *)
 type view = private {
   nodes : Graph.node array;
   edges : Graph.edge array;
@@ -87,9 +90,20 @@ type view = private {
   ins : (int64 * int) list array;
   esrc : int array;
   etgt : int array;
+  labels : string array;
+  elabel : int array;
+  index : index;
 }
 
+and index
+
 val view_of : Graph.t -> view
+
+(** The position of a node id in [view.nodes], by a hashed lookup. *)
+val node_index : view -> string -> int option
+
+(** The position of an edge id in [view.edges], by a hashed lookup. *)
+val edge_index : view -> string -> int option
 
 (** Round-0 colours, indexed like [view.nodes]: the node label's hash. *)
 val label_colours : view -> int64 array
@@ -111,6 +125,20 @@ val colours_at : view -> int -> int64 array
     — the same partition under different hash values.  From
     {!label_colours}, [r] is {!stable_rounds}. *)
 val settle : view -> int64 array -> int * int64 array * int64 array
+
+(** A graph's view with its colouring settled from {!label_colours}:
+    [rounds] is {!stable_rounds}, [colours] the colours after it and
+    [next] those one round further (see {!settle}).  {!Canon} branches
+    from [next], [Summarize] groups by [colours]; a caller that needs
+    both builds it once and passes it to each. *)
+type settled = private {
+  view : view;
+  rounds : int;
+  colours : int64 array;
+  next : int64 array;
+}
+
+val settled : Graph.t -> settled
 
 (** The FNV-1a hash combinators the colours are built from, exposed so
     {!Canon} can individualize nodes with the same hashing and

@@ -28,6 +28,11 @@ let mismatch_cost p q =
       | Some _ | None -> acc + 1)
     p 0
 
+let mismatch_free p q =
+  Smap.for_all
+    (fun k v -> match Smap.find_opt k q with Some w -> String.equal v w | None -> false)
+    p
+
 let symmetric_mismatch p q = mismatch_cost p q + mismatch_cost q p
 
 let union_preferring_left p q = Smap.union (fun _k v _w -> Some v) p q

@@ -42,6 +42,10 @@ val intersect : t -> t -> t
     bound to a different value — the cost model of the paper's Listing 4. *)
 val mismatch_cost : t -> t -> int
 
+(** [mismatch_free p q] is [mismatch_cost p q = 0], stopping at the
+    first key of [p] that [q] lacks or binds differently. *)
+val mismatch_free : t -> t -> bool
+
 (** [symmetric_mismatch p q] is [mismatch_cost p q + mismatch_cost q p]. *)
 val symmetric_mismatch : t -> t -> int
 

@@ -1,18 +1,4 @@
 module Smap = Map.Make (String)
-module Sset = Set.Make (String)
-module Imap = Map.Make (Int64)
-
-(* Keys for edge aggregation: (source class index, target class index,
-   label) for quotients, (g2 source index, g2 target index, label) for
-   forced-edge bundles. *)
-module Iemap = Map.Make (struct
-  type t = int * int * string
-
-  let compare (s1, t1, l1) (s2, t2, l2) =
-    match Int.compare s1 s2 with
-    | 0 -> ( match Int.compare t1 t2 with 0 -> String.compare l1 l2 | c -> c)
-    | c -> c
-end)
 
 (* The prefix starts with a control byte no recorder or generator ever
    emits in a label, so anchor labels cannot collide with real ones.
@@ -25,25 +11,118 @@ let is_anchor_label l =
 
 let anchor_label counterpart = anchor_prefix ^ counterpart
 
-let cons x = function None -> Some [ x ] | Some xs -> Some (x :: xs)
-
-(* Colour classes of a view's colouring: colour -> ascending member
-   indices (index order is id order). *)
-let colour_classes colours =
-  let m = ref Imap.empty in
-  for i = Array.length colours - 1 downto 0 do
-    m := Imap.update colours.(i) (cons i) !m
-  done;
-  !m
-
 let node_id (view : Fingerprint.view) i = view.Fingerprint.nodes.(i).Graph.node_id
 
-let colour_map (view : Fingerprint.view) colours =
-  let m = ref Smap.empty in
-  Array.iteri
-    (fun i (n : Graph.node) -> m := Smap.add n.Graph.node_id colours.(i) !m)
-    view.Fingerprint.nodes;
-  !m
+(* ------------------------------------------------------------------ *)
+(* Grouping on int arrays                                              *)
+
+(* Indices ordered by a key and cut into runs of equal key: run [k] is
+   [order.(first.(k))] to [order.(first.(k + 1) - 1)], runs in
+   ascending key order.  [cut_runs] cuts an order already sorted;
+   [runs_of] first sorts ascending indices stably, so equal keys stay
+   in index order. *)
+type runs = { order : int array; first : int array }
+
+let cut_runs compare_key order =
+  let firsts = ref [ 0 ] in
+  for p = 1 to Array.length order - 1 do
+    if compare_key order.(p - 1) order.(p) <> 0 then firsts := p :: !firsts
+  done;
+  let firsts = if Array.length order = 0 then [] else !firsts in
+  { order; first = Array.of_list (List.rev (Array.length order :: firsts)) }
+
+let runs_of compare_key order =
+  Array.stable_sort compare_key order;
+  cut_runs compare_key order
+
+let run_count r = Array.length r.first - 1
+let run_size r k = r.first.(k + 1) - r.first.(k)
+let run_head r k = r.order.(r.first.(k))
+let run_members r k = List.init (run_size r k) (fun j -> r.order.(r.first.(k) + j))
+
+(* [same_runs compare_heads r1 r2] holds when both have the same keys
+   with the same run sizes, [compare_heads] comparing the key of a run
+   head of [r1] with that of one of [r2]. *)
+let same_runs compare_heads r1 r2 =
+  run_count r1 = run_count r2
+  &&
+  let rec from k =
+    k >= run_count r1
+    || (run_size r1 k = run_size r2 k && compare_heads (run_head r1 k) (run_head r2 k) = 0 && from (k + 1))
+  in
+  from 0
+
+(* Colour classes: node indices by colour, classes numbered in
+   ascending colour order, [class_of] mapping a node to its class. *)
+let classes_of colours =
+  let cls =
+    runs_of (fun a b -> Int64.compare colours.(a) colours.(b)) (Array.init (Array.length colours) Fun.id)
+  in
+  let class_of = Array.make (Array.length colours) 0 in
+  for k = 0 to run_count cls - 1 do
+    List.iter (fun i -> class_of.(i) <- k) (run_members cls k)
+  done;
+  (cls, class_of)
+
+(* Each edge's label as a rank in [String.compare] order over the
+   distinct labels of all the views given, so comparing ranks orders
+   labels as strings do, across the views. *)
+let label_ranks (views : Fingerprint.view list) =
+  let rank = Hashtbl.create 16 in
+  List.iter
+    (fun (v : Fingerprint.view) -> Array.iter (fun l -> Hashtbl.replace rank l 0) v.Fingerprint.labels)
+    views;
+  List.sort String.compare (Hashtbl.fold (fun l _ acc -> l :: acc) rank [])
+  |> List.iteri (fun r l -> Hashtbl.replace rank l r);
+  List.map
+    (fun (v : Fingerprint.view) ->
+      let of_label = Array.map (Hashtbl.find rank) v.Fingerprint.labels in
+      Array.map (fun l -> of_label.(l)) v.Fingerprint.elabel)
+    views
+
+(* Edges [eis] (ascending) keyed by (source, target, label rank) in
+   [ends]' numbering of their endpoints, grouped into runs in key order.
+   A counting pass buckets them by source, so only each source's own
+   edges are compared; buckets keep index order among equal keys. *)
+let edge_runs (view : Fingerprint.view) ranks ends eis =
+  let src ei = ends.(view.Fingerprint.esrc.(ei)) and tgt ei = ends.(view.Fingerprint.etgt.(ei)) in
+  let n = Array.length view.Fingerprint.nodes in
+  let start = Array.make (n + 1) 0 in
+  Array.iter (fun ei -> start.(src ei + 1) <- start.(src ei + 1) + 1) eis;
+  for s = 1 to n do
+    start.(s) <- start.(s) + start.(s - 1)
+  done;
+  let order = Array.make (Array.length eis) 0 in
+  let fill = Array.sub start 0 n in
+  Array.iter
+    (fun ei ->
+      order.(fill.(src ei)) <- ei;
+      fill.(src ei) <- fill.(src ei) + 1)
+    eis;
+  let rest a b =
+    match Int.compare (tgt a) (tgt b) with 0 -> Int.compare ranks.(a) ranks.(b) | c -> c
+  in
+  for s = 0 to n - 1 do
+    let lo = start.(s) and len = start.(s + 1) - start.(s) in
+    if len > 1 then begin
+      let bucket = Array.sub order lo len in
+      Array.stable_sort rest bucket;
+      Array.blit bucket 0 order lo len
+    end
+  done;
+  let key a b = match Int.compare (src a) (src b) with 0 -> rest a b | c -> c in
+  cut_runs key order
+
+(* The same key read in two graphs' runs. *)
+let cross_key (v1 : Fingerprint.view) r1 e1 (v2 : Fingerprint.view) r2 e2 a b =
+  match Int.compare e1.(v1.Fingerprint.esrc.(a)) e2.(v2.Fingerprint.esrc.(b)) with
+  | 0 -> (
+      match Int.compare e1.(v1.Fingerprint.etgt.(a)) e2.(v2.Fingerprint.etgt.(b)) with
+      | 0 -> Int.compare r1.(a) r2.(b)
+      | c -> c)
+  | c -> c
+
+let all_edges (view : Fingerprint.view) = Array.init (Array.length view.Fingerprint.edges) Fun.id
 
 (* ------------------------------------------------------------------ *)
 (* Quotient graphs                                                     *)
@@ -54,54 +133,45 @@ type quotient = {
   rounds : int;
 }
 
-(* The quotient's edge bundles: (source class, target class, label) ->
-   multiplicity, classes numbered in ascending colour order. *)
-let class_bundles (view : Fingerprint.view) colours cls =
-  let class_index, _ = Imap.fold (fun c _ (m, i) -> (Imap.add c i m, i + 1)) cls (Imap.empty, 0) in
-  let node_class = Array.map (fun c -> Imap.find c class_index) colours in
-  let bundles = ref Iemap.empty in
-  Array.iteri
-    (fun ei (e : Graph.edge) ->
-      let k =
-        ( node_class.(view.Fingerprint.esrc.(ei)),
-          node_class.(view.Fingerprint.etgt.(ei)),
-          e.Graph.edge_label )
-      in
-      bundles := Iemap.update k (function None -> Some 1 | Some n -> Some (n + 1)) !bundles)
-    view.Fingerprint.edges;
-  !bundles
-
 let qid i = "q" ^ string_of_int i
 
 let quotient ?rounds g =
-  let view = Fingerprint.view_of g in
-  let rounds, colours =
+  let view, rounds, colours =
     match rounds with
-    | Some r -> (r, Fingerprint.colours_at view r)
+    | Some r ->
+        let view = Fingerprint.view_of g in
+        (view, r, Fingerprint.colours_at view r)
     | None ->
-        let r, colours, _ = Fingerprint.settle view (Fingerprint.label_colours view) in
-        (r, colours)
+        let s = Fingerprint.settled g in
+        (s.Fingerprint.view, s.Fingerprint.rounds, s.Fingerprint.colours)
   in
-  let cls = colour_classes colours in
-  let classes = List.map (fun (c, is) -> (c, List.map (node_id view) is)) (Imap.bindings cls) in
-  let qg, _ =
+  let cls, class_of = classes_of colours in
+  let classes =
+    List.init (run_count cls) (fun k ->
+        (colours.(run_head cls k), List.map (node_id view) (run_members cls k)))
+  in
+  let qg =
     List.fold_left
-      (fun (qg, i) (c, ids) ->
-        ( Graph.add_node qg ~id:(qid i)
-            ~label:(Fingerprint.Hash.hex c ^ "*" ^ string_of_int (List.length ids))
-            ~props:Props.empty,
-          i + 1 ))
-      (Graph.empty, 0) classes
+      (fun qg k ->
+        Graph.add_node qg ~id:(qid k)
+          ~label:(Fingerprint.Hash.hex colours.(run_head cls k) ^ "*" ^ string_of_int (run_size cls k))
+          ~props:Props.empty)
+      Graph.empty
+      (List.init (run_count cls) Fun.id)
   in
-  let qg, _ =
-    Iemap.fold
-      (fun (si, ti, lbl) n (qg, j) ->
-        ( Graph.add_edge qg ~id:("qe" ^ string_of_int j) ~src:(qid si) ~tgt:(qid ti)
-            ~label:(lbl ^ "*" ^ string_of_int n)
-            ~props:Props.empty,
-          j + 1 ))
-      (class_bundles view colours cls)
-      (qg, 0)
+  let ranks = List.hd (label_ranks [ view ]) in
+  let bundles = edge_runs view ranks class_of (all_edges view) in
+  let qg =
+    List.fold_left
+      (fun qg j ->
+        let e = view.Fingerprint.edges.(run_head bundles j) in
+        Graph.add_edge qg ~id:("qe" ^ string_of_int j)
+          ~src:(qid class_of.(view.Fingerprint.esrc.(run_head bundles j)))
+          ~tgt:(qid class_of.(view.Fingerprint.etgt.(run_head bundles j)))
+          ~label:(e.Graph.edge_label ^ "*" ^ string_of_int (run_size bundles j))
+          ~props:Props.empty)
+      qg
+      (List.init (run_count bundles) Fun.id)
   in
   { qgraph = qg; classes; rounds }
 
@@ -206,124 +276,122 @@ let components (view : Fingerprint.view) amb =
   List.rev !comps
 
 (* Per-component edge partition, computed in one pass over the edges:
-   [intra.(i)] are edges with both endpoints ambiguous (necessarily the
-   same component), [frontier.(i)] edges with exactly one ambiguous
-   endpoint (the other forced), each in edge-id order.  Forced-forced
-   edges ([comp_of] is -1 at both ends) are handled separately and
-   never reach a segment. *)
+   [intra.(i)] are the indices of edges with both endpoints ambiguous
+   (necessarily the same component), [frontier.(i)] of edges with
+   exactly one ambiguous endpoint (the other forced), each ascending.
+   Forced-forced edges ([comp_of] is -1 at both ends) are handled
+   separately and never reach a segment. *)
 let classify_edges (view : Fingerprint.view) comp_of ncomps =
   let intra = Array.make (max 1 ncomps) [] in
   let frontier = Array.make (max 1 ncomps) [] in
   for ei = Array.length view.Fingerprint.edges - 1 downto 0 do
-    let e = view.Fingerprint.edges.(ei) in
     match (comp_of.(view.Fingerprint.esrc.(ei)), comp_of.(view.Fingerprint.etgt.(ei))) with
     | -1, -1 -> ()
-    | i, -1 | -1, i -> frontier.(i) <- e :: frontier.(i)
-    | i, _ -> intra.(i) <- e :: intra.(i)
+    | i, -1 | -1, i -> frontier.(i) <- ei :: frontier.(i)
+    | i, _ -> intra.(i) <- ei :: intra.(i)
   done;
   (intra, frontier)
 
 (* Isomorphism-invariant component signature used to pair left and
    right components: member colour multiset, intra-edge descriptors
    (label and endpoint colours) and frontier descriptors (direction,
-   label and the g2 identity of the forced endpoint — forced nodes are
-   translated through the forced map so both sides speak g2 ids).  Any
+   label and the g2 identity of the forced endpoint — [counterpart]
+   names a forced node by its g2 id, so both sides speak g2 ids).  Any
    label-isomorphism maps a component onto one with an equal signature,
    so unequal per-signature counts refute the pair, and equal-signature
    components are interchangeable only among themselves. *)
-let comp_signature colours counterpart members intra frontier =
-  let mset = Sset.of_list members in
+let comp_signature (view : Fingerprint.view) colours amb counterpart members intra frontier =
+  let hex i = Fingerprint.Hash.hex colours.(i) in
+  let label ei = view.Fingerprint.edges.(ei).Graph.edge_label in
+  let src ei = view.Fingerprint.esrc.(ei) and tgt ei = view.Fingerprint.etgt.(ei) in
   let b = Buffer.create 128 in
-  List.map (fun id -> Smap.find id colours) members
+  let add_sorted sep strings =
+    List.iter
+      (fun s ->
+        Buffer.add_string b s;
+        Buffer.add_char b sep)
+      (List.sort String.compare strings)
+  in
+  List.map (fun i -> colours.(i)) members
   |> List.sort Int64.compare
   |> List.iter (fun c ->
          Buffer.add_string b (Fingerprint.Hash.hex c);
          Buffer.add_char b ',');
   Buffer.add_char b '|';
-  List.map
-    (fun (e : Graph.edge) ->
-      String.concat ":"
-        [
-          e.Graph.edge_label;
-          Fingerprint.Hash.hex (Smap.find e.Graph.edge_src colours);
-          Fingerprint.Hash.hex (Smap.find e.Graph.edge_tgt colours);
-        ])
-    intra
-  |> List.sort String.compare
-  |> List.iter (fun s ->
-         Buffer.add_string b s;
-         Buffer.add_char b ';');
+  add_sorted ';' (List.map (fun ei -> String.concat ":" [ label ei; hex (src ei); hex (tgt ei) ]) intra);
   Buffer.add_char b '|';
-  List.map
-    (fun (e : Graph.edge) ->
-      if Sset.mem e.Graph.edge_src mset then
-        Printf.sprintf "out:%s:%s" e.Graph.edge_label (counterpart e.Graph.edge_tgt)
-      else Printf.sprintf "in:%s:%s" e.Graph.edge_label (counterpart e.Graph.edge_src))
-    frontier
-  |> List.sort String.compare
-  |> List.iter (fun s ->
-         Buffer.add_string b s;
-         Buffer.add_char b ';');
+  (* A frontier edge's ambiguous endpoint is the member. *)
+  add_sorted ';'
+    (List.map
+       (fun ei ->
+         if amb.(src ei) then "out:" ^ label ei ^ ":" ^ counterpart (tgt ei)
+         else "in:" ^ label ei ^ ":" ^ counterpart (src ei))
+       frontier);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Builds one side of a segment instance from a group of components.
-   Members keep their labels and properties; forced neighbours become
-   anchors — original id, [anchor_label] of their g2 counterpart, empty
-   properties — and only edges with at least one ambiguous endpoint are
-   included.  Insertion happens in sorted order so the instance is a
-   deterministic value. *)
-let build_side g counterpart comp_members comp_edges =
-  let members = List.concat comp_members |> List.sort String.compare in
-  let mset = Sset.of_list members in
-  let edges =
-    List.concat comp_edges
-    |> List.sort (fun (a : Graph.edge) b -> String.compare a.Graph.edge_id b.Graph.edge_id)
-  in
-  let anchors =
-    List.fold_left
-      (fun s (e : Graph.edge) ->
-        let s = if Sset.mem e.Graph.edge_src mset then s else Sset.add e.Graph.edge_src s in
-        if Sset.mem e.Graph.edge_tgt mset then s else Sset.add e.Graph.edge_tgt s)
-      Sset.empty edges
-  in
-  let side =
-    List.fold_left
-      (fun acc id ->
-        match Graph.find_node g id with
-        | Some n -> Graph.add_node acc ~id ~label:n.Graph.node_label ~props:n.Graph.node_props
-        | None -> acc)
-      Graph.empty members
-  in
-  let side =
-    Sset.fold
-      (fun id acc ->
-        Graph.add_node acc ~id ~label:(anchor_label (counterpart id)) ~props:Props.empty)
-      anchors side
-  in
+let add_edges (view : Fingerprint.view) side eis =
   List.fold_left
-    (fun acc (e : Graph.edge) ->
+    (fun acc ei ->
+      let e = view.Fingerprint.edges.(ei) in
       Graph.add_edge acc ~id:e.Graph.edge_id ~src:e.Graph.edge_src ~tgt:e.Graph.edge_tgt
         ~label:e.Graph.edge_label ~props:e.Graph.edge_props)
-    side edges
+    side eis
 
-let plan ?rounds g1 g2 =
+let add_anchor (view : Fingerprint.view) counterpart side i =
+  Graph.add_node side ~id:(node_id view i) ~label:(anchor_label (counterpart i)) ~props:Props.empty
+
+(* Builds one side of a segment instance from a group of components.
+   Members keep their labels and properties; forced neighbours (the
+   endpoints of the components' edges that are not ambiguous) become
+   anchors — original id, [anchor_label] of their g2 counterpart, empty
+   properties — and only edges with at least one ambiguous endpoint are
+   included.  Insertion happens in index (hence id) order so the
+   instance is a deterministic value. *)
+let build_side (view : Fingerprint.view) amb counterpart comp_members comp_edges =
+  let members = List.sort Int.compare (List.concat comp_members) in
+  let edges = List.sort Int.compare (List.concat comp_edges) in
+  let anchors =
+    List.concat_map (fun ei -> [ view.Fingerprint.esrc.(ei); view.Fingerprint.etgt.(ei) ]) edges
+    |> List.filter (fun i -> not amb.(i))
+    |> List.sort_uniq Int.compare
+  in
+  let side =
+    List.fold_left
+      (fun acc i ->
+        let n = view.Fingerprint.nodes.(i) in
+        Graph.add_node acc ~id:n.Graph.node_id ~label:n.Graph.node_label ~props:n.Graph.node_props)
+      Graph.empty members
+  in
+  add_edges view (List.fold_left (add_anchor view counterpart) side anchors) edges
+
+(* One side of a parallel bundle between two forced endpoints: the
+   edges are interchangeable up to property cost, so they form a mini
+   assignment instance between the two anchored endpoints. *)
+let bundle_side (view : Fingerprint.view) counterpart eis =
+  let e0 = List.hd eis in
+  let s = view.Fingerprint.esrc.(e0) and t = view.Fingerprint.etgt.(e0) in
+  let side = add_anchor view counterpart Graph.empty s in
+  let side = if s = t then side else add_anchor view counterpart side t in
+  add_edges view side eis
+
+let plan_settled (s1 : Fingerprint.settled) (s2 : Fingerprint.settled) =
+  let v1 = s1.Fingerprint.view and v2 = s2.Fingerprint.view in
+  let n = Array.length v1.Fingerprint.nodes in
   try
-    if Graph.node_count g1 <> Graph.node_count g2 || Graph.edge_count g1 <> Graph.edge_count g2
+    if
+      n <> Array.length v2.Fingerprint.nodes
+      || Array.length v1.Fingerprint.edges <> Array.length v2.Fingerprint.edges
     then raise (Bail Mismatch);
     (* One colouring per graph, at the pair's common depth: colour
        hashes are only comparable at equal rounds, so the shallower
        graph refines on from its own stable point. *)
-    let v1 = Fingerprint.view_of g1 and v2 = Fingerprint.view_of g2 in
-    let rounds, c1, c2 =
-      match rounds with
-      | Some r -> (r, Fingerprint.colours_at v1 r, Fingerprint.colours_at v2 r)
-      | None ->
-          let r1, a1, _ = Fingerprint.settle v1 (Fingerprint.label_colours v1) in
-          let r2, a2, _ = Fingerprint.settle v2 (Fingerprint.label_colours v2) in
-          let r = max r1 r2 in
-          (r, Fingerprint.refine v1 (r - r1) a1, Fingerprint.refine v2 (r - r2) a2)
+    let rounds = max s1.Fingerprint.rounds s2.Fingerprint.rounds in
+    let c1 = Fingerprint.refine v1 (rounds - s1.Fingerprint.rounds) s1.Fingerprint.colours
+    and c2 = Fingerprint.refine v2 (rounds - s2.Fingerprint.rounds) s2.Fingerprint.colours in
+    let cls1, class_of1 = classes_of c1 and cls2, class_of2 = classes_of c2 in
+    let r1, r2 =
+      match label_ranks [ v1; v2 ] with [ r1; r2 ] -> (r1, r2) | _ -> assert false
     in
-    let cls1 = colour_classes c1 and cls2 = colour_classes c2 in
     (* Quotients first: any label-isomorphism preserves colours exactly
        (the hashes are computed identically on both sides), so a
        matchable pair has structurally equal quotients — equal class
@@ -331,21 +399,22 @@ let plan ?rounds g1 g2 =
        hash collisions, which merge the same classes on both sides.
        The quotient graphs are compared without being built: their
        nodes follow colour order and their edges bundle-key order, so
-       they are structurally equal exactly when these two maps are. *)
+       they are structurally equal exactly when these runs are. *)
     if
       not
-        (Imap.equal (fun a b -> List.length a = List.length b) cls1 cls2
-        && Iemap.equal Int.equal (class_bundles v1 c1 cls1) (class_bundles v2 c2 cls2))
+        (same_runs (fun a b -> Int64.compare c1.(a) c2.(b)) cls1 cls2
+        && same_runs
+             (cross_key v1 r1 class_of1 v2 r2 class_of2)
+             (edge_runs v1 r1 class_of1 (all_edges v1))
+             (edge_runs v2 r2 class_of2 (all_edges v2)))
     then raise (Bail Mismatch);
-    let col1 = colour_map v1 c1 and col2 = colour_map v2 c2 in
     (* Forced pairs by node index: [partner.(i)] is the g2 index forced
-       onto g1 node [i] (or -1), [forced2] flags g2's forced nodes. *)
+       onto g1 node [i] (or -1), [forced2] flags g2's forced nodes.
+       Classes correspond index for index now, in colour order. *)
     let forced =
-      Imap.fold
-        (fun c is acc ->
-          match is with [ a ] -> (a, List.hd (Imap.find c cls2)) :: acc | _ -> acc)
-        cls1 []
-      |> List.rev
+      List.filter_map
+        (fun k -> if run_size cls1 k = 1 then Some (run_head cls1 k, run_head cls2 k) else None)
+        (List.init (run_count cls1) Fun.id)
     in
     (* Defensive: a hash collision could in principle pair nodes with
        different labels; the decomposition would be unsound, so give the
@@ -358,107 +427,71 @@ let plan ?rounds g1 g2 =
                v2.Fingerprint.nodes.(b).Graph.node_label)
         then raise (Bail Whole))
       forced;
-    let partner = Array.make (Array.length c1) (-1) in
-    let forced2 = Array.make (Array.length c2) false in
+    let partner = Array.make n (-1) in
+    let forced2 = Array.make n false in
     List.iter
       (fun (a, b) ->
         partner.(a) <- b;
         forced2.(b) <- true)
       forced;
     let forced_nodes = List.map (fun (a, b) -> (node_id v1 a, node_id v2 b)) forced in
-    let forced_map = List.fold_left (fun m (a, b) -> Smap.add a b m) Smap.empty forced_nodes in
+    let counterpart1 i = node_id v2 partner.(i) and counterpart2 = node_id v2 in
     (* Forced-forced edge bundles, keyed in g2 coordinates (g2 index
-       order is g2 id order), each an ascending edge-id list.  An
+       order is g2 id order), each an ascending edge-index run.  An
        isomorphism maps each bundle bijectively onto its counterpart, so
        the sizes must agree in both directions. *)
-    let bundles (view : Fingerprint.view) key =
-      let m = ref Iemap.empty in
+    let forced_edges_of (view : Fingerprint.view) is_forced =
+      let kept = ref [] in
       for ei = Array.length view.Fingerprint.edges - 1 downto 0 do
-        let e = view.Fingerprint.edges.(ei) in
-        match key view.Fingerprint.esrc.(ei) view.Fingerprint.etgt.(ei) with
-        | Some (s, t) -> m := Iemap.update (s, t, e.Graph.edge_label) (cons e.Graph.edge_id) !m
-        | None -> ()
+        if is_forced view.Fingerprint.esrc.(ei) && is_forced view.Fingerprint.etgt.(ei) then
+          kept := ei :: !kept
       done;
-      !m
+      Array.of_list !kept
     in
-    let bundle1 =
-      bundles v1 (fun s t ->
-          if partner.(s) >= 0 && partner.(t) >= 0 then Some (partner.(s), partner.(t)) else None)
-    in
-    let bundle2 = bundles v2 (fun s t -> if forced2.(s) && forced2.(t) then Some (s, t) else None) in
-    if not (Iemap.equal (fun a b -> List.length a = List.length b) bundle1 bundle2) then
-      raise (Bail Mismatch);
+    let same = Array.init n Fun.id in
+    let fb1 = edge_runs v1 r1 partner (forced_edges_of v1 (fun i -> partner.(i) >= 0)) in
+    let fb2 = edge_runs v2 r2 same (forced_edges_of v2 (fun i -> forced2.(i))) in
+    if not (same_runs (cross_key v1 r1 partner v2 r2 same) fb1 fb2) then raise (Bail Mismatch);
+    let edge_id (view : Fingerprint.view) ei = view.Fingerprint.edges.(ei).Graph.edge_id in
     let forced_edges, bundle_segments =
-      Iemap.fold
-        (fun key ids1 (fe, segs) ->
-          let ids2 = Iemap.find key bundle2 in
-          match (ids1, ids2) with
-          | [ a ], [ b ] -> ((a, b) :: fe, segs)
-          | _ ->
-              (* A parallel bundle: the edges are interchangeable up to
-                 property cost, so solve them as a mini assignment
-                 instance between the two anchored endpoints. *)
-              let side g ids counterpart =
-                let e0 =
-                  match Graph.find_edge g (List.hd ids) with
-                  | Some e -> e
-                  | None -> raise (Bail Whole)
-                in
-                let side =
-                  Graph.add_node Graph.empty ~id:e0.Graph.edge_src
-                    ~label:(anchor_label (counterpart e0.Graph.edge_src))
-                    ~props:Props.empty
-                in
-                let side =
-                  if String.equal e0.Graph.edge_src e0.Graph.edge_tgt then side
-                  else
-                    Graph.add_node side ~id:e0.Graph.edge_tgt
-                      ~label:(anchor_label (counterpart e0.Graph.edge_tgt))
-                      ~props:Props.empty
-                in
-                List.fold_left
-                  (fun acc id ->
-                    match Graph.find_edge g id with
-                    | Some e ->
-                        Graph.add_edge acc ~id ~src:e.Graph.edge_src ~tgt:e.Graph.edge_tgt
-                          ~label:e.Graph.edge_label ~props:e.Graph.edge_props
-                    | None -> acc)
-                  side ids
-              in
-              let left = side g1 ids1 (fun id -> Smap.find id forced_map) in
-              let right = side g2 ids2 (fun id -> id) in
+      List.fold_left
+        (fun (fe, segs) k ->
+          match (run_members fb1 k, run_members fb2 k) with
+          | [ a ], [ b ] -> ((edge_id v1 a, edge_id v2 b) :: fe, segs)
+          | eis1, eis2 ->
+              let left = bundle_side v1 counterpart1 eis1 in
+              let right = bundle_side v2 counterpart2 eis2 in
               (fe, { left; right; pieces = 1; digest = digest_pair left right } :: segs))
-        bundle1 ([], [])
+        ([], [])
+        (List.init (run_count fb1) Fun.id)
     in
     let forced_edges = List.rev forced_edges in
     (* Ambiguous components on both sides. *)
-    let comps1 = components v1 (Array.map (fun b -> b < 0) partner)
-    and comps2 = components v2 (Array.map not forced2) in
-    let comp_of (view : Fingerprint.view) comps =
-      let a = Array.make (Array.length view.Fingerprint.nodes) (-1) in
+    let amb1 = Array.map (fun b -> b < 0) partner and amb2 = Array.map not forced2 in
+    let comps1 = components v1 amb1 and comps2 = components v2 amb2 in
+    let comp_of comps =
+      let a = Array.make n (-1) in
       List.iteri (fun ci members -> List.iter (fun i -> a.(i) <- ci) members) comps;
       a
     in
-    let intra1, frontier1 = classify_edges v1 (comp_of v1 comps1) (List.length comps1) in
-    let intra2, frontier2 = classify_edges v2 (comp_of v2 comps2) (List.length comps2) in
-    let ids view comps = Array.of_list (List.map (List.map (node_id view)) comps) in
-    let comps1 = ids v1 comps1 and comps2 = ids v2 comps2 in
-    let sigs comps colours counterpart intra frontier =
-      Array.to_list
-        (Array.mapi
-           (fun i members -> comp_signature colours counterpart members intra.(i) frontier.(i))
-           comps)
+    let intra1, frontier1 = classify_edges v1 (comp_of comps1) (List.length comps1) in
+    let intra2, frontier2 = classify_edges v2 (comp_of comps2) (List.length comps2) in
+    let comps1 = Array.of_list comps1 and comps2 = Array.of_list comps2 in
+    let group view colours amb counterpart comps intra frontier =
+      let sigs =
+        Array.mapi
+          (fun i members ->
+            comp_signature view colours amb counterpart members intra.(i) frontier.(i))
+          comps
+      in
+      let m = ref Smap.empty in
+      for i = Array.length sigs - 1 downto 0 do
+        m := Smap.update sigs.(i) (function None -> Some [ i ] | Some is -> Some (i :: is)) !m
+      done;
+      !m
     in
-    let sig1 = sigs comps1 col1 (fun id -> Smap.find id forced_map) intra1 frontier1 in
-    let sig2 = sigs comps2 col2 (fun id -> id) intra2 frontier2 in
-    let group sigs =
-      List.fold_left
-        (fun (m, i) s -> (Smap.update s (cons i) m, i + 1))
-        (Smap.empty, 0) sigs
-      |> fst
-      |> Smap.map (List.sort compare)
-    in
-    let grp1 = group sig1 and grp2 = group sig2 in
+    let grp1 = group v1 c1 amb1 counterpart1 comps1 intra1 frontier1 in
+    let grp2 = group v2 c2 amb2 counterpart2 comps2 intra2 frontier2 in
     if not (Smap.equal (fun a b -> List.length a = List.length b) grp1 grp2) then
       raise (Bail Mismatch);
     let comp_segments =
@@ -466,13 +499,12 @@ let plan ?rounds g1 g2 =
         (fun key is1 acc ->
           let is2 = Smap.find key grp2 in
           let pick comps intra frontier is =
-            ( List.map (fun i -> comps.(i)) is,
-              List.map (fun i -> intra.(i) @ frontier.(i)) is )
+            (List.map (fun i -> comps.(i)) is, List.map (fun i -> intra.(i) @ frontier.(i)) is)
           in
           let members1, edges1 = pick comps1 intra1 frontier1 is1 in
           let members2, edges2 = pick comps2 intra2 frontier2 is2 in
-          let left = build_side g1 (fun id -> Smap.find id forced_map) members1 edges1 in
-          let right = build_side g2 (fun id -> id) members2 edges2 in
+          let left = build_side v1 amb1 counterpart1 members1 edges1 in
+          let right = build_side v2 amb2 counterpart2 members2 edges2 in
           { left; right; pieces = List.length is1; digest = digest_pair left right } :: acc)
         grp1 []
     in
@@ -483,14 +515,19 @@ let plan ?rounds g1 g2 =
     let max_seg =
       List.fold_left (fun acc s -> max acc (Graph.node_count s.left)) 0 segments
     in
-    if max_seg >= Graph.node_count g1 && Graph.node_count g1 > 0 then Whole
+    if max_seg >= n && n > 0 then Whole
     else Segmented { rounds; forced_nodes; forced_edges; segments; frontier_edges }
   with Bail o -> o
+
+let plan g1 g2 = plan_settled (Fingerprint.settled g1) (Fingerprint.settled g2)
 
 let max_segment_nodes p =
   List.fold_left (fun acc s -> max acc (Graph.node_count s.left)) 0 p.segments
 
+(* Anchor pairs repeat forced pairs; every other id is an original one. *)
 let stitch p witnesses =
-  let forced = List.fold_left (fun s (a, _) -> Sset.add a s) Sset.empty p.forced_nodes in
-  p.forced_nodes @ p.forced_edges
-  @ List.concat_map (List.filter (fun (a, _) -> not (Sset.mem a forced))) witnesses
+  let forced = Hashtbl.create (List.length p.forced_nodes) in
+  List.iter (fun (a, _) -> Hashtbl.replace forced a ()) p.forced_nodes;
+  let seg_nodes, seg_edges = List.split witnesses in
+  ( p.forced_nodes @ List.concat_map (List.filter (fun (a, _) -> not (Hashtbl.mem forced a))) seg_nodes,
+    p.forced_edges @ List.concat seg_edges )

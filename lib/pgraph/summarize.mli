@@ -87,21 +87,29 @@ type outcome =
           the whole graph, or a defensive check failed): solve whole *)
   | Segmented of plan
 
-(** [plan ?rounds g1 g2] decides the pair's decomposition.  Deterministic:
-    a pure function of the two graphs (and [?rounds]); segment instances
+(** [plan_settled s1 s2] decides the decomposition of the pair whose
+    settled colourings are [s1] and [s2] ({!Fingerprint.settled}).
+    Deterministic: a pure function of the two graphs; segment instances
     are built in sorted member/edge order and listed digest-sorted. *)
-val plan : ?rounds:int -> Graph.t -> Graph.t -> outcome
+val plan_settled : Fingerprint.settled -> Fingerprint.settled -> outcome
+
+(** [plan g1 g2] is [plan_settled] of the two graphs' settled colourings. *)
+val plan : Graph.t -> Graph.t -> outcome
 
 (** Largest left-instance node count, 0 for a fully forced plan — the
     quantity solver grounding cost now scales in. *)
 val max_segment_nodes : plan -> int
 
-(** [stitch p witnesses] merges per-segment witnesses (element-pair
-    lists, in [p.segments] order) with the forced pairs into one
-    whole-graph pair list.  Anchor pairs repeat forced pairs and are
+(** [stitch p witnesses] merges per-segment witnesses ([(node pairs,
+    edge pairs)], in [p.segments] order) with the forced pairs into one
+    whole-graph [(node map, edge map)]: forced pairs first, then each
+    segment's in order.  Anchor pairs repeat forced pairs and are
     dropped; every other id is an original id, so the result is directly
     a whole-pair matching. *)
-val stitch : plan -> (string * string) list list -> (string * string) list
+val stitch :
+  plan ->
+  ((string * string) list * (string * string) list) list ->
+  (string * string) list * (string * string) list
 
 (** Recognizes the reserved anchor labels (exposed for tests). *)
 val is_anchor_label : string -> bool

@@ -81,84 +81,105 @@ let of_pgraph g =
            | Some r -> Some (s, Json.Object (List.rev !r)))
          section_order)
 
-let props_of_members members ~drop =
-  List.filter_map
-    (fun (k, v) ->
-      if List.mem k drop then None
-      else
-        match v with
-        | Json.String s -> Some ((k, s))
-        | Json.Number f -> Some ((k, Printf.sprintf "%.0f" f))
-        | Json.Bool b -> Some ((k, string_of_bool b))
-        | _ -> fail "property %s has non-scalar value" k)
-    members
+let scalar k = function
+  | Json.String s -> s
+  | Json.Number f -> Printf.sprintf "%.0f" f
+  | Json.Bool b -> string_of_bool b
+  | _ -> fail "property %s has non-scalar value" k
+
+(* The first binding of [key] among a member's fields. *)
+let rec field key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else field key rest
+
+(* A member's properties: every field whose key [dropped] does not
+   claim, in field order (a later duplicate key wins). *)
+let props_of_fields fields ~dropped =
+  List.fold_left
+    (fun props (k, v) -> if dropped k then props else Pgraph.Props.add k (scalar k v) props)
+    Pgraph.Props.empty fields
+
+let is_node_section = function "entity" | "activity" | "agent" -> true | _ -> false
+
+(* Relation section -> (label, source endpoint key, target endpoint key). *)
+let edge_spec section =
+  List.find_map
+    (fun (label, (s, sk, tk)) -> if String.equal s section then Some (label, sk, tk) else None)
+    relations
 
 let to_pgraph_unsafe json =
   let open Pgraph in
   let sections = match json with Json.Object s -> s | _ -> fail "document is not an object" in
-  let node_sections = [ "entity"; "activity"; "agent" ] in
-  let g = ref Graph.empty in
-  (* Nodes first. *)
-  List.iter
-    (fun (section, value) ->
-      if List.mem section node_sections then
-        List.iter
-          (fun (id, body) ->
-            let members = match body with Json.Object m -> m | _ -> fail "node %s not an object" id in
-            let label =
-              match List.assoc_opt "prov:type" members with
-              | Some (Json.String t) -> t
-              | _ -> section
-            in
-            g :=
-              Graph.add_node !g ~id ~label
-                ~props:(Pgraph.Props.of_list (props_of_members members ~drop:[ "prov:type" ])))
-          (match value with Json.Object m -> m | _ -> fail "section %s not an object" section))
-    sections;
-  (* Then relations. *)
-  let known_edge_sections =
-    List.map (fun (label, (section, sk, tk)) -> (section, (label, sk, tk))) relations
+  let members section = function
+    | Json.Object m -> m
+    | _ -> fail "section %s not an object" section
   in
-  List.iter
-    (fun (section, value) ->
-      if String.equal section "prefix" || List.mem section node_sections then ()
+  let node_fields id = function Json.Object m -> m | _ -> fail "node %s not an object" id in
+  let edge_fields id = function Json.Object m -> m | _ -> fail "edge %s not an object" id in
+  (* Nodes first. *)
+  let g =
+    List.fold_left
+      (fun g (section, value) ->
+        if not (is_node_section section) then g
+        else
+          List.fold_left
+            (fun g (id, body) ->
+              let fields = node_fields id body in
+              let label =
+                match field "prov:type" fields with Some (Json.String t) -> t | _ -> section
+              in
+              Graph.add_node g ~id ~label
+                ~props:(props_of_fields fields ~dropped:(String.equal "prov:type")))
+            g (members section value))
+      Graph.empty sections
+  in
+  (* Then relations. *)
+  let edge g id fields (label, src_key, tgt_key) ~dropped =
+    let endpoint key =
+      match field key fields with
+      | Some (Json.String s) -> s
+      | _ -> fail "edge %s lacks endpoint %s" id key
+    in
+    let src = endpoint src_key and tgt = endpoint tgt_key in
+    (* [Graph.add_edge] looks both endpoints up anyway, so they are only
+       looked up again when something failed: an unknown endpoint is
+       reported first, ahead of a bad property or a duplicate id. *)
+    match
+      Graph.add_edge g ~id ~src ~tgt ~label
+        ~props:
+          (props_of_fields fields ~dropped:(fun k ->
+               String.equal k src_key || String.equal k tgt_key || dropped k))
+    with
+    | g -> g
+    | exception ((Format_error _ | Invalid_argument _) as e) ->
+        if not (Graph.mem_node g src) then fail "edge %s references unknown node %s" id src;
+        if not (Graph.mem_node g tgt) then fail "edge %s references unknown node %s" id tgt;
+        raise e
+  in
+  List.fold_left
+    (fun g (section, value) ->
+      if String.equal section "prefix" || is_node_section section then g
       else
-        let members = match value with Json.Object m -> m | _ -> fail "section %s not an object" section in
-        let handle id body (label, src_key, tgt_key) extra_drop =
-          let fields = match body with Json.Object m -> m | _ -> fail "edge %s not an object" id in
-          let endpoint key =
-            match List.assoc_opt key fields with
-            | Some (Json.String s) -> s
-            | _ -> fail "edge %s lacks endpoint %s" id key
-          in
-          let src = endpoint src_key and tgt = endpoint tgt_key in
-          if not (Graph.mem_node !g src) then fail "edge %s references unknown node %s" id src;
-          if not (Graph.mem_node !g tgt) then fail "edge %s references unknown node %s" id tgt;
-          g :=
-            Graph.add_edge !g ~id ~src ~tgt ~label
-              ~props:
-                (Pgraph.Props.of_list
-                   (props_of_members fields ~drop:([ src_key; tgt_key ] @ extra_drop)))
-        in
-        match List.assoc_opt section known_edge_sections with
-        | Some spec -> List.iter (fun (id, body) -> handle id body spec []) members
+        let members = members section value in
+        match edge_spec section with
+        | Some spec ->
+            List.fold_left
+              (fun g (id, body) -> edge g id (edge_fields id body) spec ~dropped:(fun _ -> false))
+              g members
         | None ->
             if String.equal section generic_section then
-              List.iter
-                (fun (id, body) ->
-                  let fields =
-                    match body with Json.Object m -> m | _ -> fail "edge %s not an object" id
-                  in
+              List.fold_left
+                (fun g (id, body) ->
+                  let fields = edge_fields id body in
                   let label =
-                    match List.assoc_opt "rel:type" fields with
+                    match field "rel:type" fields with
                     | Some (Json.String t) -> t
                     | _ -> fail "relation %s lacks rel:type" id
                   in
-                  handle id body (label, "rel:from", "rel:to") [ "rel:type" ])
-                members
+                  edge g id fields (label, "rel:from", "rel:to") ~dropped:(String.equal "rel:type"))
+                g members
             else fail "unknown section %s" section)
-    sections;
-  !g
+    g sections
 
 let to_pgraph json =
   try to_pgraph_unsafe json

@@ -73,6 +73,10 @@ type conn = {
   mutable last_activity : float;
 }
 
+(* What a worker posts back to the loop: a rendered response line, or
+   a request line it decoded for the loop to admit. *)
+type completion = Reply of string | Decoded of (Protocol.request, string) result
+
 type t = {
   cfg : config;
   pool : Pool.t;
@@ -86,7 +90,7 @@ type t = {
      touched only by the loop domain and needs no lock, except the
      [Atomic.t] fields workers and signal handlers touch. *)
   done_mutex : Mutex.t;
-  done_q : (conn * string) Queue.t;
+  done_q : (conn * completion) Queue.t;
   mutable conns : conn list;
   mutable in_flight : int;
   mutable served : int;
@@ -190,6 +194,16 @@ let exec_match t (m : Protocol.match_req) =
           Printf.sprintf "deadline exceeded: request overran its %gs budget" budget )
   | _ -> result
 
+(* Hands a completion from a worker to the loop. *)
+let post t conn completion =
+  Mutex.lock t.done_mutex;
+  Queue.add (conn, completion) t.done_q;
+  Mutex.unlock t.done_mutex;
+  (* Wake the loop; the pipe is non-blocking and the queue is drained
+     in full per wakeup, so a momentarily full pipe is still safe. *)
+  try ignore (retry_eintr (fun () -> Unix.write t.pipe_w (Bytes.make 1 '!') 0 1))
+  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EBADF | Unix.EPIPE), _, _) -> ()
+
 (* Runs on a worker domain: compute, render, post the finished line to
    the loop.  Every exception becomes an [internal] error response —
    a bad request must never take a worker (or the daemon) down. *)
@@ -207,13 +221,7 @@ let exec_compute t conn id ~shunted op =
     | exception e ->
         Protocol.error_response ~id Protocol.Internal ~message:(Printexc.to_string e)
   in
-  Mutex.lock t.done_mutex;
-  Queue.add (conn, Protocol.response_line response) t.done_q;
-  Mutex.unlock t.done_mutex;
-  (* Wake the loop; the pipe is non-blocking and the queue is drained
-     in full per wakeup, so a momentarily full pipe is still safe. *)
-  try ignore (retry_eintr (fun () -> Unix.write t.pipe_w (Bytes.make 1 '!') 0 1))
-  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EBADF | Unix.EPIPE), _, _) -> ()
+  post t conn (Reply (Protocol.response_line response))
 
 (* ------------------------------------------------------------------ *)
 (* Inline requests (event-loop domain)                                 *)
@@ -338,22 +346,45 @@ let observe_breaker t =
     end
   end
 
-let handle_request t conn line =
-  match Protocol.request_of_line line with
-  | Error message -> respond conn (Protocol.error_response ~id:None Protocol.Bad_request ~message)
-  | Ok { id; op } -> (
+(* A compute request holds a queue slot from admission until its
+   response drains; a line decoded on a worker holds one from dispatch. *)
+let reserve t conn =
+  t.in_flight <- t.in_flight + 1;
+  conn.inflight <- conn.inflight + 1
+
+let release t conn =
+  t.in_flight <- t.in_flight - 1;
+  conn.inflight <- max 0 (conn.inflight - 1)
+
+(* Admission of a decoded request line.  [reserved] says the line was
+   decoded on a worker under a slot taken at dispatch: a compute
+   request runs in it, anything else gives it back first. *)
+let admit t conn ~reserved request =
+  let give_back () = if reserved then release t conn in
+  match request with
+  | Error message ->
+      give_back ();
+      respond conn (Protocol.error_response ~id:None Protocol.Bad_request ~message)
+  | Ok { Protocol.id; op } -> (
       match op with
-      | Protocol.Ping -> respond conn (Protocol.ok_response ~id ~exit:0 ~output:"pong" ())
-      | Protocol.Stats -> respond conn (stats_response t ~id)
+      | Protocol.Ping ->
+          give_back ();
+          respond conn (Protocol.ok_response ~id ~exit:0 ~output:"pong" ())
+      | Protocol.Stats ->
+          give_back ();
+          respond conn (stats_response t ~id)
       | Protocol.Shutdown ->
+          give_back ();
           begin_shutdown t;
           respond conn (Protocol.ok_response ~id ~exit:0 ~output:"shutting down" ())
       | Protocol.Benchmark _ | Protocol.Match _ ->
-          if t.shutting_down then
+          if t.shutting_down then begin
+            give_back ();
             respond conn
               (Protocol.error_response ~id Protocol.Shutting_down
                  ~message:"daemon is shutting down")
-          else if t.in_flight >= t.cfg.queue_bound then begin
+          end
+          else if (not reserved) && t.in_flight >= t.cfg.queue_bound then begin
             t.rejected <- t.rejected + 1;
             respond conn
               (Protocol.error_response
@@ -377,11 +408,33 @@ let handle_request t conn line =
               else (false, op)
             in
             if shunted then t.breaker_shunted <- t.breaker_shunted + 1;
-            t.in_flight <- t.in_flight + 1;
+            if not reserved then reserve t conn;
             t.served <- t.served + 1;
-            conn.inflight <- conn.inflight + 1;
             ignore (Pool.async t.pool (fun () -> exec_compute t conn id ~shunted op))
           end)
+
+(* Lines longer than this carry a graph payload — a 256-node [match]
+   request is about 190 KB and takes about 1 ms to decode — so a
+   worker decodes them under a slot taken now, and the loop stays free
+   for other connections.  Without a free slot the loop decodes the
+   line itself, so the queue-full answer can carry the request's id. *)
+let decode_on_worker_bytes = 16_384
+
+let handle_request t conn line =
+  if
+    String.length line > decode_on_worker_bytes
+    && (not t.shutting_down)
+    && t.in_flight < t.cfg.queue_bound
+  then begin
+    reserve t conn;
+    let decode () =
+      match Protocol.request_of_line line with
+      | r -> r
+      | exception e -> Error (Printexc.to_string e)
+    in
+    ignore (Pool.async t.pool (fun () -> post t conn (Decoded (decode ()))))
+  end
+  else admit t conn ~reserved:false (Protocol.request_of_line line)
 
 (* Handle each complete line in the first [n] bytes of [buf], the
    first one prefixed by the connection's buffered partial line; a
@@ -453,11 +506,13 @@ let drain_completions t =
   Queue.clear t.done_q;
   Mutex.unlock t.done_mutex;
   List.iter
-    (fun (conn, line) ->
-      t.in_flight <- t.in_flight - 1;
-      conn.inflight <- max 0 (conn.inflight - 1);
-      conn.last_activity <- now ();
-      send conn line)
+    (fun (conn, completion) ->
+      match completion with
+      | Reply line ->
+          release t conn;
+          conn.last_activity <- now ();
+          send conn line
+      | Decoded request -> admit t conn ~reserved:true request)
     (List.rev !pending);
   if !pending <> [] then observe_breaker t
 
@@ -573,7 +628,12 @@ let loop t =
       | ts -> Float.max 0.001 (List.fold_left Float.min infinity ts -. n)
     in
     let readable, writable, _ = select_retry reads writes timeout in
-    if List.mem t.pipe_r readable then drain_completions t;
+    (* Completed responses leave before new requests are read and
+       handled, so a finished reply never waits behind that work. *)
+    if List.mem t.pipe_r readable then begin
+      drain_completions t;
+      List.iter (fun conn -> if conn.alive && conn.wbuf <> "" then write_chunk t conn) t.conns
+    end;
     if accepting && List.mem t.listen_fd readable then accept_conn t counter;
     List.iter
       (fun conn ->

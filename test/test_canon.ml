@@ -72,7 +72,7 @@ let test_witness_is_isomorphism () =
     let h = Helpers.permute_ids g in
     match (Canon.form g, Canon.form h) with
     | Some f1, Some f2 ->
-        let m = Matching.of_pairs g (Canon.witness f1 f2) 0 in
+        let m = Matching.of_canon f1 f2 in
         (match Matching.verify ~sub:false g h m with
         | Ok () -> ()
         | Error e -> Alcotest.failf "canonical witness rejected: %s" e)

@@ -68,6 +68,62 @@ let test_matching_verify_detects_garbage () =
   let bogus = { Matching.node_map = [ ("p1", "Xf1") ]; edge_map = []; cost = 0 } in
   check_bool "rejects label change" true (Result.is_error (Matching.verify ~sub:true g h bogus))
 
+(* [Matching.verify]'s messages and the order of its checks, one row
+   per failure class (values recorded from the Set-based
+   implementation): injectivity, then left coverage of nodes and edges,
+   then surjectivity, then node pairs in map order, then edge pairs. *)
+let test_verify_messages () =
+  let left = Graph.add_node (read_graph ()) ~id:"f2" ~label:"Artifact" ~props:Props.empty in
+  let left = Graph.add_edge left ~id:"u2" ~src:"p1" ~tgt:"f2" ~label:"Used" ~props:Props.empty in
+  let right = Helpers.rename_with_prefix "X" left in
+  let bigger = Graph.add_node right ~id:"Xextra" ~label:"Artifact" ~props:Props.empty in
+  let relabelled =
+    Graph.add_edge
+      (Graph.remove_edge right "Xu2")
+      ~id:"Xu2" ~src:"Xp1" ~tgt:"Xf2" ~label:"WasGeneratedBy" ~props:Props.empty
+  in
+  let nodes = [ ("p1", "Xp1"); ("f1", "Xf1"); ("f2", "Xf2") ] in
+  let edges = [ ("u1", "Xu1"); ("u2", "Xu2") ] in
+  let rows =
+    [
+      ("identity", false, right, nodes, edges, "ok");
+      ("node image repeated", false, right, [ ("p1", "Xp1"); ("f1", "Xf1"); ("f2", "Xf1") ], edges,
+        "matching is not injective");
+      ("node repeated", false, right, [ ("p1", "Xp1"); ("f1", "Xf1"); ("f1", "Xf2") ], edges,
+        "matching is not injective");
+      ("edge image repeated", false, right, nodes, [ ("u1", "Xu1"); ("u2", "Xu1") ], "matching is not injective");
+      ("left node missing", false, right, [ ("p1", "Xp1"); ("f1", "Xf1") ], edges, "not all left nodes are matched");
+      ("left edge missing", false, right, nodes, [ ("u1", "Xu1") ], "not all left edges are matched");
+      ("not surjective", false, bigger, nodes, edges, "matching is not surjective");
+      ("embedding need not be surjective", true, bigger, nodes, edges, "ok");
+      ("node label changes", false, right, [ ("p1", "Xf1"); ("f1", "Xp1"); ("f2", "Xf2") ], edges,
+        "node p1 -> Xf1 changes label");
+      ("edge label changes", false, relabelled, nodes, edges, "edge u2 -> Xu2 changes label");
+      ("endpoints change", false, right, [ ("p1", "Xp1"); ("f1", "Xf2"); ("f2", "Xf1") ], edges,
+        "edge u1 -> Xu1 does not preserve endpoints");
+      ("unknown right node", false, right, [ ("p1", "Xp1"); ("f1", "Xzz"); ("f2", "Xf2") ], edges,
+        "node pair f1 -> Xzz refers to missing nodes");
+      ("unknown left node", false, right, [ ("zz", "Xp1"); ("f1", "Xf1"); ("f2", "Xf2") ], edges,
+        "node pair zz -> Xp1 refers to missing nodes");
+      ("unknown right edge", false, right, nodes, [ ("u1", "Xzz"); ("u2", "Xu2") ], "edge pair u1 -> Xzz refers to missing edges");
+      ("unknown left edge", false, right, nodes, [ ("zz", "Xu1"); ("u2", "Xu2") ], "edge pair zz -> Xu1 refers to missing edges");
+      ("injectivity before coverage", false, bigger, [ ("p1", "Xp1"); ("f1", "Xp1") ], edges,
+        "matching is not injective");
+      ("node coverage before edge coverage", false, right, [ ("p1", "Xp1") ], [], "not all left nodes are matched");
+      ("coverage before surjectivity", true, right, nodes, [ ("u1", "Xu1") ], "not all left edges are matched");
+      ("node pairs before edge pairs", false, relabelled,
+        [ ("p1", "Xp1"); ("f1", "Xf2"); ("f2", "Xzz") ], edges, "node pair f2 -> Xzz refers to missing nodes");
+      ("first failing node pair wins", false, right,
+        [ ("p1", "Xzz"); ("f1", "Xp1"); ("f2", "Xf2") ], edges, "node pair p1 -> Xzz refers to missing nodes");
+    ]
+  in
+  List.iter
+    (fun (name, sub, right, node_map, edge_map, expected) ->
+      let m = { Matching.node_map; edge_map; cost = 0 } in
+      let got = match Matching.verify ~sub left right m with Ok () -> "ok" | Error e -> e in
+      Alcotest.(check string) name expected got)
+    rows
+
 let test_paper_choice_note () =
   (* Section 3.4: matching the larger graph into the smaller one fails,
      while smaller-into-larger succeeds. *)
@@ -197,6 +253,7 @@ let () =
           Alcotest.test_case "verify rejects bogus matchings" `Quick test_matching_verify_detects_garbage;
           Alcotest.test_case "pair-choice note from section 3.4" `Quick test_paper_choice_note;
           Alcotest.test_case "engine dispatch" `Quick test_engine_dispatch;
+          Alcotest.test_case "verify messages and check order" `Quick test_verify_messages;
         ] );
       ( "incremental",
         [

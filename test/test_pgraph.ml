@@ -211,6 +211,57 @@ let prop_fingerprint_detects_label_change =
           Graph.incident_edges g n.Graph.node_id <> []
           || not (Fingerprint.equal (Fingerprint.of_graph g) (Fingerprint.of_graph changed)))
 
+(* [Fingerprint.Hash.string] against the definition it replaced: a
+   [String.iter] fold of FNV-1a steps.  Every byte value occurs, so
+   bytes at and above 0x80 (which [Char.code] must not sign-extend)
+   are covered, and so is the empty string. *)
+let reference_hash_string h s =
+  let h = ref h in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    s;
+  !h
+
+let prop_hash_string_reference =
+  let any_byte = QCheck.Gen.map Char.chr (QCheck.Gen.int_range 0 255) in
+  let bytes = QCheck.string_gen_of_size (QCheck.Gen.int_range 0 40) any_byte in
+  Helpers.qcheck ~count:500 "Hash.string equals the String.iter fold"
+    (QCheck.pair (QCheck.oneof [ QCheck.always Fingerprint.Hash.seed; QCheck.int64 ]) bytes)
+    (fun (seed, s) ->
+      Int64.equal (Fingerprint.Hash.string seed s) (reference_hash_string seed s)
+      && Int64.equal (Fingerprint.Hash.string seed "") seed)
+
+(* One refinement round against the list-based definition it
+   replaced: each side's (edge label, neighbour colour) hashes sorted
+   and folded.  Dense graphs on few nodes give degrees past the
+   insertion-sort cut-off, so both sorting paths are compared. *)
+let reference_refine (view : Fingerprint.view) colours =
+  let module H = Fingerprint.Hash in
+  Array.mapi
+    (fun i c ->
+      let fold side =
+        List.map (fun (lab, j) -> H.int64 lab colours.(j)) side
+        |> List.sort Int64.compare
+        |> List.fold_left H.int64 H.seed
+      in
+      H.int64 (H.int64 c (fold view.Fingerprint.outs.(i))) (fold view.Fingerprint.ins.(i)))
+    colours
+
+let prop_refine_reference =
+  Helpers.qcheck ~count:200 "refinement rounds equal the list-based definition"
+    (QCheck.pair (Helpers.graph_arbitrary ~max_nodes:4 ~max_edges:60 ()) arb)
+    (fun (dense, sparse) ->
+      List.for_all
+        (fun g ->
+          let view = Fingerprint.view_of g in
+          let c0 = Fingerprint.label_colours view in
+          let c1 = reference_refine view c0 in
+          Fingerprint.refine view 1 c0 = c1
+          && Fingerprint.refine view 2 c0 = reference_refine view c1)
+        [ dense; sparse ])
+
 let prop_subtract_never_raises =
   Helpers.qcheck "subtract_matched total on arbitrary subsets" arb (fun g ->
       let nodes = Graph.node_ids g in
@@ -367,5 +418,7 @@ let () =
           prop_fingerprint_detects_label_change;
           prop_subtract_never_raises;
           prop_components_bounds;
+          prop_hash_string_reference;
+          prop_refine_reference;
         ] );
     ]

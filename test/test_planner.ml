@@ -264,7 +264,7 @@ let test_non_rigid_falls_back () =
 
 (* A generalization pair the segment plan takes skips the delta step:
    on a rigid pair the plan forces every node and stitches the unique
-   witness, which is exactly [Canon.witness]'s bijection. *)
+   witness, which is exactly [Matching.of_canon]'s bijection. *)
 let test_segmentable_skips_delta () =
   Incremental.reset_delta ();
   Fun.protect ~finally:Incremental.reset_delta (fun () ->
@@ -272,7 +272,7 @@ let test_segmentable_skips_delta () =
       let h = Bench_gen.transient_variant ~seed:6 g in
       let unique =
         match (Canon.form g, Canon.form h) with
-        | Some f1, Some f2 -> Matching.of_pairs g (Canon.witness f1 f2) 0
+        | Some f1, Some f2 -> Matching.of_canon f1 f2
         | _ -> Alcotest.fail "canonical forms must be available"
       in
       let before = Incremental.delta_stats () in

@@ -142,6 +142,60 @@ let test_provjson_errors () =
       "not json at all";
     ]
 
+(* The reasons [Provjson.of_string] gives, and which one wins when a
+   document has several faults (values recorded from the list-scanning
+   reader): an unknown endpoint outranks a bad property and a duplicate
+   id, and a missing endpoint outranks an unknown one. *)
+let test_provjson_error_reasons () =
+  let nodes = {|"entity": {"n1": {"prov:type": "file"}, "n2": {}}|} in
+  let reason doc =
+    match Recorders.Provjson.of_string doc with
+    | exception Recorders.Provjson.Format_error { reason; _ } -> reason
+    | _ -> "accepted"
+  in
+  List.iter
+    (fun (name, doc, expected) -> Alcotest.(check string) name expected (reason doc))
+    [
+      ("not an object", "[]", "document is not an object");
+      ("unknown section", {|{"mystery": {"x": {}}}|}, "unknown section mystery");
+      ("section not an object", {|{"used": 3}|}, "section used not an object");
+      ("node not an object", {|{"entity": {"n1": 3}}|}, "node n1 not an object");
+      ("edge not an object", Printf.sprintf {|{%s, "used": {"u": 3}}|} nodes, "edge u not an object");
+      ( "missing endpoint",
+        Printf.sprintf {|{%s, "used": {"u": {"prov:activity": "n1"}}}|} nodes,
+        "edge u lacks endpoint prov:entity" );
+      ( "unknown source",
+        Printf.sprintf {|{%s, "used": {"u": {"prov:activity": "zz", "prov:entity": "n2"}}}|} nodes,
+        "edge u references unknown node zz" );
+      ( "unknown target",
+        Printf.sprintf {|{%s, "used": {"u": {"prov:activity": "n1", "prov:entity": "zz"}}}|} nodes,
+        "edge u references unknown node zz" );
+      ( "non-scalar property",
+        Printf.sprintf {|{%s, "used": {"u": {"prov:activity": "n1", "prov:entity": "n2", "k": []}}}|}
+          nodes,
+        "property k has non-scalar value" );
+      ( "unknown endpoint before a bad property",
+        Printf.sprintf {|{%s, "used": {"u": {"prov:activity": "zz", "prov:entity": "n2", "k": []}}}|}
+          nodes,
+        "edge u references unknown node zz" );
+      ( "duplicate id",
+        Printf.sprintf {|{%s, "used": {"n1": {"prov:activity": "n1", "prov:entity": "n2"}}}|} nodes,
+        "Pgraph.Graph.add_edge: duplicate identifier n1" );
+      ( "unknown endpoint before a duplicate id",
+        Printf.sprintf {|{%s, "used": {"n1": {"prov:activity": "n1", "prov:entity": "zz"}}}|} nodes,
+        "edge n1 references unknown node zz" );
+      ( "missing endpoint before an unknown one",
+        Printf.sprintf {|{%s, "used": {"u": {"prov:activity": "zz"}}}|} nodes,
+        "edge u lacks endpoint prov:entity" );
+      ( "relation without a type",
+        Printf.sprintf {|{%s, "relation": {"r": {"rel:from": "n1", "rel:to": "n2"}}}|} nodes,
+        "relation r lacks rel:type" );
+      ( "relation to an unknown node",
+        Printf.sprintf {|{%s, "relation": {"r": {"rel:from": "n1", "rel:to": "zz", "rel:type": "x"}}}|}
+          nodes,
+        "edge r references unknown node zz" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* SPADE                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -568,6 +622,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_provjson_roundtrip;
           Alcotest.test_case "sections" `Quick test_provjson_sections;
           Alcotest.test_case "errors" `Quick test_provjson_errors;
+          Alcotest.test_case "error reasons and precedence" `Quick test_provjson_error_reasons;
         ] );
       ( "spade",
         [

@@ -307,7 +307,48 @@ let test_serve_texts_pinned () =
       (128, 11, "27b0da4749ff1506297fd23dea3d6350");
       (192, 12, "1b73088b62c711d207e6c2e06710c8a2");
       (256, 13, "eb71540e2a40202d924e9617aa1a5785");
+    ];
+  (* The daemon's exact input path: each graph crosses the wire as
+     PROV-JSON and is parsed back before the default backend runs. *)
+  let wire g =
+    match
+      Provmark.Match_op.parse_graph Provmark.Match_op.Provjson (Recorders.Provjson.to_string g)
+    with
+    | Ok g -> g
+    | Error m -> Alcotest.fail m
+  in
+  List.iter
+    (fun (nodes, seed, expected) ->
+      let a, b = Provgen.pair ~seed (Provgen.default_spec ~nodes) in
+      let text = Provmark.Match_op.run Provmark.Match_op.Generalize (wire a) (wire b) in
+      Alcotest.(check string)
+        (Printf.sprintf "%d nodes, seed %d, over PROV-JSON" nodes seed)
+        expected
+        (Digest.to_hex (Digest.string text)))
+    [
+      (128, 21, "2c67fa54ed5f8e40163b01d5c6979a72");
+      (128, 22, "6094ecf54fa7c34b1ef723bb52f5e697");
+      (128, 23, "58bf388cbb6008580e96731a5afca46a");
+      (192, 21, "3a1730c6a7f00b48e28b6bd5fd3e9b8f");
+      (192, 22, "86416495537f22bfefe27254f77c817c");
+      (192, 23, "27da24f26000a69f40c57e492e38d609");
+      (256, 21, "768078824d990e3e8a1af176b16c9e45");
+      (256, 22, "0a6645282599d3956c9b2f2eacba0ce1");
+      (256, 23, "54542b9e01c40743c758f49a5d969c7a");
     ]
+
+(* The canonical form of one request-sized graph: its digest and both
+   canonical orders, which the witness lines of every equal-digest pair
+   are read off. *)
+let test_canon_form_pinned () =
+  let g = Provgen.generate ~seed:31 (Provgen.default_spec ~nodes:256) in
+  match Canon.form g with
+  | None -> Alcotest.fail "no canonical form"
+  | Some f ->
+      let joined a = Digest.to_hex (Digest.string (String.concat "," (Array.to_list a))) in
+      Alcotest.(check string) "digest" "de6ff153c31842818b26e2b04d69cb1f" f.Canon.digest;
+      Alcotest.(check string) "node order" "02339c44671a319e29a30acb630b7570" (joined f.Canon.node_order);
+      Alcotest.(check string) "edge order" "cd868055ab43a013423a49ca55ed82df" (joined f.Canon.edge_order)
 
 let matching_view = function
   | None -> "none"
@@ -524,6 +565,8 @@ let () =
           Alcotest.test_case "serve texts at 128-256 nodes are pinned" `Quick
             test_serve_texts_pinned;
           Alcotest.test_case "pool runner equals sequential" `Quick test_pool_runner_deterministic;
+          Alcotest.test_case "canonical form of a 256-node graph is pinned" `Quick
+            test_canon_form_pinned;
         ] );
       ( "degradation",
         [

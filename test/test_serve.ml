@@ -373,6 +373,58 @@ let test_slow_loris_timeout () =
       let stats = call_ok endpoint stats_req in
       check_bool "timeout counted" true (int_member [ "timed_out" ] stats >= 1))
 
+(* Lines past the daemon's decode-on-worker size take the other route
+   to admission; each outcome must read as it does from a short line:
+   a 256-node PROV-JSON match answered byte for byte like
+   [Match_op.run], a long malformed line and a long ping answered by
+   the loop, and every slot given back. *)
+let test_long_lines_decoded_on_worker () =
+  with_daemon ~jobs:2 (fun endpoint ->
+      let a, b = Provgen.pair ~seed:41 (Provgen.default_spec ~nodes:256) in
+      let wire g = Recorders.Provjson.to_string g in
+      let parse text =
+        match Provmark.Match_op.parse_graph Provmark.Match_op.Provjson text with
+        | Ok g -> g
+        | Error m -> Alcotest.fail m
+      in
+      let expected =
+        Provmark.Match_op.run Provmark.Match_op.Generalize (parse (wire a)) (parse (wire b))
+      in
+      let request =
+        {
+          Protocol.id = Some "big";
+          op =
+            Protocol.Match
+              {
+                kind = Provmark.Match_op.Generalize;
+                format = Provmark.Match_op.Provjson;
+                a = wire a;
+                b = wire b;
+                m_backend = None;
+              };
+        }
+      in
+      let response = call_ok endpoint request in
+      check_string "match status" "ok" (Client.response_status response);
+      check_string "match output" expected (Client.response_output response);
+      let raw line =
+        with_raw_conn endpoint (fun fd ->
+            let line = line ^ "\n" in
+            ignore (Unix.write_substring fd line 0 (String.length line));
+            let buf = Bytes.create 65536 in
+            let n = Unix.read fd buf 0 (Bytes.length buf) in
+            Json.of_string (Bytes.sub_string buf 0 n))
+      in
+      let malformed = raw ("[" ^ String.make 20_000 ' ' ^ "nonsense") in
+      check_int "long malformed line" 400 (int_member [ "code" ] malformed);
+      let long_id = String.make 20_000 'p' in
+      let ping = raw (Printf.sprintf {|{"op":"ping","id":"%s"}|} long_id) in
+      check_string "long ping" "pong" (Client.response_output ping);
+      check_bool "long ping keeps its id" true (Json.member "id" ping = Json.String long_id);
+      let stats = call_ok endpoint stats_req in
+      check_int "one compute served" 1 (int_member [ "served" ] stats);
+      check_int "no slot left held" 0 (int_member [ "queue_depth" ] stats))
+
 let test_oversized_line_rejected () =
   let limits = { Daemon.default_limits with Daemon.max_line_bytes = 1024 } in
   with_daemon ~jobs:1 ~limits (fun endpoint ->
@@ -596,6 +648,8 @@ let () =
           Alcotest.test_case "match deadline" `Quick test_match_deadline;
           Alcotest.test_case "SIGTERM drains" `Slow test_sigterm_drains;
           Alcotest.test_case "breaker trips and shunts" `Slow test_breaker_trips_and_shunts;
+          Alcotest.test_case "long lines decoded on a worker" `Quick
+            test_long_lines_decoded_on_worker;
         ] );
       ( "coalescing",
         [ Alcotest.test_case "K concurrent solves, one compute" `Quick test_memo_coalescing ] );
