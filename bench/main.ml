@@ -1,14 +1,17 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   demonstration and evaluation sections (Sections 4 and 5).
+   demonstration and evaluation sections (Sections 4 and 5), and the
+   extensions EXPERIMENTS.md reports next to them.
 
-     dune exec bench/main.exe
+     dune exec bench/main.exe                  # every section
+     dune exec bench/main.exe -- ablations     # named sections only
 
    Absolute numbers differ from the paper (the substrate is a simulator,
    not the authors' testbed); the *shapes* are the reproduction targets:
    which tool records which call (Table 2), which structures they build
    (Table 3 / Figure 1), OPUS an order of magnitude slower to transform
    than SPADE/CamFlow (Figures 5-7), and the scalability trends
-   (Figures 8-10). *)
+   (Figures 8-10).  The library's own throughput and per-layer costs
+   are measured by perfbench/, not here. *)
 
 module Recorder = Recorders.Recorder
 module Result_ = Provmark.Result
@@ -547,959 +550,6 @@ let suite_parallel () =
   Asp.Memo.reset_stats ()
 
 (* ------------------------------------------------------------------ *)
-(* match-scale: the matching pipeline on synthetic graph pairs          *)
-(* ------------------------------------------------------------------ *)
-
-(* Section merging lives in Bench_gen.json_update_file so the tests can
-   reuse the same discipline; these are just the bench-local spellings. *)
-let bench_json_update_in file key value =
-  Provmark.Bench_gen.json_update_file ~file ~key value
-
-let bench_json_update key value = bench_json_update_in "BENCH_match_scale.json" key value
-
-(* Sweeps Bench_gen.match_pair over node counts and, for each prune
-   setting, grounds and solves the similarity and generalization
-   instances with per-stage timing, grounded-atom counts and solver
-   effort counters.  Writes BENCH_match_scale.json next to the cwd so
-   CI can archive the trend. *)
-let match_scale_rows ~sizes =
-  let tasks =
-    [
-      ("similarity", Gmatch.Asp_backend.Similarity, false);
-      ("generalization", Gmatch.Asp_backend.Generalization, true);
-    ]
-  in
-  List.concat_map
-    (fun nodes ->
-      let g1, g2 = Provmark.Bench_gen.match_pair ~nodes ~seed:(41 + nodes) in
-      List.concat_map
-        (fun (task_name, task, find_optimal) ->
-          List.map
-            (fun pruned ->
-              let (program, facts), t_prepare =
-                timed (fun () -> Gmatch.Asp_backend.instance ~prune:pruned task g1 g2)
-              in
-              let rules = Asp.Parser.parse_program program in
-              let ground, t_ground = timed (fun () -> Asp.Ground.ground rules facts) in
-              let h_atoms =
-                List.length (Asp.Ground.atoms_with_pred ground Asp.Listings.matching_predicate)
-              in
-              Asp.Solver.reset_stats ();
-              let outcome, t_solve = timed (fun () -> Asp.Solver.solve ~find_optimal ground) in
-              let stats = Asp.Solver.stats () in
-              let status, cost =
-                match outcome with
-                | Asp.Solver.Model { cost; _ } -> ("model", cost)
-                | Asp.Solver.Unsat -> ("unsat", -1)
-                | Asp.Solver.Unknown -> ("unknown", -1)
-              in
-              ( nodes,
-                task_name,
-                pruned,
-                t_prepare +. t_ground,
-                t_solve,
-                ground.Asp.Ground.atom_count,
-                h_atoms,
-                stats.Asp.Solver.propagations,
-                stats.Asp.Solver.decisions,
-                status,
-                cost ))
-            [ false; true ])
-        tasks)
-    sizes
-
-let match_scale_run ~sizes =
-  section "match-scale: matching pipeline on synthetic graph pairs (pruned vs unpruned)";
-  let rows = match_scale_rows ~sizes in
-  Printf.printf "%-6s %-15s %-8s %10s %10s %8s %8s %12s %10s %-8s %s\n" "nodes" "task" "pruned"
-    "ground(s)" "solve(s)" "atoms" "h-atoms" "propagations" "decisions" "status" "cost";
-  List.iter
-    (fun (nodes, task, pruned, tg, ts, atoms, h, props, decs, status, cost) ->
-      Printf.printf "%-6d %-15s %-8b %10.4f %10.4f %8d %8d %12d %10d %-8s %d\n" nodes task
-        pruned tg ts atoms h props decs status cost)
-    rows;
-  (* The headline acceptance number: pruning must shrink the grounded
-     h/2 search space at every size. *)
-  List.iter
-    (fun (nodes, task, pruned, _, _, _, h, _, _, _, _) ->
-      if (not pruned) && task = "generalization" then
-        let pruned_h =
-          List.find_map
-            (fun (n', t', p', _, _, _, h', _, _, _, _) ->
-              if n' = nodes && t' = task && p' then Some h' else None)
-            rows
-        in
-        match pruned_h with
-        | Some h' ->
-            Printf.printf "h-atom reduction at %d nodes: %d -> %d (%.1fx)\n" nodes h h'
-              (float_of_int h /. float_of_int (max 1 h'))
-        | None -> ())
-    rows;
-  bench_json_update "rows"
-    (Minijson.Json.Array
-       (List.map
-          (fun (nodes, task, pruned, tg, ts, atoms, h, props, decs, status, cost) ->
-            Minijson.Json.Object
-              [
-                ("nodes", Minijson.Json.Number (float_of_int nodes));
-                ("task", Minijson.Json.String task);
-                ("pruned", Minijson.Json.Bool pruned);
-                ("ground_s", Minijson.Json.Number tg);
-                ("solve_s", Minijson.Json.Number ts);
-                ("atoms", Minijson.Json.Number (float_of_int atoms));
-                ("h_atoms", Minijson.Json.Number (float_of_int h));
-                ("propagations", Minijson.Json.Number (float_of_int props));
-                ("decisions", Minijson.Json.Number (float_of_int decs));
-                ("status", Minijson.Json.String status);
-                ("cost", Minijson.Json.Number (float_of_int cost));
-              ])
-          rows))
-
-let match_scale () = match_scale_run ~sizes:[ 4; 6; 8; 10; 12 ]
-let match_scale_quick () = match_scale_run ~sizes:[ 4; 6; 8 ]
-
-(* ------------------------------------------------------------------ *)
-(* canon: the canonical-form fast path                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Two measurements per node count:
-   - bypass: an isomorphic (purely renamed) pair solved cold through
-     the ASP backend vs decided by canonical digest (including the
-     cost of computing both forms from a cleared cache);
-   - rename-invariant memo: a property-perturbed pair (cost > 0, so the
-     bypass cannot answer it) solved once and then re-solved under
-     fresh names — canonical instance keys hit, raw keys miss. *)
-let canon_run ~sizes =
-  section "canon: canonical-form fast path (solver bypass, rename-invariant memo)";
-  (* The solve memo stays out of the timed solves; the memo rows turn it
-     on explicitly. *)
-  let no_memo canon = { Gmatch.Match_opts.default with canon; memo = false } in
-  let cost = function
-    | None -> -1
-    | Some (m : Gmatch.Matching.t) -> m.Gmatch.Matching.cost
-  in
-  Printf.printf "%-6s %12s %12s %10s\n" "nodes" "cold(s)" "bypass(s)" "speedup";
-  let bypass_rows =
-    List.map
-      (fun nodes ->
-        let g1, _ = Provmark.Bench_gen.match_pair ~nodes ~seed:(41 + nodes) in
-        let g2 = Pgraph.Graph.map_ids (fun id -> "r:" ^ id) g1 in
-        (* Best of three: sub-millisecond timings at the small sizes
-           are dominated by allocator noise otherwise.  The canon
-           cache is cleared before every bypass run, so its timing
-           always includes computing both canonical forms. *)
-        let best_of f =
-          let vt = List.init 3 (fun _ -> timed f) in
-          (fst (List.hd vt), List.fold_left (fun acc (_, t) -> Float.min acc t) infinity vt)
-        in
-        let cold, t_cold =
-          best_of (fun () ->
-              Gmatch.Engine.generalization_matching ~opts:(no_memo false)
-                ~backend:Gmatch.Engine.Asp g1 g2)
-        in
-        let fast, t_fast =
-          best_of (fun () ->
-              Pgraph.Canon.clear ();
-              Gmatch.Engine.generalization_matching ~opts:(no_memo true)
-                ~backend:Gmatch.Engine.Asp g1 g2)
-        in
-        if cost cold <> cost fast then
-          failwith "canon bench: bypass disagrees with cold solve";
-        let speedup = t_cold /. Float.max 1e-9 t_fast in
-        Printf.printf "%-6d %12.5f %12.6f %9.1fx\n" nodes t_cold t_fast speedup;
-        (nodes, t_cold, t_fast, speedup))
-      sizes
-  in
-  Printf.printf "\n%-6s %26s %26s\n" "nodes" "renamed hits (canon on)" "renamed hits (canon off)";
-  let memo_rows =
-    List.map
-      (fun nodes ->
-        let g1, g2 = Provmark.Bench_gen.match_pair ~nodes ~seed:(41 + nodes) in
-        let renamed p g = Pgraph.Graph.map_ids (fun id -> p ^ id) g in
-        let hits canon =
-          let opts = { Gmatch.Match_opts.default with canon } in
-          Asp.Memo.clear ();
-          Asp.Memo.reset_stats ();
-          ignore (Gmatch.Asp_backend.iso_min_cost ~opts g1 g2);
-          ignore (Gmatch.Asp_backend.iso_min_cost ~opts (renamed "a:" g1) (renamed "b:" g2));
-          match List.assoc_opt "generalization" (Asp.Memo.stats ()) with
-          | Some s -> s.Asp.Memo.hits
-          | None -> 0
-        in
-        let h_on = hits true and h_off = hits false in
-        Printf.printf "%-6d %26d %26d\n" nodes h_on h_off;
-        (nodes, h_on, h_off))
-      sizes
-  in
-  let num f = Minijson.Json.Number f in
-  let int_j n = num (float_of_int n) in
-  bench_json_update "canon"
-    (Minijson.Json.Object
-       [
-         ( "bypass",
-           Minijson.Json.Array
-             (List.map
-                (fun (nodes, t_cold, t_fast, speedup) ->
-                  Minijson.Json.Object
-                    [
-                      ("nodes", int_j nodes);
-                      ("cold_solve_s", num t_cold);
-                      ("canon_bypass_s", num t_fast);
-                      ("speedup", num speedup);
-                    ])
-                bypass_rows) );
-         ( "memo",
-           Minijson.Json.Array
-             (List.map
-                (fun (nodes, h_on, h_off) ->
-                  Minijson.Json.Object
-                    [
-                      ("nodes", int_j nodes);
-                      ("renamed_hits_canon_on", int_j h_on);
-                      ("renamed_hits_canon_off", int_j h_off);
-                    ])
-                memo_rows) );
-       ]);
-  Asp.Memo.clear ();
-  Asp.Memo.reset_stats ()
-
-let canon_bench () = canon_run ~sizes:[ 4; 6; 8; 10; 12 ]
-let canon_quick () = canon_run ~sizes:[ 4; 8; 12 ]
-
-(* ------------------------------------------------------------------ *)
-(* corpus-scale: pipeline stage costs on ProvGen graphs past the        *)
-(* match-scale sweep's 12 nodes                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Where do the stage costs diverge as the target grows?  match-scale
-   stops at 12 nodes because it *solves*; this sweep grounds the
-   (pruned) similarity instance, measures the per-graph stage costs
-   around it — fingerprint, canonical form, serialization, the
-   PROV-JSON parse and the artifact-store write — on generator pairs up to
-   two orders of magnitude larger, and then actually *matches* each
-   pair through the segmented pruned-ASP path: the whole instance is
-   never solved, only the plan's segments are, so grounded-atom counts
-   per solve are bounded by the largest segment rather than the pair. *)
-type corpus_row = {
-  cr_nodes : int;
-  cr_edges : int;
-  cr_generate_s : float;
-  cr_fingerprint_s : float;
-  cr_canon_s : float;
-  cr_ground_s : float;
-  cr_atoms : int;
-  cr_serialize_s : float;
-  cr_parse_s : float;
-  cr_store_s : float;
-  cr_match_s : float;
-  cr_match_ok : bool;
-  cr_propagations : int;
-  cr_decisions : int;
-  cr_segments : int;
-  cr_max_segment_nodes : int;
-  cr_segment_atoms : int;  (** largest per-segment grounded instance *)
-}
-
-let corpus_scale_run ~sizes =
-  section "corpus-scale: stage costs on ProvGen graphs (fingerprint/canon/ground/parse/store/match)";
-  let store_dir = Filename.concat (Filename.get_temp_dir_name ()) "provmark-bench-store" in
-  let store = Provmark.Artifact_store.create ~dir:store_dir in
-  (* The match column: floor at zero so every size decomposes (no pair
-     is ever solved whole), canon off so the digest bypass cannot
-     answer without solving. *)
-  let match_opts = { Gmatch.Match_opts.default with canon = false; segment_min_nodes = Some 0 } in
-  let rows =
-    List.map
-      (fun nodes ->
-        let spec = Pgraph.Provgen.default_spec ~nodes in
-        let (g1, g2), t_generate =
-          timed (fun () -> Pgraph.Provgen.match_pair ~seed:(41 + nodes) spec)
-        in
-        let _, t_fingerprint = timed (fun () -> Pgraph.Fingerprint.of_graph g1) in
-        Pgraph.Canon.clear ();
-        let _, t_canon = timed (fun () -> Pgraph.Canon.digest g1) in
-        let (program, facts), t_instance =
-          timed (fun () -> Gmatch.Asp_backend.instance Gmatch.Asp_backend.Similarity g1 g2)
-        in
-        let rules = Asp.Parser.parse_program program in
-        let ground, t_ground = timed (fun () -> Asp.Ground.ground rules facts) in
-        let text, t_serialize = timed (fun () -> Recorders.Provjson.to_string g1) in
-        let _, t_parse = timed (fun () -> Recorders.Provjson.of_string text) in
-        let key =
-          Provmark.Artifact_store.generated_input_key ~generator:"bench"
-            ~spec:(Pgraph.Provgen.spec_to_string spec) ~seed:(41 + nodes) ~run:1
-            ~format:"provjson"
-        in
-        let _, t_store = timed (fun () -> Provmark.Artifact_store.write store ~stage:"corpus" ~key text) in
-        (* Plan the pair to size the per-segment grounded instances
-           (the bound the segmented solver actually pays), then run
-           the segmented pruned-ASP similarity match. *)
-        let segments, max_segment_nodes, segment_atoms =
-          match Pgraph.Summarize.plan g1 g2 with
-          | Pgraph.Summarize.Segmented p ->
-              let seg_atoms =
-                List.fold_left
-                  (fun acc (s : Pgraph.Summarize.segment) ->
-                    let program, facts =
-                      Gmatch.Asp_backend.instance Gmatch.Asp_backend.Similarity
-                        s.Pgraph.Summarize.left s.Pgraph.Summarize.right
-                    in
-                    let rules = Asp.Parser.parse_program program in
-                    max acc (Asp.Ground.ground rules facts).Asp.Ground.atom_count)
-                  0 p.Pgraph.Summarize.segments
-              in
-              ( List.length p.Pgraph.Summarize.segments,
-                Pgraph.Summarize.max_segment_nodes p,
-                seg_atoms )
-          | Pgraph.Summarize.Whole | Pgraph.Summarize.Mismatch ->
-              (0, Pgraph.Graph.node_count g1, ground.Asp.Ground.atom_count)
-        in
-        Asp.Solver.reset_stats ();
-        let ok, t_match =
-          timed (fun () -> Gmatch.Engine.similar ~opts:match_opts ~backend:Gmatch.Engine.Asp g1 g2)
-        in
-        let sstats = Asp.Solver.stats () in
-        {
-          cr_nodes = nodes;
-          cr_edges = Pgraph.Graph.edge_count g1;
-          cr_generate_s = t_generate;
-          cr_fingerprint_s = t_fingerprint;
-          cr_canon_s = t_canon;
-          cr_ground_s = t_instance +. t_ground;
-          cr_atoms = ground.Asp.Ground.atom_count;
-          cr_serialize_s = t_serialize;
-          cr_parse_s = t_parse;
-          cr_store_s = t_store;
-          cr_match_s = t_match;
-          cr_match_ok = ok;
-          cr_propagations = sstats.Asp.Solver.propagations;
-          cr_decisions = sstats.Asp.Solver.decisions;
-          cr_segments = segments;
-          cr_max_segment_nodes = max_segment_nodes;
-          cr_segment_atoms = segment_atoms;
-        })
-      sizes
-  in
-  Printf.printf "%-6s %-7s %10s %10s %10s %9s %10s %10s %8s %6s %8s %9s %12s %10s\n" "nodes"
-    "edges" "gen(s)" "fp(s)" "ground(s)" "atoms" "parse(s)" "match(s)" "segs" "maxseg"
-    "segatoms" "ok" "propagations" "decisions";
-  List.iter
-    (fun r ->
-      Printf.printf "%-6d %-7d %10.4f %10.4f %10.4f %9d %10.4f %10.4f %8d %6d %8d %9b %12d %10d\n"
-        r.cr_nodes r.cr_edges r.cr_generate_s r.cr_fingerprint_s r.cr_ground_s r.cr_atoms
-        r.cr_parse_s r.cr_match_s r.cr_segments r.cr_max_segment_nodes
-        r.cr_segment_atoms r.cr_match_ok r.cr_propagations r.cr_decisions)
-    rows;
-  let num f = Minijson.Json.Number f in
-  bench_json_update "scale"
-    (Minijson.Json.Array
-       (List.map
-          (fun r ->
-            Minijson.Json.Object
-              [
-                ("nodes", num (float_of_int r.cr_nodes));
-                ("edges", num (float_of_int r.cr_edges));
-                ("generate_s", num r.cr_generate_s);
-                ("fingerprint_s", num r.cr_fingerprint_s);
-                ("canon_s", num r.cr_canon_s);
-                ("ground_s", num r.cr_ground_s);
-                ("atoms", num (float_of_int r.cr_atoms));
-                ("serialize_s", num r.cr_serialize_s);
-                ("parse_s", num r.cr_parse_s);
-                ("store_write_s", num r.cr_store_s);
-                ("match_s", num r.cr_match_s);
-                ("match_ok", Minijson.Json.Bool r.cr_match_ok);
-                ("propagations", num (float_of_int r.cr_propagations));
-                ("decisions", num (float_of_int r.cr_decisions));
-                ("segments", num (float_of_int r.cr_segments));
-                ("max_segment_nodes", num (float_of_int r.cr_max_segment_nodes));
-                ("segment_atoms", num (float_of_int r.cr_segment_atoms));
-              ])
-          rows))
-
-let corpus_scale () = corpus_scale_run ~sizes:[ 16; 32; 64; 128; 256; 512 ]
-let corpus_scale_quick () = corpus_scale_run ~sizes:[ 16; 32; 64 ]
-
-(* ------------------------------------------------------------------ *)
-(* segment: the hierarchical matching prepass in isolation              *)
-(* ------------------------------------------------------------------ *)
-
-(* How far does the quotient prepass carry the exact matcher?  For each
-   size the ProvGen match pair is planned, every segment's
-   generalization instance is ground separately (the whole-pair
-   grounding is the baseline the decomposition is supposed to beat —
-   measured only while it stays tractable), and the full segmented
-   optimal solve — per-segment ASP solves stitched into one verified
-   whole-graph witness — is timed with solver-effort counters. *)
-let segment_run ~sizes =
-  section "segment: hierarchical matching prepass (quotient plan, per-segment grounding, stitched ASP solve)";
-  (* canon off: the digest bypass would answer these pairs without ever
-     reaching the solver *)
-  let opts = { Gmatch.Match_opts.default with canon = false; segment_min_nodes = Some 0 } in
-  let rows =
-    List.map
-      (fun nodes ->
-        let spec = Pgraph.Provgen.default_spec ~nodes in
-        let g1, g2 = Pgraph.Provgen.match_pair ~seed:(41 + nodes) spec in
-        let outcome, t_plan = timed (fun () -> Pgraph.Summarize.plan g1 g2) in
-        let forced, nsegs, pieces, maxseg, frontier, seg_atoms_sum, seg_atoms_max, t_seg_ground
-            =
-          match outcome with
-          | Pgraph.Summarize.Segmented p ->
-              let atoms, t =
-                timed (fun () ->
-                    List.map
-                      (fun (s : Pgraph.Summarize.segment) ->
-                        let program, facts =
-                          Gmatch.Asp_backend.instance Gmatch.Asp_backend.Generalization
-                            s.Pgraph.Summarize.left s.Pgraph.Summarize.right
-                        in
-                        let rules = Asp.Parser.parse_program program in
-                        (Asp.Ground.ground rules facts).Asp.Ground.atom_count)
-                      p.Pgraph.Summarize.segments)
-              in
-              ( List.length p.Pgraph.Summarize.forced_nodes,
-                List.length p.Pgraph.Summarize.segments,
-                List.fold_left
-                  (fun a (s : Pgraph.Summarize.segment) -> a + s.Pgraph.Summarize.pieces)
-                  0 p.Pgraph.Summarize.segments,
-                Pgraph.Summarize.max_segment_nodes p,
-                p.Pgraph.Summarize.frontier_edges,
-                List.fold_left ( + ) 0 atoms,
-                List.fold_left max 0 atoms,
-                t )
-          | Pgraph.Summarize.Whole ->
-              (0, 0, 0, Pgraph.Graph.node_count g1, 0, 0, 0, 0.)
-          | Pgraph.Summarize.Mismatch -> (0, 0, 0, 0, 0, 0, 0, 0.)
-        in
-        (* the avoided cost: grounding the whole generalization
-           instance, which past 256 nodes stops being bench-friendly *)
-        let whole_atoms, t_whole_ground =
-          if nodes <= 256 then
-            let program, facts =
-              Gmatch.Asp_backend.instance Gmatch.Asp_backend.Generalization g1 g2
-            in
-            let rules = Asp.Parser.parse_program program in
-            let ground, t = timed (fun () -> Asp.Ground.ground rules facts) in
-            (ground.Asp.Ground.atom_count, t)
-          else (-1, -1.)
-        in
-        Asp.Solver.reset_stats ();
-        Gmatch.Engine.reset_segment_stats ();
-        let m, t_solve =
-          timed (fun () ->
-              Gmatch.Engine.generalization_matching ~opts ~backend:Gmatch.Engine.Asp g1 g2)
-        in
-        let stats = Asp.Solver.stats () in
-        let solves = Gmatch.Engine.segment_solves () in
-        let status, cost =
-          match m with
-          | Some m -> ("model", m.Gmatch.Matching.cost)
-          | None -> ("none", -1)
-        in
-        ( nodes,
-          t_plan,
-          forced,
-          nsegs,
-          pieces,
-          maxseg,
-          frontier,
-          seg_atoms_sum,
-          seg_atoms_max,
-          t_seg_ground,
-          whole_atoms,
-          t_whole_ground,
-          t_solve,
-          solves,
-          stats.Asp.Solver.propagations,
-          stats.Asp.Solver.decisions,
-          status,
-          cost ))
-      sizes
-  in
-  Printf.printf "%-6s %8s %7s %5s %7s %7s %9s %10s %10s %11s %10s %9s %7s %12s %10s %-6s %s\n"
-    "nodes" "plan(s)" "forced" "segs" "pieces" "maxseg" "segatoms" "maxsegat" "wholeat"
-    "segground(s)" "solve(s)" "segsolve" "frontier" "propagations" "decisions" "status" "cost";
-  List.iter
-    (fun (nodes, tp, forced, nsegs, pieces, maxseg, frontier, sa, sam, tsg, wa, _twg, ts, solves,
-          props, decs, status, cost) ->
-      Printf.printf "%-6d %8.4f %7d %5d %7d %7d %9d %10d %10d %11.4f %10.4f %9d %7d %12d %10d %-6s %d\n"
-        nodes tp forced nsegs pieces maxseg sa sam wa tsg ts solves frontier props decs status cost)
-    rows;
-  let num f = Minijson.Json.Number f in
-  bench_json_update "segment"
-    (Minijson.Json.Array
-       (List.map
-          (fun (nodes, tp, forced, nsegs, pieces, maxseg, frontier, sa, sam, tsg, wa, twg, ts,
-                solves, props, decs, status, cost) ->
-            Minijson.Json.Object
-              [
-                ("nodes", num (float_of_int nodes));
-                ("plan_s", num tp);
-                ("forced_nodes", num (float_of_int forced));
-                ("segments", num (float_of_int nsegs));
-                ("pieces", num (float_of_int pieces));
-                ("max_segment_nodes", num (float_of_int maxseg));
-                ("frontier_edges", num (float_of_int frontier));
-                ("segment_atoms_sum", num (float_of_int sa));
-                ("segment_atoms_max", num (float_of_int sam));
-                ("segment_ground_s", num tsg);
-                ("whole_atoms", num (float_of_int wa));
-                ("whole_ground_s", num twg);
-                ("solve_s", num ts);
-                ("segment_solves", num (float_of_int solves));
-                ("propagations", num (float_of_int props));
-                ("decisions", num (float_of_int decs));
-                ("status", Minijson.Json.String status);
-                ("cost", num (float_of_int cost));
-              ])
-          rows))
-
-let segment_bench () = segment_run ~sizes:[ 128; 256; 512; 1024 ]
-let segment_quick () = segment_run ~sizes:[ 64; 128 ]
-
-(* ------------------------------------------------------------------ *)
-(* planner: the native cascade's delta re-solve fast path              *)
-(* ------------------------------------------------------------------ *)
-
-(* Canon stays on and the leg replays transient-only trials of one
-   structure — the serve daemon's steady-state shape — comparing cold
-   solves (VF2 called directly, and the incremental backend) against
-   the [direct] backend's cascade, whose delta path certifies trial 1
-   with the rigidity refinement and lets trials 2..N ride the cached
-   verdict.  Pairs at or above the segmentation threshold skip delta
-   and take the segment plan instead.  It merges one [planner] object
-   into BENCH_match_scale.json: per-size rows plus the global delta
-   hit rate. *)
-let planner_run ~sizes =
-  section "planner: the direct cascade's delta re-solve vs cold solves";
-  let num f = Minijson.Json.Number f in
-  Gmatch.Incremental.reset_delta ();
-  let gen_rows =
-    List.map
-      (fun nodes ->
-        let g = Provmark.Bench_gen.rigid_trace ~nodes ~seed:(41 + nodes) in
-        let trial k = Provmark.Bench_gen.transient_variant ~seed:(1000 + (nodes * 17) + k) g in
-        let trials = 5 in
-        let cold solve =
-          let total = ref 0. in
-          for k = 1 to trials do
-            let v = trial k in
-            let m, t = timed (fun () -> solve g v) in
-            ignore m;
-            total := !total +. t
-          done;
-          !total /. float_of_int trials
-        in
-        let t_vf2 = cold Gmatch.Vf2.iso_min_cost in
-        let t_incr =
-          cold (Gmatch.Engine.generalization_matching ~backend:Gmatch.Engine.Incremental)
-        in
-        Gmatch.Incremental.reset_delta ();
-        let cascade k =
-          snd
-            (timed (fun () ->
-                 Gmatch.Engine.generalization_matching ~backend:Gmatch.Engine.Direct g (trial k)))
-        in
-        let t_first = cascade 1 in
-        let t_warm =
-          let total = ref 0. in
-          for k = 2 to trials do
-            total := !total +. cascade k
-          done;
-          !total /. float_of_int (trials - 1)
-        in
-        let certified, fallbacks, cache_hits = Gmatch.Incremental.delta_stats () in
-        let best_cold = Float.min t_vf2 t_incr in
-        let speedup = if t_warm > 0. then best_cold /. t_warm else 0. in
-        (* the acceptance ratio: warm delta trials vs a cold solve
-           of the same pair (trial 1 pays the rigidity refinement,
-           trials 2..N ride the cached verdict) *)
-        let cold_over_warm = if t_warm > 0. then t_first /. t_warm else 0. in
-        (nodes, t_vf2, t_incr, t_first, t_warm, speedup, cold_over_warm, certified, fallbacks,
-         cache_hits))
-      sizes
-  in
-  Printf.printf "generalization: transient-only trials (canon on, delta path live)\n";
-  Printf.printf "%-6s %12s %12s %12s %12s %9s %9s %9s %9s %9s\n" "nodes" "vf2(s)" "incr(s)"
-    "direct1(s)" "directN(s)" "speedup" "cold/warm" "certified" "fallback" "cachehit";
-  List.iter
-    (fun (nodes, tv, ti, tf, tw, sp, cw, cert, fall, hits) ->
-      Printf.printf "%-6d %12.6f %12.6f %12.6f %12.6f %9.1f %9.1f %9d %9d %9d\n" nodes tv ti tf
-        tw sp cw cert fall hits)
-    gen_rows;
-  let d_cert = List.fold_left (fun a (_, _, _, _, _, _, _, c, _, _) -> a + c) 0 gen_rows in
-  let d_fall = List.fold_left (fun a (_, _, _, _, _, _, _, _, f, _) -> a + f) 0 gen_rows in
-  let hit_rate =
-    if d_cert + d_fall > 0 then float_of_int d_cert /. float_of_int (d_cert + d_fall) else 0.
-  in
-  Printf.printf "\ndelta certified %d, fallbacks %d (hit rate %.3f)\n" d_cert d_fall hit_rate;
-  bench_json_update "planner"
-    (Minijson.Json.Object
-       [
-         ( "generalization",
-           Minijson.Json.Array
-             (List.map
-                (fun (nodes, tv, ti, tf, tw, sp, cw, cert, fall, hits) ->
-                  Minijson.Json.Object
-                    [
-                      ("nodes", num (float_of_int nodes));
-                      ("vf2_s", num tv);
-                      ("incremental_s", num ti);
-                      ("direct_first_s", num tf);
-                      ("direct_warm_s", num tw);
-                      ("delta_speedup", num sp);
-                      ("delta_cold_over_warm", num cw);
-                      ("delta_certified", num (float_of_int cert));
-                      ("delta_fallbacks", num (float_of_int fall));
-                      ("delta_cache_hits", num (float_of_int hits));
-                    ])
-                gen_rows) );
-         ("delta_certified", num (float_of_int d_cert));
-         ("delta_fallbacks", num (float_of_int d_fall));
-         ("delta_hit_rate", num hit_rate);
-       ])
-
-let planner_bench () = planner_run ~sizes:[ 32; 48; 128 ]
-let planner_quick () = planner_run ~sizes:[ 16; 32; 64 ]
-
-(* ------------------------------------------------------------------ *)
-(* serve-load: concurrent clients against a warm serve daemon          *)
-(* ------------------------------------------------------------------ *)
-
-(* Drives an in-process daemon over a temp Unix socket with N client
-   domains issuing benchmark requests back to back, and measures
-   per-request wall latency plus aggregate throughput.  Two passes over
-   the same request set separate the cold cost (first solves populate
-   the memo/canon caches) from the warm steady state the daemon exists
-   for; a third pass replays the warm set through the wire-level chaos
-   driver under a fixed-seed socket fault plan, so BENCH_serve.json
-   also records how much throughput survives sick clients.  Results
-   merge into BENCH_serve.json. *)
-
-(* The fixed-seed socket plan shared by the faulted serve-load phase
-   and the serve-chaos section: deterministic per site, moderate rates
-   so most requests still complete. *)
-let serve_socket_plan =
-  match
-    Faults.Plan.of_string
-      "seed=11,socket.stall=0.1,socket.torn=0.2,socket.disconnect=0.1,socket.shortwrite=0.2"
-  with
-  | Ok p -> p
-  | Error msg -> failwith msg
-
-let serve_load_run ~clients ~per_client () =
-  section
-    (Printf.sprintf "serve-load: %d concurrent clients x %d requests against provmark serve"
-       clients per_client);
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "provmark_bench_serve_%d.sock" (Unix.getpid ()))
-  in
-  let endpoint = Serve.Protocol.Unix_socket sock in
-  let jobs = 4 in
-  let ready = Atomic.make false in
-  let daemon =
-    Domain.spawn (fun () ->
-        Serve.Daemon.run
-          ~on_ready:(fun () -> Atomic.set ready true)
-          {
-            Serve.Daemon.endpoint;
-            jobs;
-            queue_bound = 4 * clients * per_client;
-            store = None;
-            trace = None;
-            opts = Gmatch.Match_opts.default;
-            (* A short idle timeout keeps the stalled-read faults of the
-               faulted phase from dominating its wall clock. *)
-            limits =
-              { Serve.Daemon.default_limits with idle_timeout_s = Some 1.0 };
-          })
-  in
-  while not (Atomic.get ready) do
-    Domain.cpu_relax ()
-  done;
-  let names = Array.of_list (Provmark.Bench_registry.names ()) in
-  let request c i =
-    {
-      Serve.Protocol.id = None;
-      op =
-        Serve.Protocol.Benchmark
-          {
-            tool = Recorder.Spade;
-            syscall = names.(((c * per_client) + i) mod Array.length names);
-            trials = None;
-            seed = 1;
-            backend = Gmatch.Engine.default_backend;
-            result_type = "rb";
-          };
-    }
-  in
-  let measure label worker =
-    let t0 = Provmark.Trace_span.now_s () in
-    let domains = List.init clients (fun c -> Domain.spawn (worker c)) in
-    let latencies = List.concat_map Domain.join domains in
-    let wall = Provmark.Trace_span.now_s () -. t0 in
-    let n = List.length latencies in
-    let sorted = Array.of_list (List.sort compare latencies) in
-    let pct p = sorted.(min (n - 1) (n * p / 100)) in
-    let rps = float_of_int n /. wall in
-    Printf.printf "%-7s %8.1f req/s   p50 %7.2f ms   p99 %7.2f ms   (%d requests, %.2fs)\n"
-      label rps
-      (1000. *. pct 50)
-      (1000. *. pct 99)
-      n wall;
-    (label, n, wall, rps, pct 50, pct 99)
-  in
-  let phase label =
-    measure label (fun c () ->
-        Serve.Client.with_connection endpoint (fun conn ->
-            List.init per_client (fun i ->
-                let s = Provmark.Trace_span.now_s () in
-                (match Serve.Client.call conn (request c i) with
-                | Ok r when String.equal (Serve.Client.response_status r) "ok" -> ()
-                | Ok r -> failwith ("error response: " ^ Minijson.Json.to_string r)
-                | Error msg -> failwith msg);
-                Provmark.Trace_span.now_s () -. s)))
-  in
-  let cold = phase "cold" in
-  let warm = phase "warm" in
-  (* Faulted pass: the warm request set replayed through the wire-level
-     chaos driver, one fresh connection per request, under the fixed
-     socket plan.  Stalled sends resolve as the daemon's structured 408,
-     deliberate disconnects yield no response by design; every other
-     request must still answer ok. *)
-  Faults.Injector.set_plan (Some serve_socket_plan);
-  let ok = Atomic.make 0 and timed_out = Atomic.make 0 and dropped = Atomic.make 0 in
-  let faulted =
-    measure "faulted" (fun c () ->
-        List.init per_client (fun i ->
-            let s = Provmark.Trace_span.now_s () in
-            (match
-               Serve.Client.chaos_call
-                 ~site:(Printf.sprintf "bench/c%d/r%d" c i)
-                 endpoint (request c i)
-             with
-            | Serve.Client.Response r
-              when String.equal (Serve.Client.response_status r) "ok" ->
-                Atomic.incr ok
-            | Serve.Client.Response r when Serve.Client.response_error r = Some "timeout" ->
-                Atomic.incr timed_out
-            | Serve.Client.Response r ->
-                failwith ("error response: " ^ Minijson.Json.to_string r)
-            | Serve.Client.No_response _ -> Atomic.incr dropped);
-            Provmark.Trace_span.now_s () -. s))
-  in
-  Faults.Injector.set_plan None;
-  Printf.printf "        faulted outcomes: %d ok, %d timed out, %d dropped\n"
-    (Atomic.get ok) (Atomic.get timed_out) (Atomic.get dropped);
-  let stats =
-    Serve.Client.with_connection endpoint (fun c ->
-        match Serve.Client.call c { Serve.Protocol.id = None; op = Serve.Protocol.Stats } with
-        | Ok json -> json
-        | Error msg -> failwith msg)
-  in
-  (try
-     Serve.Client.with_connection endpoint (fun c ->
-         ignore (Serve.Client.call c { Serve.Protocol.id = None; op = Serve.Protocol.Shutdown }))
-   with Unix.Unix_error _ -> ());
-  ignore (Domain.join daemon);
-  let num f = Minijson.Json.Number f in
-  let phase_json ?(extra = []) (label, n, wall, rps, p50, p99) =
-    Minijson.Json.Object
-      ([
-         ("phase", Minijson.Json.String label);
-         ("requests", num (float_of_int n));
-         ("wall_s", num wall);
-         ("req_per_s", num rps);
-         ("p50_ms", num (1000. *. p50));
-         ("p99_ms", num (1000. *. p99));
-       ]
-      @ extra)
-  in
-  let faulted_extra =
-    [
-      ("plan", Minijson.Json.String (Faults.Plan.to_string serve_socket_plan));
-      ("ok", num (float_of_int (Atomic.get ok)));
-      ("timed_out", num (float_of_int (Atomic.get timed_out)));
-      ("dropped", num (float_of_int (Atomic.get dropped)));
-    ]
-  in
-  bench_json_update_in "BENCH_serve.json" "serve-load"
-    (Minijson.Json.Object
-       [
-         ("clients", num (float_of_int clients));
-         ("requests_per_client", num (float_of_int per_client));
-         ("jobs", num (float_of_int jobs));
-         ( "phases",
-           Minijson.Json.Array
-             [ phase_json cold; phase_json warm; phase_json ~extra:faulted_extra faulted ] );
-         ("memo", Minijson.Json.member "memo" stats);
-         ("canon_skips", Minijson.Json.member "canon_skips" stats);
-         ("served", Minijson.Json.member "served" stats);
-       ])
-
-let serve_load () = serve_load_run ~clients:8 ~per_client:12 ()
-let serve_load_quick () = serve_load_run ~clients:4 ~per_client:4 ()
-
-(* ------------------------------------------------------------------ *)
-(* serve-chaos: fixed-seed socket faults against a live daemon         *)
-(* ------------------------------------------------------------------ *)
-
-(* The chaos gauntlet the CI job runs: 8 concurrent clients abuse an
-   in-process daemon under the fixed-seed socket plan, and the section
-   asserts the robustness contract rather than just measuring it —
-   every unfaulted/torn/short-write response byte-identical to a clean
-   call, no crash, and a mid-load SIGTERM that drains and returns
-   within its budget. *)
-let serve_chaos () =
-  section "serve-chaos: fixed-seed socket faults against a live daemon";
-  let clients = 8 and per_client = 6 in
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "provmark_bench_chaos_%d.sock" (Unix.getpid ()))
-  in
-  let endpoint = Serve.Protocol.Unix_socket sock in
-  let ready = Atomic.make false in
-  let daemon =
-    Domain.spawn (fun () ->
-        Serve.Daemon.run
-          ~on_ready:(fun () -> Atomic.set ready true)
-          {
-            Serve.Daemon.endpoint;
-            jobs = 4;
-            queue_bound = 4 * clients * per_client;
-            store = None;
-            trace = None;
-            opts = Gmatch.Match_opts.default;
-            limits =
-              {
-                Serve.Daemon.default_limits with
-                idle_timeout_s = Some 1.0;
-                drain_s = 10.0;
-              };
-          })
-  in
-  while not (Atomic.get ready) do
-    Domain.cpu_relax ()
-  done;
-  let names = Array.of_list (Provmark.Bench_registry.names ()) in
-  let syscall c i = names.(((c * per_client) + i) mod Array.length names) in
-  let request c i =
-    {
-      Serve.Protocol.id = None;
-      op =
-        Serve.Protocol.Benchmark
-          {
-            tool = Recorder.Spade;
-            syscall = syscall c i;
-            trials = None;
-            seed = 1;
-            backend = Gmatch.Engine.default_backend;
-            result_type = "rb";
-          };
-    }
-  in
-  (* The plan goes up before the reference pass: sharing one process
-     with the daemon means its workers also see the plan and append the
-     (all-zero, deterministic) fault-outcomes epilogue to every report,
-     so the reference must be rendered under the same plan to stay
-     byte-comparable.  An out-of-process daemon never sees a client's
-     plan — the CI job checks that byte-identity against provmark run.
-     Socket faults themselves are wire-only: the reference pass uses
-     plain calls and is untouched. *)
-  Faults.Injector.set_plan (Some serve_socket_plan);
-  (* Clean reference outputs, one per distinct request (also warms the
-     memo, so the chaos pass exercises the warm path CI measures). *)
-  let reference = Hashtbl.create 64 in
-  Serve.Client.with_connection endpoint (fun conn ->
-      for c = 0 to clients - 1 do
-        for i = 0 to per_client - 1 do
-          if not (Hashtbl.mem reference (syscall c i)) then
-            match Serve.Client.call conn (request c i) with
-            | Ok r when String.equal (Serve.Client.response_status r) "ok" ->
-                Hashtbl.add reference (syscall c i) (Serve.Client.response_output r)
-            | Ok r -> failwith ("reference request failed: " ^ Minijson.Json.to_string r)
-            | Error msg -> failwith msg
-        done
-      done);
-  (* The gauntlet: every request through the chaos driver.  A response
-     that claims ok must be byte-identical to the clean reference. *)
-  let ok = Atomic.make 0
-  and timed_out = Atomic.make 0
-  and dropped = Atomic.make 0
-  and mismatched = Atomic.make 0 in
-  let worker c () =
-    for i = 0 to per_client - 1 do
-      match
-        Serve.Client.chaos_call ~site:(Printf.sprintf "c%d/r%d" c i) endpoint (request c i)
-      with
-      | Serve.Client.Response r when String.equal (Serve.Client.response_status r) "ok" ->
-          let expected = Hashtbl.find reference (syscall c i) in
-          if String.equal (Serve.Client.response_output r) expected then Atomic.incr ok
-          else Atomic.incr mismatched
-      | Serve.Client.Response r when Serve.Client.response_error r = Some "timeout" ->
-          Atomic.incr timed_out
-      | Serve.Client.Response r ->
-          failwith ("unexpected error response: " ^ Minijson.Json.to_string r)
-      | Serve.Client.No_response _ -> Atomic.incr dropped
-    done
-  in
-  let domains = List.init clients (fun c -> Domain.spawn (worker c)) in
-  List.iter Domain.join domains;
-  Faults.Injector.set_plan None;
-  Printf.printf "gauntlet: %d ok, %d timed out, %d dropped, %d mismatched\n" (Atomic.get ok)
-    (Atomic.get timed_out) (Atomic.get dropped) (Atomic.get mismatched);
-  if Atomic.get mismatched > 0 then failwith "chaos gauntlet: faulted responses diverged";
-  if Atomic.get ok = 0 then failwith "chaos gauntlet: no request survived";
-  (* Daemon still healthy after the abuse? *)
-  let stats =
-    Serve.Client.with_connection endpoint (fun c ->
-        match Serve.Client.call c { Serve.Protocol.id = None; op = Serve.Protocol.Stats } with
-        | Ok json -> json
-        | Error msg -> failwith msg)
-  in
-  (* Mid-load SIGTERM: re-load the daemon, then signal our own process
-     (the daemon's handler owns SIGTERM for now).  The daemon must
-     drain what it accepted and return within its budget. *)
-  let stragglers =
-    List.init 4 (fun c ->
-        Domain.spawn (fun () ->
-            try
-              Serve.Client.with_connection endpoint (fun conn ->
-                  for i = 0 to 2 do
-                    ignore (Serve.Client.call conn (request c i))
-                  done)
-            with Unix.Unix_error _ | Failure _ -> ()))
-  in
-  Unix.sleepf 0.05;
-  let t0 = Provmark.Trace_span.now_s () in
-  Unix.kill (Unix.getpid ()) Sys.sigterm;
-  let served = Domain.join daemon in
-  let drain_wall = Provmark.Trace_span.now_s () -. t0 in
-  List.iter Domain.join stragglers;
-  Printf.printf "SIGTERM drain: %.2fs (%d compute requests served)\n" drain_wall served;
-  if drain_wall > 10.0 +. 2.0 then failwith "chaos gauntlet: drain overran its budget";
-  let num f = Minijson.Json.Number f in
-  bench_json_update_in "BENCH_serve.json" "serve-chaos"
-    (Minijson.Json.Object
-       [
-         ("clients", num (float_of_int clients));
-         ("requests_per_client", num (float_of_int per_client));
-         ("plan", Minijson.Json.String (Faults.Plan.to_string serve_socket_plan));
-         ("ok", num (float_of_int (Atomic.get ok)));
-         ("timed_out", num (float_of_int (Atomic.get timed_out)));
-         ("dropped", num (float_of_int (Atomic.get dropped)));
-         ("mismatched", num (float_of_int (Atomic.get mismatched)));
-         ("sigterm_drain_s", num drain_wall);
-         ("served", num (float_of_int served));
-         ("daemon_timed_out", Minijson.Json.member "timed_out" stats);
-         ("daemon_conn_rejected", Minijson.Json.member "conn_rejected" stats);
-       ])
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let t0 = Provmark.Trace_span.now_s () in
@@ -1518,13 +568,7 @@ let () =
     extension_spade_camflow ();
     extension_config_sweep ();
     extension_scalability_backends ();
-    extension_nondet ();
-    match_scale ();
-    canon_bench ();
-    corpus_scale ();
-    segment_bench ();
-    planner_bench ();
-    serve_load ()
+    extension_nondet ()
   in
   (* [bench/main.exe <section>...] runs just the named sections. *)
   let sections =
@@ -1534,19 +578,6 @@ let () =
       ("microbench", microbench);
       ("scalability", figures_8_to_10);
       ("nondet", extension_nondet);
-      ("match-scale", match_scale);
-      ("match-scale-quick", match_scale_quick);
-      ("canon", canon_bench);
-      ("canon-quick", canon_quick);
-      ("corpus-scale", corpus_scale);
-      ("corpus-scale-quick", corpus_scale_quick);
-      ("segment", segment_bench);
-      ("segment-quick", segment_quick);
-      ("planner", planner_bench);
-      ("planner-quick", planner_quick);
-      ("serve-load", serve_load);
-      ("serve-load-quick", serve_load_quick);
-      ("serve-chaos", serve_chaos);
     ]
   in
   (match List.tl (Array.to_list Sys.argv) with

@@ -270,34 +270,3 @@ let transient_variant ~seed g =
     (fun acc (e : Graph.edge) ->
       Graph.set_edge_props acc e.Graph.edge_id (refresh "op" e.Graph.edge_props))
     g (Graph.edges g)
-
-(* ------------------------------------------------------------------ *)
-(* Bench-output plumbing                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Merge one section into a shared bench JSON file, preserving whatever
-   other sections already wrote (match-scale, canon, segment and
-   planner share BENCH_match_scale.json, and CI may run them in any
-   order or alone).  A missing or unparsable file degrades to a fresh
-   object rather than an error: bench output must never gate on stale
-   artifacts. *)
-let json_update_file ~file ~key value =
-  let existing =
-    if Sys.file_exists file then (
-      try
-        let ic = open_in_bin file in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        match Minijson.Json.of_string s with
-        | Minijson.Json.Object members -> members
-        | _ -> []
-        | exception Minijson.Json.Parse_error _ -> []
-      with Sys_error _ -> [])
-    else []
-  in
-  let members = List.filter (fun (k, _) -> k <> key) existing @ [ (key, value) ] in
-  let oc = open_out file in
-  output_string oc (Minijson.Json.to_string ~pretty:true (Minijson.Json.Object members));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %S into %s\n" key file

@@ -31,7 +31,7 @@ val pair_sequences : string list -> Oskernel.Program.t list
     permutation with a few transient property values perturbed.  The
     pair is similar by construction with a small nonzero optimal
     alignment cost — the worst case for the matching pipeline, used by
-    the [match-scale] benchmark section. *)
+    the canonical-form and native-cascade differential tests. *)
 val match_pair : nodes:int -> seed:int -> Pgraph.Graph.t * Pgraph.Graph.t
 
 (** [rigid_trace ~nodes ~seed] generates a deterministic synthetic
@@ -48,14 +48,5 @@ val rigid_trace : nodes:int -> seed:int -> Pgraph.Graph.t
     [seed]; identifiers, labels, topology and structural properties are
     untouched, so the result shares [g]'s canonical structure digest.
     This is the consecutive-trial shape the delta re-solve fast path
-    certifies, used by the native cascade's differential tests and the
-    [planner] benchmark section. *)
+    certifies, used by the native cascade's differential tests. *)
 val transient_variant : seed:int -> Pgraph.Graph.t -> Pgraph.Graph.t
-
-(** [json_update_file ~file ~key value] merges [(key, value)] into the
-    JSON object stored at [file], replacing any previous binding for
-    [key] and preserving the rest — the shared output discipline of the
-    benchmark sections that accumulate into one file
-    (BENCH_match_scale.json, BENCH_serve.json).  A missing or
-    unparsable file is treated as an empty object. *)
-val json_update_file : file:string -> key:string -> Minijson.Json.t -> unit

@@ -1,5 +1,8 @@
 let default_max_steps = 10_000_000
 
+(* The three matching subproblems: exact similarity (Listing 3, any
+   model), bijective min-cost alignment for generalization (Listing 3 +
+   cost), approximate subgraph isomorphism for comparison (Listing 4). *)
 type task = Similarity | Generalization | Comparison
 
 let encode g1 g2 =
@@ -47,7 +50,7 @@ let cand_facts task g1 g2 =
       (Fingerprint.edge_colours ~rounds g1)
       (Fingerprint.edge_colours ~rounds g2)
 
-let instance ?(prune = true) task g1 g2 =
+let instance ~prune task g1 g2 =
   let base = encode g1 g2 in
   if prune then
     let program =

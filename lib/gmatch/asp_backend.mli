@@ -20,18 +20,6 @@
 (** Step budget handed to the solver; raise for very large graphs. *)
 val default_max_steps : int
 
-(** The three matching subproblems of the pipeline: exact similarity
-    (Listing 3, any model), bijective min-cost alignment for
-    generalization (Listing 3 + cost), approximate subgraph isomorphism
-    for comparison (Listing 4). *)
-type task = Similarity | Generalization | Comparison
-
-(** [instance ~prune task g1 g2] builds the (program, facts) pair that
-    [task] would solve, pruned unless [prune] is [false] — exposed for
-    benchmarks that need to ground without solving. *)
-val instance :
-  ?prune:bool -> task -> Pgraph.Graph.t -> Pgraph.Graph.t -> string * Datalog.Base.t
-
 val similar : ?opts:Match_opts.t -> ?max_steps:int -> Pgraph.Graph.t -> Pgraph.Graph.t -> bool
 
 val iso_min_cost :

@@ -232,7 +232,6 @@ type plan = {
   forced_nodes : (string * string) list;
   forced_edges : (string * string) list;
   segments : segment list;
-  frontier_edges : int;
 }
 
 type outcome = Mismatch | Whole | Segmented of plan
@@ -511,12 +510,11 @@ let plan_settled (s1 : Fingerprint.settled) (s2 : Fingerprint.settled) =
     let segments =
       List.sort (fun a b -> String.compare a.digest b.digest) (bundle_segments @ comp_segments)
     in
-    let frontier_edges = Array.fold_left (fun acc es -> acc + List.length es) 0 frontier1 in
     let max_seg =
       List.fold_left (fun acc s -> max acc (Graph.node_count s.left)) 0 segments
     in
     if max_seg >= n && n > 0 then Whole
-    else Segmented { rounds; forced_nodes; forced_edges; segments; frontier_edges }
+    else Segmented { rounds; forced_nodes; forced_edges; segments }
   with Bail o -> o
 
 let plan g1 g2 = plan_settled (Fingerprint.settled g1) (Fingerprint.settled g2)

@@ -74,7 +74,6 @@ type plan = {
   forced_edges : (string * string) list;
       (** unique edges between forced endpoints: g1 edge id -> g2 edge id *)
   segments : segment list;  (** digest-sorted independent instances *)
-  frontier_edges : int;  (** boundary edges anchored into segments (left side) *)
 }
 
 type outcome =

@@ -1,5 +1,5 @@
 (** Minimal blocking client for the serve daemon's wire protocol —
-    the engine behind [provmark request], the serve-load bench driver
+    the engine behind [provmark request], perfbench's serve-mixed load
     and the service tests.
 
     All reads and writes retry on [EINTR]: a signal delivered mid-call
@@ -43,7 +43,8 @@ val response_queue_depth : Minijson.Json.t -> int option
 (** {2 Chaos driver}
 
     The client half of the socket fault tap: deterministic wire-level
-    abuse for the chaos-serve suite and the faulted serve-load phase. *)
+    abuse for [provmark request --faults] and the serve tests' chaos
+    gauntlet. *)
 
 type chaos_outcome =
   | Response of Minijson.Json.t

@@ -138,7 +138,14 @@ let test_bypass_differential_asp () =
     let iso = Helpers.rename_with_prefix "r:" g in
     agree ~backend:Engine.Asp g iso;
     agree ~backend:Engine.Asp g (perturb_prop iso)
-  done
+  done;
+  (* Larger provenance-shaped DAGs against a pure rename: the bypass
+     must reach the cold solve's cost and witness here too. *)
+  List.iter
+    (fun nodes ->
+      let g, _ = Provmark.Bench_gen.match_pair ~nodes ~seed:(41 + nodes) in
+      agree ~backend:Engine.Asp g (Graph.map_ids (fun id -> "r:" ^ id) g))
+    [ 4; 8; 12 ]
 
 let test_skip_counters () =
   Engine.reset_canon_skips ();

@@ -4,9 +4,10 @@
    byte-identical to the batch CLI's output for the same inputs; a warm
    daemon answers repeated or renamed match requests from the solve
    memo / canon cache without re-solving; concurrent same-key solves
-   coalesce into a single in-flight compute; and admission control
+   coalesce into a single in-flight compute; admission control
    rejects over-bound requests with a structured queue-full error
-   instead of queueing without limit. *)
+   instead of queueing without limit; and wire faults from chaos
+   clients never alter a response that claims ok. *)
 
 open Pgraph
 module Protocol = Serve.Protocol
@@ -524,8 +525,9 @@ let test_match_deadline () =
       check_bool "deadline counted" true (int_member [ "deadline_errors" ] stats >= 1))
 
 let test_sigterm_drains () =
+  let drain_s = 5.0 in
   with_daemon_full ~jobs:2
-    ~limits:{ Daemon.default_limits with Daemon.drain_s = 5.0 }
+    ~limits:{ Daemon.default_limits with Daemon.drain_s }
     (fun endpoint daemon ->
       (* Put a request in flight, then deliver SIGTERM to our own
          process (the daemon's handler owns the signal for now). *)
@@ -540,14 +542,89 @@ let test_sigterm_drains () =
         end
       in
       wait_busy 250;
+      let signalled = Provmark.Trace_span.now_s () in
       Unix.kill (Unix.getpid ()) Sys.sigterm;
       (* The in-flight request still completes and flushes... *)
       let response = Domain.join client in
       check_string "in-flight request completed" "ok" (Client.response_status response);
-      (* ...and the daemon itself drains and returns: [run] counts the
-         request it served on the way out. *)
+      (* ...and the daemon itself drains and returns within its budget:
+         [run] counts the request it served on the way out. *)
       let served = Domain.join daemon in
-      check_bool "drained and returned" true (served >= 1))
+      let drain_wall = Provmark.Trace_span.now_s () -. signalled in
+      check_bool "drained and returned" true (served >= 1);
+      check_bool
+        (Printf.sprintf "drained within budget (%.2fs)" drain_wall)
+        true (drain_wall <= drain_s +. 2.0))
+
+(* ------------------------------------------------------------------ *)
+(* Chaos gauntlet: fixed-seed socket faults from concurrent clients    *)
+(* ------------------------------------------------------------------ *)
+
+let test_chaos_gauntlet () =
+  let plan =
+    match
+      Faults.Plan.of_string
+        "seed=11,socket.stall=0.1,socket.torn=0.2,socket.disconnect=0.1,socket.shortwrite=0.2"
+    with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "socket plan: %s" msg
+  in
+  let syscalls =
+    match Provmark.Bench_registry.names () with
+    | a :: b :: c :: d :: _ -> [| a; b; c; d |]
+    | _ -> Alcotest.fail "registry too small"
+  in
+  let clients = 4 and per_client = 4 in
+  let limits = { Daemon.default_limits with Daemon.idle_timeout_s = Some 1.0 } in
+  (* The plan goes up before the reference pass: the daemon's workers
+     share this process, see the plan and append its (deterministic)
+     fault-outcomes epilogue to every report, so the reference must be
+     rendered under the same plan to stay byte-comparable.  Socket
+     faults are wire-only, so the plain reference calls are untouched. *)
+  Faults.Injector.set_plan (Some plan);
+  Fun.protect
+    ~finally:(fun () -> Faults.Injector.set_plan None)
+    (fun () ->
+      with_daemon_full ~jobs:4 ~limits (fun endpoint _daemon ->
+          let reference =
+            Array.map
+              (fun sc ->
+                let r = call_ok endpoint (bench_request sc) in
+                check_string ("reference status for " ^ sc) "ok" (Client.response_status r);
+                Client.response_output r)
+              syscalls
+          in
+          let outcomes =
+            List.init clients (fun c ->
+                Domain.spawn (fun () ->
+                    List.init per_client (fun i ->
+                        let k = (c + i) mod Array.length syscalls in
+                        ( k,
+                          Client.chaos_call ~site:(Printf.sprintf "c%d/r%d" c i) endpoint
+                            (bench_request syscalls.(k)) ))))
+            |> List.concat_map Domain.join
+          in
+          (* A response that claims ok must be byte-identical to the
+             clean reference; the only error a fault may cause is the
+             idle timeout a stalled send earns. *)
+          let ok = ref 0 in
+          List.iter
+            (fun (k, outcome) ->
+              match outcome with
+              | Client.Response r when String.equal (Client.response_status r) "ok" ->
+                  check_string ("faulted response for " ^ syscalls.(k)) reference.(k)
+                    (Client.response_output r);
+                  incr ok
+              | Client.Response r when Client.response_error r = Some "timeout" -> ()
+              | Client.Response r ->
+                  Alcotest.failf "unexpected error response: %s" (Json.to_string r)
+              | Client.No_response _ -> ())
+            outcomes;
+          check_bool "some request survived" true (!ok > 0);
+          (* The daemon is still healthy after the abuse. *)
+          let stats = call_ok endpoint stats_req in
+          check_string "stats after the gauntlet" "ok" (Client.response_status stats);
+          check_bool "survivors served" true (int_member [ "served" ] stats >= !ok)))
 
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker: repeated ASP degradation shunts to VF2             *)
@@ -650,6 +727,7 @@ let () =
           Alcotest.test_case "breaker trips and shunts" `Slow test_breaker_trips_and_shunts;
           Alcotest.test_case "long lines decoded on a worker" `Quick
             test_long_lines_decoded_on_worker;
+          Alcotest.test_case "chaos gauntlet" `Slow test_chaos_gauntlet;
         ] );
       ( "coalescing",
         [ Alcotest.test_case "K concurrent solves, one compute" `Quick test_memo_coalescing ] );
