@@ -174,8 +174,8 @@ let parse_term st =
   match next st with
   | Tvar v -> Term.Var v
   | Tany -> Term.Any
-  | Tident s -> Term.Con (Fact.sym s)
-  | Tstring s -> Term.Con (Fact.str s)
+  | Tident s -> Term.Con (Fact.Sym s)
+  | Tstring s -> Term.Con (Fact.Str s)
   | Tint v -> Term.Con (Fact.Int v)
   | t -> fail_at st (Printf.sprintf "expected term, got %s" (token_to_string t))
 
@@ -209,10 +209,10 @@ let parse_literal st =
       | Some Tlparen -> Rule.Pos (parse_atom st p)
       | Some Tneq ->
           ignore (next st);
-          Rule.Builtin (Rule.Neq (Term.Con (Fact.sym p), parse_term st))
+          Rule.Builtin (Rule.Neq (Term.Con (Fact.Sym p), parse_term st))
       | Some Teq ->
           ignore (next st);
-          Rule.Builtin (Rule.Eq (Term.Con (Fact.sym p), parse_term st))
+          Rule.Builtin (Rule.Eq (Term.Con (Fact.Sym p), parse_term st))
       | _ -> Rule.Pos { Rule.pred = p; args = [] })
   | Tvar v -> (
       match next st with

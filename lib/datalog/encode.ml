@@ -9,7 +9,7 @@ let graph_to_facts ~gid g =
   let node_facts =
     List.map
       (fun (n : Graph.node) ->
-        Fact.make (node_pred gid) [ Fact.sym_of_string n.Graph.node_id; Fact.str n.Graph.node_label ])
+        Fact.make (node_pred gid) [ Fact.sym_of_string n.Graph.node_id; Fact.Str n.Graph.node_label ])
       (Graph.nodes g)
   in
   let edge_facts =
@@ -20,13 +20,13 @@ let graph_to_facts ~gid g =
             Fact.sym_of_string e.Graph.edge_id;
             Fact.sym_of_string e.Graph.edge_src;
             Fact.sym_of_string e.Graph.edge_tgt;
-            Fact.str e.Graph.edge_label;
+            Fact.Str e.Graph.edge_label;
           ])
       (Graph.edges g)
   in
   let props_of id props =
     Props.fold
-      (fun k v acc -> Fact.make (prop_pred gid) [ Fact.sym_of_string id; Fact.str k; Fact.str v ] :: acc)
+      (fun k v acc -> Fact.make (prop_pred gid) [ Fact.sym_of_string id; Fact.Str k; Fact.Str v ] :: acc)
       props []
   in
   let prop_facts =
@@ -83,29 +83,13 @@ let graph_of_base ~gid b =
     (Base.facts_with_pred b (prop_pred gid))
 
 (* The store and digest paths render and read fact text directly, with
-   no interning and no fact sets.  The text is byte-identical to
+   no [Fact.t] records and no fact sets.  The text is byte-identical to
    [Base.to_string (graph_to_base ~gid g)], and [graph_of_string]
    returns, or raises, what [graph_of_base ~gid (Parser.parse_base s)]
    would. *)
 
-let add_quoted b s =
-  Buffer.add_char b '"';
-  let n = String.length s in
-  let run = ref 0 in
-  for i = 0 to n - 1 do
-    match String.unsafe_get s i with
-    | ('"' | '\\' | '\n') as c ->
-        Buffer.add_substring b s !run (i - !run);
-        Buffer.add_char b '\\';
-        Buffer.add_char b (if Char.equal c '\n' then 'n' else c);
-        run := i + 1
-    | _ -> ()
-  done;
-  Buffer.add_substring b s !run (n - !run);
-  Buffer.add_char b '"'
-
 (* An identifier as [Fact.sym_of_string] prints it. *)
-let add_id b s = if Fact.is_bare s then Buffer.add_string b s else add_quoted b s
+let add_id b s = if Fact.is_bare s then Buffer.add_string b s else Fact.add_quoted b s
 
 (* [Base] orders a predicate's facts by their arguments, a bare
    constant before a quoted one.  Identifiers are unique, so the first
@@ -142,7 +126,7 @@ let graph_to_string ~gid g =
       Buffer.add_char b ',';
       add_id b e.Graph.edge_tgt;
       Buffer.add_char b ',';
-      add_quoted b e.Graph.edge_label;
+      Fact.add_quoted b e.Graph.edge_label;
       finish ())
     edges;
   let np = node_pred gid in
@@ -151,7 +135,7 @@ let graph_to_string ~gid g =
       start np;
       add_id b n.Graph.node_id;
       Buffer.add_char b ',';
-      add_quoted b n.Graph.node_label;
+      Fact.add_quoted b n.Graph.node_label;
       finish ())
     nodes;
   let pp = prop_pred gid in
@@ -168,9 +152,9 @@ let graph_to_string ~gid g =
           start pp;
           add_id b id;
           Buffer.add_char b ',';
-          add_quoted b k;
+          Fact.add_quoted b k;
           Buffer.add_char b ',';
-          add_quoted b v;
+          Fact.add_quoted b v;
           finish ())
         props)
     elements;
@@ -178,50 +162,13 @@ let graph_to_string ~gid g =
   if Buffer.length b = 0 then Buffer.add_char b '\n';
   Buffer.contents b
 
-(* Parsed arguments in [Fact.compare]'s order: bare before quoted before
-   integer, then by payload; a shorter list before its extensions. *)
-let compare_term (a : Parser.term) (b : Parser.term) =
-  match (a, b) with
-  | Sym x, Sym y | Str x, Str y -> String.compare x y
-  | Int x, Int y -> Int.compare x y
-  | Sym _, _ -> -1
-  | _, Sym _ -> 1
-  | Str _, _ -> -1
-  | _, Str _ -> 1
-
-let rec compare_args xs ys =
-  match (xs, ys) with
-  | [], [] -> 0
-  | [], _ -> -1
-  | _, [] -> 1
-  | x :: xs, y :: ys ->
-      let c = compare_term x y in
-      if c <> 0 then c else compare_args xs ys
-
-let string_of_term : Parser.term -> string = function
-  | Sym s | Str s -> s
-  | Int n -> string_of_int n
-
-(* A parsed fact as [Fact.to_string] prints it, for error messages. *)
-let fact_text pred args =
-  let b = Buffer.create 64 in
-  Buffer.add_string b pred;
-  Buffer.add_char b '(';
-  List.iteri
-    (fun i (t : Parser.term) ->
-      if i > 0 then Buffer.add_char b ',';
-      match t with
-      | Sym s -> Buffer.add_string b s
-      | Str s -> add_quoted b s
-      | Int n -> Buffer.add_string b (string_of_int n))
-    args;
-  Buffer.add_string b ").";
-  Buffer.contents b
+(* Parsed arguments in [Fact.compare]'s order. *)
+let compare_args = List.compare Fact.compare_term
 
 (* One predicate's facts, collected in reverse text order, noting whether
    the text listed them strictly ascending (as [graph_to_string] writes
    them) so that [ordered] sorts and removes duplicates only when not. *)
-type facts = { mutable rev : Parser.term list list; mutable ascending : bool }
+type facts = { mutable rev : Fact.term list list; mutable ascending : bool }
 
 let collect () = { rev = []; ascending = true }
 
@@ -252,9 +199,9 @@ let graph_of_string ~gid s =
   List.iter
     (function
       | [ id; key; value ] ->
-          let id = string_of_term id in
+          let id = Fact.string_of_term id in
           let current = Option.value (Hashtbl.find_opt props id) ~default:Props.empty in
-          Hashtbl.replace props id (Props.add (string_of_term key) (string_of_term value) current)
+          Hashtbl.replace props id (Props.add (Fact.string_of_term key) (Fact.string_of_term value) current)
       | _ -> malformed_props := true)
     prop_facts;
   let attached = ref 0 in
@@ -270,9 +217,9 @@ let graph_of_string ~gid s =
       (fun g args ->
         match args with
         | [ id; label ] ->
-            let id = string_of_term id in
-            Graph.add_node g ~id ~label:(string_of_term label) ~props:(props_of id)
-        | _ -> fail "node fact %s has wrong shape" (fact_text np args))
+            let id = Fact.string_of_term id in
+            Graph.add_node g ~id ~label:(Fact.string_of_term label) ~props:(props_of id)
+        | _ -> fail "node fact %s has wrong shape" (Fact.to_string (Fact.make np args)))
       Graph.empty (ordered node_facts)
   in
   let g =
@@ -280,14 +227,14 @@ let graph_of_string ~gid s =
       (fun g args ->
         match args with
         | [ id; src; tgt; label ] ->
-            let src = string_of_term src and tgt = string_of_term tgt in
+            let src = Fact.string_of_term src and tgt = Fact.string_of_term tgt in
             if not (Graph.mem_node g src) then
-              fail "edge %s refers to unknown source %s" (fact_text ep args) src;
+              fail "edge %s refers to unknown source %s" (Fact.to_string (Fact.make ep args)) src;
             if not (Graph.mem_node g tgt) then
-              fail "edge %s refers to unknown target %s" (fact_text ep args) tgt;
-            let id = string_of_term id in
-            Graph.add_edge g ~id ~src ~tgt ~label:(string_of_term label) ~props:(props_of id)
-        | _ -> fail "edge fact %s has wrong shape" (fact_text ep args))
+              fail "edge %s refers to unknown target %s" (Fact.to_string (Fact.make ep args)) tgt;
+            let id = Fact.string_of_term id in
+            Graph.add_edge g ~id ~src ~tgt ~label:(Fact.string_of_term label) ~props:(props_of id)
+        | _ -> fail "edge fact %s has wrong shape" (Fact.to_string (Fact.make ep args)))
       g (ordered edge_facts)
   in
   if !malformed_props || !attached < Hashtbl.length props then
@@ -296,9 +243,9 @@ let graph_of_string ~gid s =
       (fun args ->
         match args with
         | [ id; _; _ ] ->
-            let id = string_of_term id in
+            let id = Fact.string_of_term id in
             if not (Graph.mem_node g id || Graph.mem_edge g id) then
-              fail "property fact %s refers to unknown element" (fact_text pp args)
-        | _ -> fail "property fact %s has wrong shape" (fact_text pp args))
+              fail "property fact %s refers to unknown element" (Fact.to_string (Fact.make pp args))
+        | _ -> fail "property fact %s has wrong shape" (Fact.to_string (Fact.make pp args)))
       prop_facts;
   g

@@ -1,65 +1,54 @@
 type term =
-  | Sym of Symtab.id
-  | Str of Symtab.id
+  | Sym of string
+  | Str of string
   | Int of int
 
 type t = { pred : string; args : term list }
 
 let make pred args = { pred; args }
 
-let sym s = Sym (Symtab.intern s)
-let str s = Str (Symtab.intern s)
-
 let equal_term a b =
   match (a, b) with
-  | Sym x, Sym y | Str x, Str y | Int x, Int y -> Int.equal x y
+  | Sym x, Sym y | Str x, Str y -> String.equal x y
+  | Int x, Int y -> Int.equal x y
   | (Sym _ | Str _ | Int _), _ -> false
 
-(* Ordering compares the interned strings, not the ids: interning order
-   depends on evaluation order (and differs across parallel runs), while
-   fact bases must render identically for memo keys and reports. *)
 let compare_term a b =
   let rank = function Sym _ -> 0 | Str _ -> 1 | Int _ -> 2 in
   match (a, b) with
-  | Sym x, Sym y | Str x, Str y -> Symtab.compare_payloads x y
+  | Sym x, Sym y | Str x, Str y -> String.compare x y
   | Int x, Int y -> Int.compare x y
   | _ -> Int.compare (rank a) (rank b)
 
 let equal a b =
-  String.equal a.pred b.pred
-  && List.length a.args = List.length b.args
-  && List.for_all2 equal_term a.args b.args
+  String.equal a.pred b.pred && List.equal equal_term a.args b.args
 
 let compare a b =
   let c = String.compare a.pred b.pred in
-  if c <> 0 then c
-  else
-    let rec cmp xs ys =
-      match (xs, ys) with
-      | [], [] -> 0
-      | [], _ -> -1
-      | _, [] -> 1
-      | x :: xs, y :: ys ->
-          let c = compare_term x y in
-          if c <> 0 then c else cmp xs ys
-    in
-    cmp a.args b.args
+  if c <> 0 then c else List.compare compare_term a.args b.args
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let add_quoted b s =
+  Buffer.add_char b '"';
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\n') as c ->
+        Buffer.add_substring b s !run (i - !run);
+        Buffer.add_char b '\\';
+        Buffer.add_char b (if Char.equal c '\n' then 'n' else c);
+        run := i + 1
+    | _ -> ()
+  done;
+  Buffer.add_substring b s !run (n - !run);
+  Buffer.add_char b '"'
 
 let term_to_string = function
-  | Sym s -> Symtab.to_string s
-  | Str s -> Printf.sprintf "\"%s\"" (escape (Symtab.to_string s))
+  | Sym s -> s
+  | Str s ->
+      let b = Buffer.create (String.length s + 2) in
+      add_quoted b s;
+      Buffer.contents b
   | Int n -> string_of_int n
 
 let to_string f =
@@ -74,8 +63,8 @@ let is_bare s =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
        s
 
-let sym_of_string s = if is_bare s then sym s else str s
+let sym_of_string s = if is_bare s then Sym s else Str s
 
 let string_of_term = function
-  | Sym s | Str s -> Symtab.to_string s
+  | Sym s | Str s -> s
   | Int n -> string_of_int n

@@ -3,31 +3,22 @@
     argument is either a symbolic constant ([n1], [e2]) or a quoted
     string constant (["File"]).
 
-    String payloads are interned in {!Symtab}: the constructors carry
-    integer ids, so {!equal_term} and structural hashing are O(1).
-    Build terms with {!sym} / {!str} / {!sym_of_string} rather than
-    interning by hand. *)
+    Terms carry their own strings; {!compare_term} orders them by
+    payload, so fact order depends only on the facts themselves. *)
 
 type term =
-  | Sym of Symtab.id  (** symbolic constant; printed bare *)
-  | Str of Symtab.id  (** string constant; printed quoted with escapes *)
+  | Sym of string  (** symbolic constant; printed bare, unchecked *)
+  | Str of string  (** string constant; printed quoted with escapes *)
   | Int of int
 
 type t = { pred : string; args : term list }
 
 val make : string -> term list -> t
 
-(** [sym s] interns [s] as a symbolic constant (no bareness check —
-    callers such as parsers that already validated the spelling). *)
-val sym : string -> term
-
-(** [str s] interns [s] as a quoted string constant. *)
-val str : string -> term
-
 val equal_term : term -> term -> bool
 
-(** Orders terms by their underlying strings (via the symtab), so the
-    order is independent of interning order. *)
+(** Orders [Sym] before [Str] before [Int], then by payload
+    ([String.compare] or [Int.compare]). *)
 val compare_term : term -> term -> int
 
 val equal : t -> t -> bool
@@ -35,6 +26,10 @@ val compare : t -> t -> int
 
 (** [term_to_string t] renders one argument in Datalog concrete syntax. *)
 val term_to_string : term -> string
+
+(** [add_quoted b s] appends [s] to [b] as a quoted string constant,
+    escaping double quotes, backslashes and newlines. *)
+val add_quoted : Buffer.t -> string -> unit
 
 (** [to_string f] renders [pred(args).] without a trailing newline. *)
 val to_string : t -> string
@@ -45,9 +40,9 @@ val pp : Format.formatter -> t -> unit
     lowercase letter followed by letters, digits and underscores. *)
 val is_bare : string -> bool
 
-(** [sym_of_string s] returns [sym s] when [s] is a valid bare Datalog
+(** [sym_of_string s] returns [Sym s] when [s] is a valid bare Datalog
     constant (lowercase letter followed by letters, digits, underscores)
-    and [str s] otherwise. *)
+    and [Str s] otherwise. *)
 val sym_of_string : string -> term
 
 (** [string_of_term t] is the payload without concrete-syntax quoting. *)

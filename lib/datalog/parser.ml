@@ -1,7 +1,5 @@
 exception Parse_error of string
 
-type term = Sym of string | Str of string | Int of int
-
 type token =
   | Tident of string
   | Tstring of string
@@ -110,9 +108,9 @@ let fold_facts f init src =
   in
   let rec args acc =
     match next () with
-    | Tstring s -> after_arg (Str s :: acc)
-    | Tint v -> after_arg (Int v :: acc)
-    | Tident s -> after_arg (Sym s :: acc)
+    | Tstring s -> after_arg (Fact.Str s :: acc)
+    | Tint v -> after_arg (Fact.Int v :: acc)
+    | Tident s -> after_arg (Fact.Sym s :: acc)
     | _ -> fail "expected argument"
   and after_arg acc =
     match next () with
@@ -138,9 +136,6 @@ let fold_facts f init src =
   in
   facts init
 
-let intern = function Sym s -> Fact.sym s | Str s -> Fact.str s | Int v -> Fact.Int v
-
-let parse_facts src =
-  List.rev (fold_facts (fun pred args acc -> Fact.make pred (List.map intern args) :: acc) [] src)
+let parse_facts src = List.rev (fold_facts (fun pred args acc -> Fact.make pred args :: acc) [] src)
 
 let parse_base s = Base.of_list (parse_facts s)

@@ -5,16 +5,13 @@
 
 exception Parse_error of string
 
-(** An argument as written, before interning: a bare constant, a quoted
-    string (escapes decoded) or an integer. *)
-type term = Sym of string | Str of string | Int of int
-
 (** [fold_facts f init s] reads the facts of [s] in text order, calling
-    [f pred args acc] on each.  It interns nothing.  A lexical error
-    anywhere in [s] is reported in preference to a syntax error. *)
-val fold_facts : (string -> term list -> 'a -> 'a) -> 'a -> string -> 'a
+    [f pred args acc] on each; quoted strings arrive with their escapes
+    decoded.  A lexical error anywhere in [s] is reported in preference
+    to a syntax error. *)
+val fold_facts : (string -> Fact.term list -> 'a -> 'a) -> 'a -> string -> 'a
 
-(** [parse_facts s] parses every fact in [s], interning its terms. *)
+(** [parse_facts s] parses every fact in [s], in text order. *)
 val parse_facts : string -> Fact.t list
 
 (** [parse_base s] is [Base.of_list (parse_facts s)]. *)

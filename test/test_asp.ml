@@ -289,7 +289,7 @@ penalty(V,W) :- cover(V,yes), vertex(V,W).
             match f.Datalog.Fact.args with
             | [ v; yes ]
               when f.Datalog.Fact.pred = "cover"
-                   && Datalog.Fact.equal_term yes (Datalog.Fact.sym "yes") ->
+                   && Datalog.Fact.equal_term yes (Datalog.Fact.Sym "yes") ->
                 Some (Datalog.Fact.string_of_term v)
             | _ -> None)
           atoms

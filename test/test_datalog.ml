@@ -7,21 +7,20 @@ let check_bool = Alcotest.(check bool)
 
 let test_fact_print () =
   check_string "simple" "ng1(n1,\"File\")."
-    (Fact.to_string (Fact.make "ng1" [ Fact.sym "n1"; Fact.str "File" ]));
+    (Fact.to_string (Fact.make "ng1" [ Fact.Sym "n1"; Fact.Str "File" ]));
   check_string "escaped" "p(x,\"a\\\"b\")."
-    (Fact.to_string (Fact.make "p" [ Fact.sym "x"; Fact.str "a\"b" ]));
+    (Fact.to_string (Fact.make "p" [ Fact.Sym "x"; Fact.Str "a\"b" ]));
   check_string "int arg" "f(3)." (Fact.to_string (Fact.make "f" [ Fact.Int 3 ]))
 
 let test_sym_of_string () =
-  check_bool "bare" true (Fact.equal_term (Fact.sym_of_string "n1") (Fact.sym "n1"));
+  check_bool "bare" true (Fact.equal_term (Fact.sym_of_string "n1") (Fact.Sym "n1"));
   check_bool "uppercase quoted" true
-    (Fact.equal_term (Fact.sym_of_string "N1") (Fact.str "N1"));
+    (Fact.equal_term (Fact.sym_of_string "N1") (Fact.Str "N1"));
   check_bool "dash quoted" true
-    (Fact.equal_term (Fact.sym_of_string "a-b") (Fact.str "a-b"));
-  check_bool "empty quoted" true (Fact.equal_term (Fact.sym_of_string "") (Fact.str ""));
-  (* Interning maps equal strings to the same id but keeps the
-     sym/str distinction. *)
-  check_bool "sym <> str" false (Fact.equal_term (Fact.sym "n1") (Fact.str "n1"))
+    (Fact.equal_term (Fact.sym_of_string "a-b") (Fact.Str "a-b"));
+  check_bool "empty quoted" true (Fact.equal_term (Fact.sym_of_string "") (Fact.Str ""));
+  (* Equal payloads still differ as a bare and a quoted constant. *)
+  check_bool "sym <> str" false (Fact.equal_term (Fact.Sym "n1") (Fact.Str "n1"))
 
 let test_parse_listing2 () =
   (* The exact fact text of the paper's Listing 2. *)
@@ -56,10 +55,63 @@ let test_parse_errors () =
   List.iter expect_fail [ "f(a)"; "f(a,)."; "f(."; "(a)."; "f(a)) ." ]
 
 let test_base_dedup () =
-  let f = Fact.make "f" [ Fact.sym "a" ] in
+  let f = Fact.make "f" [ Fact.Sym "a" ] in
   let b = Base.of_list [ f; f; f ] in
   check_int "deduplicated" 1 (Base.cardinal b);
   check_bool "mem" true (Base.mem f b)
+
+(* [Base.to_string] order, byte for byte: [Sym] before [Str] before
+   [Int], payloads by [String.compare] (so a prefix first, uppercase
+   before lowercase, non-ASCII bytes last), shorter argument lists
+   first.  Memo keys and reports are this text. *)
+let test_base_order_pinned () =
+  let y s = Fact.Sym s and s x = Fact.Str x and i n = Fact.Int n in
+  let facts =
+    [
+      Fact.make "f" [ s "ab" ]; Fact.make "f" [ y "ab" ]; Fact.make "f" [ i 7 ]; Fact.make "f" [ s "7" ];
+      Fact.make "f" [ y "a" ]; Fact.make "f" [ s "a" ]; Fact.make "f" [ i (-1) ]; Fact.make "f" [ i 10 ];
+      Fact.make "f" [ y "aB" ]; Fact.make "f" [ s "B" ]; Fact.make "f" [ s "Z" ]; Fact.make "f" [ s "z" ];
+      Fact.make "f" [ s "\xc3\xbc" ]; Fact.make "f" [ s "u" ]; Fact.make "f" [ s "" ];
+      Fact.make "f" [ s "q\"" ]; Fact.make "f" [ s "b\\" ]; Fact.make "f" [ s "nl\n" ]; Fact.make "f" [ s "nl" ];
+      Fact.make "g" [ y "a"; s "x" ]; Fact.make "g" [ y "a" ]; Fact.make "g" [ y "a"; i 1 ];
+      Fact.make "g" [ s "a"; y "a" ]; Fact.make "g" [ y "ab"; s "x" ]; Fact.make "g" [ y "a"; y "x" ];
+      Fact.make "g" [ y "a"; s "x"; s "" ]; Fact.make "G" [ i 0 ]; Fact.make "f" [];
+      Fact.make "f" [ s "ab" ]; Fact.make "g" [ y "a"; s "x" ];
+    ]
+  in
+  let want =
+    {|G(0).
+f().
+f(a).
+f(aB).
+f(ab).
+f("").
+f("7").
+f("B").
+f("Z").
+f("a").
+f("ab").
+f("b\\").
+f("nl").
+f("nl\n").
+f("q\"").
+f("u").
+f("z").
+|}
+    ^ "f(\"\xc3\xbc\").\n"
+    ^ {|f(-1).
+f(7).
+f(10).
+g(a).
+g(a,x).
+g(a,"x").
+g(a,"x","").
+g(a,1).
+g(ab,"x").
+g("a",a).
+|}
+  in
+  check_string "rendered order" want (Base.to_string (Base.of_list facts))
 
 let sample_graph () =
   let g = Graph.empty in
@@ -126,7 +178,7 @@ let prop_fact_count =
 (* ------------------------------------------------------------------ *)
 
 (* [graph_to_string]/[graph_of_string] render and read fact text
-   directly; the interned path through [Base] is the oracle. *)
+   directly; the path through [Fact.t] values and [Base] is the oracle. *)
 let oracle_render ~gid g = Base.to_string (Encode.graph_to_base ~gid g)
 let oracle_decode ~gid s = Encode.graph_of_base ~gid (Parser.parse_base s)
 
@@ -279,24 +331,6 @@ let test_decode_malformed_table () =
       "n1(). n1(a,\"x\").";
     ]
 
-(* The store and digest paths render and parse fact text without
-   touching the intern table, so a long-lived process does not grow it
-   with every graph it reads or keys. *)
-let test_store_path_interns_nothing () =
-  let fresh = "store_path_probe_" in
-  let g =
-    Graph.empty
-    |> (fun g -> Graph.add_node g ~id:(fresh ^ "a") ~label:(fresh ^ "L") ~props:(Props.of_list [ (fresh ^ "k", fresh ^ "v") ]))
-    |> (fun g -> Graph.add_node g ~id:("Q" ^ fresh) ~label:"File" ~props:Props.empty)
-    |> fun g -> Graph.add_edge g ~id:(fresh ^ "e") ~src:(fresh ^ "a") ~tgt:("Q" ^ fresh) ~label:(fresh ^ "E") ~props:Props.empty
-  in
-  let before = Symtab.size () in
-  let text = Encode.graph_to_string ~gid:"d" g in
-  let g' = Encode.graph_of_string ~gid:"d" text in
-  ignore (Provmark.Artifact_store.graph_digest g');
-  check_int "no strings interned" before (Symtab.size ());
-  check_bool "round trip" true (Graph.equal g g')
-
 let () =
   Alcotest.run "datalog"
     [
@@ -311,7 +345,11 @@ let () =
           Alcotest.test_case "comments and whitespace" `Quick test_parse_comments_and_ws;
           Alcotest.test_case "errors" `Quick test_parse_errors;
         ] );
-      ("base", [ Alcotest.test_case "dedup and mem" `Quick test_base_dedup ]);
+      ( "base",
+        [
+          Alcotest.test_case "dedup and mem" `Quick test_base_dedup;
+          Alcotest.test_case "rendered fact order is pinned" `Quick test_base_order_pinned;
+        ] );
       ( "encode",
         [
           Alcotest.test_case "matches listing format" `Quick test_encode_matches_listing_format;
@@ -319,7 +357,6 @@ let () =
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
           Alcotest.test_case "graph ids are independent" `Quick test_distinct_gids_do_not_mix;
           Alcotest.test_case "malformed text decodes as the oracle" `Quick test_decode_malformed_table;
-          Alcotest.test_case "store path interns nothing" `Quick test_store_path_interns_nothing;
         ] );
       ( "properties",
         [

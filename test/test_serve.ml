@@ -6,8 +6,10 @@
    memo / canon cache without re-solving; concurrent same-key solves
    coalesce into a single in-flight compute; admission control
    rejects over-bound requests with a structured queue-full error
-   instead of queueing without limit; and wire faults from chaos
-   clients never alter a response that claims ok. *)
+   instead of queueing without limit; wire faults from chaos clients
+   never alter a response that claims ok; and a stream of requests
+   with fresh strings leaves no memory behind once the capped caches
+   are cleared. *)
 
 open Pgraph
 module Protocol = Serve.Protocol
@@ -235,6 +237,52 @@ let test_warm_renamed_match_no_resolve () =
       let final = stats () in
       check_int "concurrent renamed requests never re-solve" cold_misses
         (int_member [ "memo"; "misses" ] final))
+
+(* ------------------------------------------------------------------ *)
+(* Soak: fresh transient strings do not accumulate                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Request [k]'s pair: a small generated match pair whose identifiers
+   and a per-node stamp property are fresh to this request, as every
+   recorded trial's timestamps, ids and paths are. *)
+let soak_pair k =
+  let a, b = Provmark.Bench_gen.match_pair ~nodes:6 ~seed:k in
+  let fresh g =
+    let g =
+      List.fold_left
+        (fun g (n : Graph.node) ->
+          Graph.set_node_props g n.Graph.node_id
+            (Props.add "stamp" (Printf.sprintf "t%d.%s" k n.Graph.node_id) n.Graph.node_props))
+        g (Graph.nodes g)
+    in
+    Helpers.rename_with_prefix (Printf.sprintf "k%d_" k) g
+  in
+  (dot_of (fresh a), dot_of (fresh b))
+
+(* Live major-heap words once the capped caches are emptied: what the
+   process keeps no matter how many requests it has served. *)
+let retained_words () =
+  Asp.Memo.clear ();
+  Pgraph.Canon.clear ();
+  Gmatch.Incremental.reset_delta ();
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words
+
+let test_soak_retains_nothing_per_request () =
+  let batch = 60 and slack = 4_000 in
+  with_daemon ~jobs:2 (fun endpoint ->
+      let run_batch first =
+        for k = first to first + batch - 1 do
+          let r = call_ok endpoint (match_request (soak_pair k)) in
+          check_string "soak status" "ok" (Client.response_status r)
+        done;
+        retained_words ()
+      in
+      let after_one = run_batch 0 in
+      let after_two = run_batch batch in
+      if after_two > after_one + slack then
+        Alcotest.failf "live words grew from %d to %d over %d fresh requests (slack %d)" after_one
+          after_two batch slack)
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
@@ -715,6 +763,8 @@ let () =
           Alcotest.test_case "malformed request" `Quick test_malformed_request;
           Alcotest.test_case "auto alias answers as direct" `Quick
             test_auto_alias_answers_as_direct;
+          Alcotest.test_case "soak retains nothing per request" `Quick
+            test_soak_retains_nothing_per_request;
         ] );
       ( "lifecycle",
         [
