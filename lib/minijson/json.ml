@@ -12,21 +12,60 @@ exception Parse_error of string
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* For each byte, the letter after the backslash that escapes it:
+   ['\000'] for a byte that passes through, ['u'] for one written
+   [\u00XX]. *)
+let escape_letters =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | '"' -> '"'
+      | '\\' -> '\\'
+      | '\n' -> 'n'
+      | '\r' -> 'r'
+      | '\t' -> 't'
+      | '\b' -> 'b'
+      | '\012' -> 'f'
+      | '\000' .. '\031' -> 'u'
+      | _ -> '\000')
+
+let escape_letter c = String.unsafe_get escape_letters (Char.code c)
+
+(* One pass into bytes sized for the worst two-byte escape, copied into
+   [b] once.  Graph payloads are strings with a quote every few bytes,
+   and a [Buffer] call per byte cost twice this.  A control byte
+   spelled [\u00XX] goes straight to [b] after the bytes before it, and
+   the bytes are reused from the start: they keep room for two bytes
+   per byte still to read. *)
 let escape_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\b' -> Buffer.add_string b "\\b"
-      | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  let n = String.length s in
+  let rec plain i =
+    if i < n && Char.equal (escape_letter (String.unsafe_get s i)) '\000' then plain (i + 1) else i
+  in
+  let first = plain 0 in
+  if first = n then Buffer.add_string b s
+  else begin
+    let out = Bytes.create (first + (2 * (n - first))) in
+    Bytes.blit_string s 0 out 0 first;
+    let rec go i j =
+      if i >= n then Buffer.add_subbytes b out 0 j
+      else
+        let c = String.unsafe_get s i in
+        match escape_letter c with
+        | '\000' ->
+            Bytes.unsafe_set out j c;
+            go (i + 1) (j + 1)
+        | 'u' ->
+            Buffer.add_subbytes b out 0 j;
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c));
+            go (i + 1) 0
+        | e ->
+            Bytes.unsafe_set out j '\\';
+            Bytes.unsafe_set out (j + 1) e;
+            go (i + 1) (j + 2)
+    in
+    go first first
+  end;
   Buffer.add_char b '"'
 
 let number_to_string f =
@@ -82,8 +121,9 @@ let to_string ?(pretty = false) j =
 
 (* The parser scans [src] by index: a character test never builds an
    option, and a string without escapes is copied out with one
-   [String.sub]. *)
-type state = { src : string; mutable pos : int }
+   [String.sub].  A string with escapes is decoded into [scratch], which
+   grows by doubling and is reused by the document's later strings. *)
+type state = { src : string; mutable pos : int; mutable scratch : Bytes.t }
 
 (* Internal located reject; converted to {!Parse_error} (message form)
    or [Error (offset, reason)] (structured form) at the entry points. *)
@@ -126,90 +166,119 @@ let parse_hex4 st =
   | Some n -> n
   | None -> error st "bad \\u escape"
 
-(* Encode a Unicode scalar value as UTF-8. *)
-let add_utf8 b cp =
-  if cp < 0x80 then Buffer.add_char b (Char.chr cp)
+(* Make [st.scratch] hold at least [need] bytes, keeping its first
+   [len]. *)
+let reserve st len need =
+  if need > Bytes.length st.scratch then begin
+    let grown = Bytes.create (max need (2 * Bytes.length st.scratch)) in
+    Bytes.blit st.scratch 0 grown 0 len;
+    st.scratch <- grown
+  end
+
+(* Write the UTF-8 encoding of the Unicode scalar value [cp] at [j] in
+   [st.scratch]; the index past it. *)
+let put_utf8 st j cp =
+  reserve st j (j + 4);
+  let set k byte = Bytes.unsafe_set st.scratch k (Char.unsafe_chr byte) in
+  if cp < 0x80 then (
+    set j cp;
+    j + 1)
   else if cp < 0x800 then (
-    Buffer.add_char b (Char.chr (0xC0 lor (cp lsr 6)));
-    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F))))
+    set j (0xC0 lor (cp lsr 6));
+    set (j + 1) (0x80 lor (cp land 0x3F));
+    j + 2)
   else if cp < 0x10000 then (
-    Buffer.add_char b (Char.chr (0xE0 lor (cp lsr 12)));
-    Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F))))
+    set j (0xE0 lor (cp lsr 12));
+    set (j + 1) (0x80 lor ((cp lsr 6) land 0x3F));
+    set (j + 2) (0x80 lor (cp land 0x3F));
+    j + 3)
   else (
-    Buffer.add_char b (Char.chr (0xF0 lor (cp lsr 18)));
-    Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-    Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F))))
+    set j (0xF0 lor (cp lsr 18));
+    set (j + 1) (0x80 lor ((cp lsr 12) land 0x3F));
+    set (j + 2) (0x80 lor ((cp lsr 6) land 0x3F));
+    set (j + 3) (0x80 lor (cp land 0x3F));
+    j + 4)
 
-(* Advance past a run of characters that need no decoding. *)
-let skip_plain st =
-  let src = st.src in
-  let n = String.length src in
-  let i = ref st.pos in
-  while !i < n && (match String.unsafe_get src !i with '"' | '\\' -> false | _ -> true) do
-    incr i
-  done;
-  st.pos <- !i
+(* The index of the first ['"'] or ['\\'] in [src] from [i], or [n]. *)
+let rec plain_end src i n =
+  if i < n && match String.unsafe_get src i with '"' | '\\' -> false | _ -> true then
+    plain_end src (i + 1) n
+  else i
 
-(* Decode one escape sequence, [st.pos] just past its backslash. *)
-let add_escape st b =
-  if at_end st then error st "unterminated escape";
-  let c = current st in
-  advance st;
-  match c with
-  | '"' -> Buffer.add_char b '"'
-  | '\\' -> Buffer.add_char b '\\'
-  | '/' -> Buffer.add_char b '/'
-  | 'n' -> Buffer.add_char b '\n'
-  | 't' -> Buffer.add_char b '\t'
-  | 'r' -> Buffer.add_char b '\r'
-  | 'b' -> Buffer.add_char b '\b'
-  | 'f' -> Buffer.add_char b '\012'
-  | 'u' ->
-      let hi = parse_hex4 st in
-      if hi >= 0xD800 && hi <= 0xDBFF then (
-        (* surrogate pair *)
-        expect st '\\';
-        expect st 'u';
-        let lo = parse_hex4 st in
-        if lo < 0xDC00 || lo > 0xDFFF then error st "invalid low surrogate";
-        add_utf8 b (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)))
-      else add_utf8 b hi
-  | _ -> error st "bad escape character"
+(* The byte a one-letter escape stands for, ['\000'] for a letter
+   that is not one. *)
+let unescape_letter = function
+  | ('"' | '\\' | '/') as c -> c
+  | 'n' -> '\n'
+  | 't' -> '\t'
+  | 'r' -> '\r'
+  | 'b' -> '\b'
+  | 'f' -> '\012'
+  | _ -> '\000'
+
+(* Decode a [\u] escape, [st.pos] just past its [u], into [st.scratch]
+   at [j]; the index past the decoded bytes. *)
+let add_unicode st j =
+  let hi = parse_hex4 st in
+  if hi >= 0xD800 && hi <= 0xDBFF then (
+    (* surrogate pair *)
+    expect st '\\';
+    expect st 'u';
+    let lo = parse_hex4 st in
+    if lo < 0xDC00 || lo > 0xDFFF then error st "invalid low surrogate";
+    put_utf8 st j (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)))
+  else put_utf8 st j hi
 
 let parse_string st =
   expect st '"';
+  let src = st.src in
+  let n = String.length src in
   let start = st.pos in
-  skip_plain st;
-  if at_end st then error st "unterminated string";
-  if Char.equal (current st) '"' then (
-    advance st;
-    String.sub st.src start (st.pos - 1 - start))
+  let first = plain_end src start n in
+  if first < n && Char.equal (String.unsafe_get src first) '"' then (
+    st.pos <- first + 1;
+    String.sub src start (first - start))
   else begin
-    (* An escape: decode the rest of the body character by character. *)
-    let src = st.src in
-    let n = String.length src in
-    let b = Buffer.create (2 * (st.pos - start) + 64) in
-    Buffer.add_substring b src start (st.pos - start);
-    let rec loop i =
-      if i >= n then (
-        st.pos <- i;
+    (* Decode byte by byte to [j] in [out], which is [st.scratch]
+       passed along; one-letter escapes are decoded here, [\u] ones by
+       [add_unicode]. *)
+    let rec go out i j =
+      if j + 4 > Bytes.length out then begin
+        reserve st j (j + 4);
+        go st.scratch i j
+      end
+      else if i >= n then (
+        st.pos <- n;
         error st "unterminated string")
       else
         match String.unsafe_get src i with
         | '"' ->
             st.pos <- i + 1;
-            Buffer.contents b
+            Bytes.sub_string out 0 j
         | '\\' ->
-            st.pos <- i + 1;
-            add_escape st b;
-            loop st.pos
+            if i + 1 >= n then (
+              st.pos <- n;
+              error st "unterminated escape")
+            else (
+              match String.unsafe_get src (i + 1) with
+              | 'u' ->
+                  st.pos <- i + 2;
+                  let j = add_unicode st j in
+                  go st.scratch st.pos j
+              | c ->
+                  let decoded = unescape_letter c in
+                  if Char.equal decoded '\000' then (
+                    st.pos <- i + 2;
+                    error st "bad escape character");
+                  Bytes.unsafe_set out j decoded;
+                  go out (i + 2) (j + 1))
         | c ->
-            Buffer.add_char b c;
-            loop (i + 1)
+            Bytes.unsafe_set out j c;
+            go out (i + 1) (j + 1)
     in
-    loop st.pos
+    reserve st 0 (first - start + 4);
+    Bytes.blit_string src start st.scratch 0 (first - start);
+    go st.scratch first (first - start)
   end
 
 let parse_number st =
@@ -293,13 +362,13 @@ let parse_document st =
   v
 
 let of_string_located s =
-  let st = { src = s; pos = 0 } in
+  let st = { src = s; pos = 0; scratch = Bytes.empty } in
   match parse_document st with
   | v -> Ok v
   | exception Located (offset, reason) -> Error (offset, reason)
 
 let of_string s =
-  let st = { src = s; pos = 0 } in
+  let st = { src = s; pos = 0; scratch = Bytes.empty } in
   match parse_document st with
   | v -> v
   | exception Located (offset, reason) ->

@@ -414,9 +414,10 @@ let admit t conn ~reserved request =
           end)
 
 (* Lines longer than this carry a graph payload — a 256-node [match]
-   request is about 190 KB and takes about 1 ms to decode — so a
-   worker decodes them under a slot taken now, and the loop stays free
-   for other connections.  Without a free slot the loop decodes the
+   request is about 185 KB, which the loop frames in about 0.06 ms and
+   a worker decodes in about 0.4 ms (2 shared vCPUs) — so a worker
+   decodes them under a slot taken now, and the loop stays free for
+   other connections.  Without a free slot the loop decodes the
    line itself, so the queue-full answer can carry the request's id. *)
 let decode_on_worker_bytes = 16_384
 

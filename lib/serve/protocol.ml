@@ -245,7 +245,24 @@ let retry_hint ?queue_depth retry_after_s =
 
 let response_line json = Json.to_string json ^ "\n"
 
+let rec newline_bytewise buf i stop =
+  if i >= stop then None
+  else if Char.equal (Bytes.get buf i) '\n' then Some i
+  else newline_bytewise buf (i + 1) stop
+
+(* Eight bytes at a time: a word XOR ['\n' x 8] has a zero byte exactly
+   where the word holds a newline, and [(w - 0x01..01) land lnot w land
+   0x80..80] is nonzero exactly when [w] has a zero byte.  The word
+   that hits, and the tail shorter than a word, are scanned byte by
+   byte. *)
 let rec newline_in buf start stop =
-  if start >= stop then None
-  else if Char.equal (Bytes.get buf start) '\n' then Some start
-  else newline_in buf (start + 1) stop
+  if start + 8 > stop then newline_bytewise buf start stop
+  else
+    let w = Int64.logxor (Bytes.get_int64_le buf start) 0x0a0a0a0a0a0a0a0aL in
+    if
+      Int64.equal
+        (Int64.logand (Int64.logand (Int64.sub w 0x0101010101010101L) (Int64.lognot w))
+           0x8080808080808080L)
+        0L
+    then newline_in buf (start + 8) stop
+    else newline_bytewise buf start (start + 8)

@@ -2,6 +2,7 @@ open Minijson
 
 let check_string = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 
 let roundtrip j = Json.of_string (Json.to_string j)
 
@@ -77,6 +78,78 @@ let test_located_errors () =
       | Ok _ -> Alcotest.failf "expected a located error for %S" doc
       | Error got ->
           Alcotest.(check (pair int string)) (Printf.sprintf "%S" doc) (offset, reason) got)
+    table
+
+(* [to_string (String s)] as the codec first defined it, one buffer
+   call per byte: the oracle for the one-pass encoder. *)
+let bytewise_quoted s =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\b' -> Buffer.add_string b "\\b"
+      | '\012' -> Buffer.add_string b "\\f"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let test_print_every_byte () =
+  for code = 0 to 255 do
+    let c = String.make 1 (Char.chr code) in
+    List.iter
+      (fun s ->
+        check_string (Printf.sprintf "%S" s) (bytewise_quoted s) (Json.to_string (Json.String s));
+        check_bool (Printf.sprintf "%S parses back" s) true
+          (Json.equal (Json.String s) (roundtrip (Json.String s))))
+      [ c; "ab" ^ c ^ "cd"; "a\"" ^ c ^ "\\b" ]
+  done
+
+(* [units] copies of a 13-byte piece spelled in 16 bytes, with a quote,
+   backslash or newline every few bytes, as a graph payload embedded in
+   a match request is. *)
+let escape_dense units = String.concat "" (List.init units (fun _ -> "ab\"cd\\e\nfghi/"))
+
+let test_long_escaped_roundtrip () =
+  let s = escape_dense 10_100 in
+  check_bool "at least 128 KB" true (String.length s >= 131_072);
+  let s' = String.map (fun c -> if Char.equal c 'f' then '\001' else c) s in
+  List.iter
+    (fun v ->
+      let text = Json.to_string v in
+      check_bool "parses back" true (Json.equal v (Json.of_string text)))
+    [ Json.String s; Json.String s'; Json.Array [ Json.String s; Json.String "x\ty"; Json.String s' ] ];
+  List.iter
+    (fun s -> check_string "encodes as the bytewise oracle" (bytewise_quoted s) (Json.to_string (Json.String s)))
+    [ s; s' ]
+
+(* Errors past a 64 KB escape-dense prefix blame the same byte as
+   those at the start of a string ({!test_located_errors}). *)
+let test_located_errors_after_long_prefix () =
+  let spelled = Json.to_string (Json.String (escape_dense 4096)) in
+  let prefix = String.sub spelled 1 (String.length spelled - 2) in
+  check_int "prefix length" 65_536 (String.length prefix);
+  let table =
+    [
+      ("\\q\"", 65_539, "bad escape character");
+      ("\\u12", 65_539, "truncated \\u escape");
+      ("\\ud83d\\u0041\"", 65_549, "invalid low surrogate");
+      ("\\", 65_538, "unterminated escape");
+      ("", 65_537, "unterminated string");
+    ]
+  in
+  List.iter
+    (fun (tail, offset, reason) ->
+      match Json.of_string_located ("\"" ^ prefix ^ tail) with
+      | Ok _ -> Alcotest.failf "expected a located error for tail %S" tail
+      | Error got -> Alcotest.(check (pair int string)) (Printf.sprintf "%S" tail) (offset, reason) got)
     table
 
 let test_member () =
@@ -181,6 +254,7 @@ let () =
           Alcotest.test_case "atoms" `Quick test_print_atoms;
           Alcotest.test_case "escapes" `Quick test_print_escapes;
           Alcotest.test_case "compound" `Quick test_print_compound;
+          Alcotest.test_case "every byte as the bytewise oracle" `Quick test_print_every_byte;
         ] );
       ( "parse",
         [
@@ -188,6 +262,9 @@ let () =
           Alcotest.test_case "unicode escapes" `Quick test_parse_unicode_escape;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "located errors" `Quick test_located_errors;
+          Alcotest.test_case "located errors after a 64 KB prefix" `Quick
+            test_located_errors_after_long_prefix;
+          Alcotest.test_case "128 KB escaped string roundtrip" `Quick test_long_escaped_roundtrip;
           Alcotest.test_case "member access" `Quick test_member;
           Alcotest.test_case "pretty roundtrip" `Quick test_pretty_roundtrip;
         ] );

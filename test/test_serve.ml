@@ -750,6 +750,42 @@ let test_memo_coalescing () =
   Asp.Memo.clear ();
   Asp.Memo.reset_stats ()
 
+(* ------------------------------------------------------------------ *)
+(* Line framing                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* [Protocol.newline_in] tests eight bytes at a time; it must agree with
+   a byte-by-byte scan for every window, with the newline at every
+   position (or none) among bytes one bit or one step away from it. *)
+let test_newline_in_matches_naive_scan () =
+  let len = 40 in
+  let naive buf start stop =
+    let rec go i = if i >= stop then None else if Bytes.get buf i = '\n' then Some i else go (i + 1) in
+    go start
+  in
+  let near = [| '\x8a'; '\x0b'; '\x09'; '\x00' |] in
+  let fills =
+    List.init 4 (fun r i -> near.((i + r) mod 4)) @ List.init 4 (fun k _ -> near.(k))
+  in
+  List.iter
+    (fun fill ->
+      for nl = -1 to len - 1 do
+        List.iter
+          (fun newlines ->
+            let buf = Bytes.init len fill in
+            List.iter (fun p -> if p >= 0 && p < len then Bytes.set buf p '\n') newlines;
+            for start = 0 to len do
+              for stop = start to len do
+                let expected = naive buf start stop in
+                if Protocol.newline_in buf start stop <> expected then
+                  Alcotest.failf "newline_in %S %d %d: expected %s" (Bytes.to_string buf) start stop
+                    (match expected with None -> "None" | Some i -> string_of_int i)
+              done
+            done)
+          [ [ nl ]; [ nl; len - 1 - nl ] ]
+      done)
+    fills
+
 let () =
   Alcotest.run "serve"
     [
@@ -781,4 +817,9 @@ let () =
         ] );
       ( "coalescing",
         [ Alcotest.test_case "K concurrent solves, one compute" `Quick test_memo_coalescing ] );
+      ( "framing",
+        [
+          Alcotest.test_case "newline_in equals a naive scan" `Quick
+            test_newline_in_matches_naive_scan;
+        ] );
     ]
