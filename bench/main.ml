@@ -577,6 +577,7 @@ let () =
       ("ablations", ablations);
       ("microbench", microbench);
       ("scalability", figures_8_to_10);
+      ("scalability-backends", extension_scalability_backends);
       ("nondet", extension_nondet);
     ]
   in

@@ -147,14 +147,14 @@ let edge_label_pool = [| "used"; "wasGeneratedBy"; "wasInformedBy" |]
 (* A provenance-shaped random DAG: node [i] points back at earlier
    nodes, so every graph is connected and acyclic like a real trace. *)
 let random_graph rng nodes =
-  let g = ref Graph.empty in
+  let g = Graph.Builder.create () in
   for i = 0 to nodes - 1 do
     let label = node_label_pool.(Prng.int rng (Array.length node_label_pool)) in
     let props =
       Props.of_list
         [ ("seq", string_of_int i); ("token", Prng.hex_token rng) ]
     in
-    g := Graph.add_node !g ~id:(Printf.sprintf "n%d" i) ~label ~props
+    Graph.Builder.add_node g ~id:(Printf.sprintf "n%d" i) ~label ~props
   done;
   let edge = ref 0 in
   for i = 1 to nodes - 1 do
@@ -163,16 +163,15 @@ let random_graph rng nodes =
       let tgt = Prng.int rng i in
       let label = edge_label_pool.(Prng.int rng (Array.length edge_label_pool)) in
       let props = Props.of_list [ ("op", Prng.hex_token rng) ] in
-      g :=
-        Graph.add_edge !g
-          ~id:(Printf.sprintf "e%d" !edge)
-          ~src:(Printf.sprintf "n%d" i)
-          ~tgt:(Printf.sprintf "n%d" tgt)
-          ~label ~props;
+      Graph.Builder.add_edge g
+        ~id:(Printf.sprintf "e%d" !edge)
+        ~src:(Printf.sprintf "n%d" i)
+        ~tgt:(Printf.sprintf "n%d" tgt)
+        ~label ~props;
       incr edge
     done
   done;
-  !g
+  Graph.Builder.freeze g
 
 let shuffle rng arr =
   for i = Array.length arr - 1 downto 1 do
@@ -201,19 +200,19 @@ let match_pair ~nodes ~seed =
   in
   (* ...with a sprinkle of perturbed transient properties, so the
      cost-minimizing matchings have real work to do. *)
-  let perturbed = ref g2 in
+  let tokens = Hashtbl.create 16 in
   let victims = max 1 (nodes / 8) in
   let node_ids = Array.of_list (Graph.node_ids g2) in
   for _ = 1 to victims do
     let id = node_ids.(Prng.int rng (Array.length node_ids)) in
-    match Graph.find_node !perturbed id with
-    | Some n ->
-        perturbed :=
-          Graph.set_node_props !perturbed id
-            (Props.add "token" (Prng.hex_token rng) n.Graph.node_props)
-    | None -> ()
+    Hashtbl.replace tokens id (Prng.hex_token rng)
   done;
-  (g1, !perturbed)
+  let perturb (n : Graph.node) =
+    match Hashtbl.find_opt tokens n.Graph.node_id with
+    | Some token -> Props.add "token" token n.Graph.node_props
+    | None -> n.Graph.node_props
+  in
+  (g1, Graph.map_props ~node:perturb ~edge:(fun e -> e.Graph.edge_props) g2)
 
 (* A provenance trace with a rigid structure: a single lineage chain
    (node [i] consumes node [i-1], with occasional shortcut edges two
@@ -225,29 +224,27 @@ let match_pair ~nodes ~seed =
    values are still seed-randomized. *)
 let rigid_trace ~nodes ~seed =
   let rng = Prng.create ~seed:(Int64.of_int seed) in
-  let g = ref Graph.empty in
+  let g = Graph.Builder.create () in
   for i = 0 to nodes - 1 do
     let label = node_label_pool.(Prng.int rng (Array.length node_label_pool)) in
-    g :=
-      Graph.add_node !g ~id:(Printf.sprintf "n%d" i) ~label
-        ~props:(Props.of_list [ ("seq", string_of_int i); ("token", Prng.hex_token rng) ])
+    Graph.Builder.add_node g ~id:(Printf.sprintf "n%d" i) ~label
+      ~props:(Props.of_list [ ("seq", string_of_int i); ("token", Prng.hex_token rng) ])
   done;
   let edge = ref 0 in
   let link i j =
     let label = edge_label_pool.(Prng.int rng (Array.length edge_label_pool)) in
-    g :=
-      Graph.add_edge !g
-        ~id:(Printf.sprintf "e%d" !edge)
-        ~src:(Printf.sprintf "n%d" i)
-        ~tgt:(Printf.sprintf "n%d" j)
-        ~label ~props:(Props.of_list [ ("op", Prng.hex_token rng) ]);
+    Graph.Builder.add_edge g
+      ~id:(Printf.sprintf "e%d" !edge)
+      ~src:(Printf.sprintf "n%d" i)
+      ~tgt:(Printf.sprintf "n%d" j)
+      ~label ~props:(Props.of_list [ ("op", Prng.hex_token rng) ]);
     incr edge
   in
   for i = 1 to nodes - 1 do
     link i (i - 1);
     if i >= 2 && Prng.int rng 4 = 0 then link i (i - 2)
   done;
-  !g
+  Graph.Builder.freeze g
 
 (* A transient-only rewrite of [g]: identical identifiers, labels,
    topology and structural properties, but every transient value
@@ -260,13 +257,7 @@ let transient_variant ~seed g =
   let refresh key props =
     if Props.mem key props then Props.add key (Prng.hex_token rng) props else props
   in
-  let g =
-    List.fold_left
-      (fun acc (n : Graph.node) ->
-        Graph.set_node_props acc n.Graph.node_id (refresh "token" n.Graph.node_props))
-      g (Graph.nodes g)
-  in
-  List.fold_left
-    (fun acc (e : Graph.edge) ->
-      Graph.set_edge_props acc e.Graph.edge_id (refresh "op" e.Graph.edge_props))
-    g (Graph.edges g)
+  Graph.map_props
+    ~node:(fun n -> refresh "token" n.Graph.node_props)
+    ~edge:(fun e -> refresh "op" e.Graph.edge_props)
+    g

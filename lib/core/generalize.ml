@@ -91,22 +91,18 @@ let similarity_classes ~opts ~backend graphs =
    first graph of the pair with every property that does not agree in
    the second graph removed. *)
 let intersect_props g1 g2 (m : Gmatch.Matching.t) =
-  let g =
-    List.fold_left
-      (fun acc (x, y) ->
-        match (Graph.find_node g1 x, Graph.find_node g2 y) with
-        | Some n1, Some n2 ->
-            Graph.set_node_props acc x (Props.intersect n1.Graph.node_props n2.Graph.node_props)
-        | _ -> acc)
-      g1 m.Gmatch.Matching.node_map
-  in
-  List.fold_left
-    (fun acc (x, y) ->
-      match (Graph.find_edge g1 x, Graph.find_edge g2 y) with
-      | Some e1, Some e2 ->
-          Graph.set_edge_props acc x (Props.intersect e1.Graph.edge_props e2.Graph.edge_props)
-      | _ -> acc)
-    g m.Gmatch.Matching.edge_map
+  let image pairs = Hashtbl.of_seq (List.to_seq pairs) in
+  let node_image = image m.Gmatch.Matching.node_map and edge_image = image m.Gmatch.Matching.edge_map in
+  Graph.map_props
+    ~node:(fun n1 ->
+      match Option.bind (Hashtbl.find_opt node_image n1.Graph.node_id) (Graph.find_node g2) with
+      | Some n2 -> Props.intersect n1.Graph.node_props n2.Graph.node_props
+      | None -> n1.Graph.node_props)
+    ~edge:(fun e1 ->
+      match Option.bind (Hashtbl.find_opt edge_image e1.Graph.edge_id) (Graph.find_edge g2) with
+      | Some e2 -> Props.intersect e1.Graph.edge_props e2.Graph.edge_props
+      | None -> e1.Graph.edge_props)
+    g1
 
 let generalize ?(opts = Gmatch.Match_opts.default) ~backend ~filter ~pair_choice graphs =
   match graphs with

@@ -79,39 +79,11 @@ let status_word r =
    background graph, so a dummy-free component floats free of the rest
    of the provenance — the vfork child (DV) and the setres* bug both
    manifest this way. *)
-let has_disconnected_node g =
-  let module Smap = Map.Make (String) in
-  let nodes = Pgraph.Graph.nodes g in
-  if nodes = [] then false
-  else begin
-    (* Union-find over node ids. *)
-    let parent = Hashtbl.create 16 in
-    let rec find x =
-      match Hashtbl.find_opt parent x with
-      | Some p when not (String.equal p x) ->
-          let r = find p in
-          Hashtbl.replace parent x r;
-          r
-      | _ -> x
-    in
-    let union a b =
-      let ra = find a and rb = find b in
-      if not (String.equal ra rb) then Hashtbl.replace parent ra rb
-    in
-    List.iter (fun (n : Pgraph.Graph.node) -> Hashtbl.replace parent n.Pgraph.Graph.node_id n.Pgraph.Graph.node_id) nodes;
-    List.iter
-      (fun (e : Pgraph.Graph.edge) -> union e.Pgraph.Graph.edge_src e.Pgraph.Graph.edge_tgt)
-      (Pgraph.Graph.edges g);
-    let dummy_roots =
-      List.fold_left
-        (fun acc (n : Pgraph.Graph.node) ->
-          if Pgraph.Graph.is_dummy n then Smap.add (find n.Pgraph.Graph.node_id) () acc else acc)
-        Smap.empty nodes
-    in
-    List.exists
-      (fun (n : Pgraph.Graph.node) -> not (Smap.mem (find n.Pgraph.Graph.node_id) dummy_roots))
-      nodes
-  end
+let has_disconnected_node (g : Pgraph.Graph.t) =
+  let roots = Pgraph.Stats.component_roots g in
+  let anchored = Array.make (Array.length roots) false in
+  Array.iteri (fun i n -> if Pgraph.Graph.is_dummy n then anchored.(roots.(i)) <- true) g.Pgraph.Graph.nodes;
+  Array.exists (fun r -> not anchored.(r)) roots
 
 let summary r =
   let base =

@@ -37,56 +37,11 @@ let graph_to_facts ~gid g =
 
 let graph_to_base ~gid g = Base.of_list (graph_to_facts ~gid g)
 
-let graph_of_base ~gid b =
-  let open Pgraph in
-  let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt in
-  let id_of = Fact.string_of_term in
-  let g =
-    List.fold_left
-      (fun g f ->
-        match f.Fact.args with
-        | [ id; label ] ->
-            Graph.add_node g ~id:(id_of id) ~label:(Fact.string_of_term label)
-              ~props:Props.empty
-        | _ -> fail "node fact %s has wrong shape" (Fact.to_string f))
-      Graph.empty
-      (Base.facts_with_pred b (node_pred gid))
-  in
-  let g =
-    List.fold_left
-      (fun g f ->
-        match f.Fact.args with
-        | [ id; src; tgt; label ] ->
-            let src = id_of src and tgt = id_of tgt in
-            if not (Graph.mem_node g src) then
-              fail "edge %s refers to unknown source %s" (Fact.to_string f) src;
-            if not (Graph.mem_node g tgt) then
-              fail "edge %s refers to unknown target %s" (Fact.to_string f) tgt;
-            Graph.add_edge g ~id:(id_of id) ~src ~tgt ~label:(Fact.string_of_term label)
-              ~props:Props.empty
-        | _ -> fail "edge fact %s has wrong shape" (Fact.to_string f))
-      g
-      (Base.facts_with_pred b (edge_pred gid))
-  in
-  List.fold_left
-    (fun g f ->
-      match f.Fact.args with
-      | [ id; key; value ] -> (
-          let id = id_of id in
-          let key = Fact.string_of_term key and value = Fact.string_of_term value in
-          match (Graph.find_node g id, Graph.find_edge g id) with
-          | Some n, _ -> Graph.set_node_props g id (Props.add key value n.Graph.node_props)
-          | None, Some e -> Graph.set_edge_props g id (Props.add key value e.Graph.edge_props)
-          | None, None -> fail "property fact %s refers to unknown element" (Fact.to_string f))
-      | _ -> fail "property fact %s has wrong shape" (Fact.to_string f))
-    g
-    (Base.facts_with_pred b (prop_pred gid))
-
 (* The store and digest paths render and read fact text directly, with
    no [Fact.t] records and no fact sets.  The text is byte-identical to
    [Base.to_string (graph_to_base ~gid g)], and [graph_of_string]
-   returns, or raises, what [graph_of_base ~gid (Parser.parse_base s)]
-   would. *)
+   returns, or raises, what decoding [Parser.parse_base s] fact by fact
+   would (the tests keep that decoder as the oracle). *)
 
 (* An identifier as [Fact.sym_of_string] prints it. *)
 let add_id b s = if Fact.is_bare s then Buffer.add_string b s else Fact.add_quoted b s
@@ -212,31 +167,28 @@ let graph_of_string ~gid s =
         p
     | None -> Props.empty
   in
-  let g =
-    List.fold_left
-      (fun g args ->
-        match args with
-        | [ id; label ] ->
-            let id = Fact.string_of_term id in
-            Graph.add_node g ~id ~label:(Fact.string_of_term label) ~props:(props_of id)
-        | _ -> fail "node fact %s has wrong shape" (Fact.to_string (Fact.make np args)))
-      Graph.empty (ordered node_facts)
-  in
-  let g =
-    List.fold_left
-      (fun g args ->
-        match args with
-        | [ id; src; tgt; label ] ->
-            let src = Fact.string_of_term src and tgt = Fact.string_of_term tgt in
-            if not (Graph.mem_node g src) then
-              fail "edge %s refers to unknown source %s" (Fact.to_string (Fact.make ep args)) src;
-            if not (Graph.mem_node g tgt) then
-              fail "edge %s refers to unknown target %s" (Fact.to_string (Fact.make ep args)) tgt;
-            let id = Fact.string_of_term id in
-            Graph.add_edge g ~id ~src ~tgt ~label:(Fact.string_of_term label) ~props:(props_of id)
-        | _ -> fail "edge fact %s has wrong shape" (Fact.to_string (Fact.make ep args)))
-      g (ordered edge_facts)
-  in
+  let g = Graph.Builder.create () in
+  List.iter
+    (fun args ->
+      match args with
+      | [ id; label ] ->
+          let id = Fact.string_of_term id in
+          Graph.Builder.add_node g ~id ~label:(Fact.string_of_term label) ~props:(props_of id)
+      | _ -> fail "node fact %s has wrong shape" (Fact.to_string (Fact.make np args)))
+    (ordered node_facts);
+  List.iter
+    (fun args ->
+      match args with
+      | [ id; src; tgt; label ] ->
+          let src = Fact.string_of_term src and tgt = Fact.string_of_term tgt in
+          if not (Graph.Builder.mem_node g src) then
+            fail "edge %s refers to unknown source %s" (Fact.to_string (Fact.make ep args)) src;
+          if not (Graph.Builder.mem_node g tgt) then
+            fail "edge %s refers to unknown target %s" (Fact.to_string (Fact.make ep args)) tgt;
+          let id = Fact.string_of_term id in
+          Graph.Builder.add_edge g ~id ~src ~tgt ~label:(Fact.string_of_term label) ~props:(props_of id)
+      | _ -> fail "edge fact %s has wrong shape" (Fact.to_string (Fact.make ep args)))
+    (ordered edge_facts);
   if !malformed_props || !attached < Hashtbl.length props then
     (* Some property fact is at fault: report the first, in fact order. *)
     List.iter
@@ -244,8 +196,8 @@ let graph_of_string ~gid s =
         match args with
         | [ id; _; _ ] ->
             let id = Fact.string_of_term id in
-            if not (Graph.mem_node g id || Graph.mem_edge g id) then
+            if not (Graph.Builder.mem_node g id || Graph.Builder.mem_edge g id) then
               fail "property fact %s refers to unknown element" (Fact.to_string (Fact.make pp args))
         | _ -> fail "property fact %s has wrong shape" (Fact.to_string (Fact.make pp args)))
       prop_facts;
-  g
+  Graph.Builder.freeze g

@@ -13,14 +13,11 @@ val graph_to_facts : gid:string -> Pgraph.Graph.t -> Fact.t list
 
 val graph_to_base : gid:string -> Pgraph.Graph.t -> Base.t
 
-(** [graph_of_base ~gid b] rebuilds the graph encoded under [gid] in [b].
-    Raises {!Decode_error} on malformed fact shapes (wrong arities,
-    properties attached to unknown elements, edges with missing
-    endpoints). *)
-val graph_of_base : gid:string -> Base.t -> Pgraph.Graph.t
-
 (** [graph_to_string ~gid g] renders the fact file text. *)
 val graph_to_string : gid:string -> Pgraph.Graph.t -> string
 
-(** [graph_of_string ~gid s] parses a fact file and rebuilds the graph. *)
+(** [graph_of_string ~gid s] parses a fact file and rebuilds the graph.
+    Raises {!Decode_error} on malformed fact shapes (wrong arities,
+    properties attached to unknown elements, edges with missing
+    endpoints). *)
 val graph_of_string : gid:string -> string -> Pgraph.Graph.t

@@ -257,7 +257,7 @@ let segment_similar ~opts ~backend (p : Pgraph.Summarize.plan) =
 
 exception Stitch_mismatch
 
-let segment_iso ~opts ~backend (v1 : Pgraph.Fingerprint.view) v2 (p : Pgraph.Summarize.plan) =
+let segment_iso ~opts ~backend g1 g2 (p : Pgraph.Summarize.plan) =
   let segs = Array.of_list p.Pgraph.Summarize.segments in
   let n = Array.length segs in
   let witnesses = Array.make n None in
@@ -298,7 +298,7 @@ let segment_iso ~opts ~backend (v1 : Pgraph.Fingerprint.view) v2 (p : Pgraph.Sum
     (* Safety net: the decomposition argument says this cannot fail, but
        a wrong stitched witness must never leave the engine — fall back
        to the whole-graph solver instead. *)
-    match Matching.verify_cost ~sub:false v1 v2 m with
+    match Matching.verify_cost ~sub:false g1 g2 m with
     | Ok cost -> Some { m with Matching.cost }
     | Error _ -> raise Stitch_mismatch
 
@@ -374,8 +374,7 @@ let generalization_matching ?(opts = Match_opts.default) ?(backend = default_bac
       | Pgraph.Summarize.Segmented p -> (
           seg_mark_pair "generalization";
           if backend = Direct then Planner.note ~task:"generalization" Planner.Seg;
-          let view s = (Lazy.force s).Pgraph.Fingerprint.view in
-          try segment_iso ~opts ~backend (view s1) (view s2) p
+          try segment_iso ~opts ~backend g1 g2 p
           with Stitch_mismatch ->
             Atomic.incr seg_fallback_count;
             whole ())

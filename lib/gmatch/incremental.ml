@@ -20,25 +20,16 @@ let creation_index id =
   let s = start n in
   if s = n then max_int else int_of_string (String.sub id s (n - s))
 
-let by_creation_nodes g =
-  List.sort
-    (fun (a : Graph.node) b ->
-      let c = Int.compare (creation_index a.Graph.node_id) (creation_index b.Graph.node_id) in
-      if c <> 0 then c else String.compare a.Graph.node_id b.Graph.node_id)
-    (Graph.nodes g)
-
-let by_creation_edges g =
-  List.sort
-    (fun (a : Graph.edge) b ->
-      let c = Int.compare (creation_index a.Graph.edge_id) (creation_index b.Graph.edge_id) in
-      if c <> 0 then c else String.compare a.Graph.edge_id b.Graph.edge_id)
-    (Graph.edges g)
-
-(* Greedy order-preserving alignment of two sequences by label: for each
-   left element take the first unconsumed right element with the same
-   label.  Returns None when some left element finds no partner. *)
+(* Greedy order-preserving alignment of two sequences by label, in
+   creation order: for each left element take the first unconsumed right
+   element with the same label.  Returns None when some left element
+   finds no partner.  The sequences come id-sorted, so the stable sort
+   breaks creation-index ties by id. *)
 let align_by_label left right ~label_of ~id_of =
-  let right = Array.of_list right in
+  let by_creation =
+    List.stable_sort (fun a b -> Int.compare (creation_index (id_of a)) (creation_index (id_of b)))
+  in
+  let left = by_creation left and right = Array.of_list (by_creation right) in
   let used = Array.make (Array.length right) false in
   let rec find_from label i =
     if i >= Array.length right then None
@@ -92,20 +83,19 @@ let cost_lower_bound g1 g2 =
 
 let greedy ~sub g1 g2 =
   let node_pairs =
-    align_by_label (by_creation_nodes g1) (by_creation_nodes g2)
+    align_by_label (Graph.nodes g1) (Graph.nodes g2)
       ~label_of:(fun (n : Graph.node) -> n.Graph.node_label)
       ~id_of:(fun (n : Graph.node) -> n.Graph.node_id)
   in
   let edge_pairs =
-    align_by_label (by_creation_edges g1) (by_creation_edges g2)
+    align_by_label (Graph.edges g1) (Graph.edges g2)
       ~label_of:(fun (e : Graph.edge) -> e.Graph.edge_label)
       ~id_of:(fun (e : Graph.edge) -> e.Graph.edge_id)
   in
   match (node_pairs, edge_pairs) with
   | Some node_map, Some edge_map ->
       let m = { Matching.node_map; edge_map; cost = 0 } in
-      let v1 = Fingerprint.view_of g1 and v2 = Fingerprint.view_of g2 in
-      Result.to_option (Result.map (fun cost -> { m with Matching.cost }) (Matching.verify_cost ~sub v1 v2 m))
+      Result.to_option (Result.map (fun cost -> { m with Matching.cost }) (Matching.verify_cost ~sub g1 g2 m))
   | _ -> None
 
 (* Accept the greedy alignment only when it is provably optimal. *)
@@ -234,8 +224,7 @@ let delta ~sub f1 f2 g1 g2 =
       (* Safety net, same posture as stitched witnesses: the theorem
          says this cannot fail, the verifier makes sure a bug here can
          only cost performance, never correctness. *)
-      let v1 = Fingerprint.view_of g1 and v2 = Fingerprint.view_of g2 in
-      match Matching.verify_cost ~sub v1 v2 m with
+      match Matching.verify_cost ~sub g1 g2 m with
       | Ok cost ->
           Atomic.incr delta_certified;
           Some { m with Matching.cost }

@@ -51,22 +51,16 @@ let injective_table pairs =
 let is_injective m =
   Option.is_some (injective_table m.node_map) && Option.is_some (injective_table m.edge_map)
 
-let verify_cost ~sub (v1 : Fingerprint.view) (v2 : Fingerprint.view) m =
+let verify_cost ~sub g1 g2 m =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let nodes (v : Fingerprint.view) = Array.length v.Fingerprint.nodes
-  and edges (v : Fingerprint.view) = Array.length v.Fingerprint.edges in
-  let node (v : Fingerprint.view) id =
-    Option.map (fun i -> v.Fingerprint.nodes.(i)) (Fingerprint.node_index v id)
-  and edge (v : Fingerprint.view) id =
-    Option.map (fun i -> v.Fingerprint.edges.(i)) (Fingerprint.edge_index v id)
-  in
   match (injective_table m.node_map, injective_table m.edge_map) with
   | None, _ | _, None -> err "matching is not injective"
   | Some image, Some _ ->
-      if List.length m.node_map <> nodes v1 then err "not all left nodes are matched"
-      else if List.length m.edge_map <> edges v1 then err "not all left edges are matched"
+      if List.length m.node_map <> Graph.node_count g1 then err "not all left nodes are matched"
+      else if List.length m.edge_map <> Graph.edge_count g1 then err "not all left edges are matched"
       else if
-        (not sub) && not (List.length m.node_map = nodes v2 && List.length m.edge_map = edges v2)
+        (not sub)
+        && not (List.length m.node_map = Graph.node_count g2 && List.length m.edge_map = Graph.edge_count g2)
       then err "matching is not surjective"
       else
         (* Node pairs in map order, then edge pairs; the node image is
@@ -74,7 +68,7 @@ let verify_cost ~sub (v1 : Fingerprint.view) (v2 : Fingerprint.view) m =
         let rec node_pairs cost = function
           | [] -> edge_pairs cost m.edge_map
           | (x, y) :: rest -> (
-              match (node v1 x, node v2 y) with
+              match (Graph.find_node g1 x, Graph.find_node g2 y) with
               | Some n1, Some n2 ->
                   if String.equal n1.Graph.node_label n2.Graph.node_label then
                     node_pairs (cost + Props.mismatch_cost n1.Graph.node_props n2.Graph.node_props) rest
@@ -83,7 +77,7 @@ let verify_cost ~sub (v1 : Fingerprint.view) (v2 : Fingerprint.view) m =
         and edge_pairs cost = function
           | [] -> Ok cost
           | (x, y) :: rest -> (
-              match (edge v1 x, edge v2 y) with
+              match (Graph.find_edge g1 x, Graph.find_edge g2 y) with
               | Some e1, Some e2 ->
                   let maps_to a b =
                     match Stbl.find_opt image a with Some c -> String.equal b c | None -> false
@@ -101,8 +95,7 @@ let verify_cost ~sub (v1 : Fingerprint.view) (v2 : Fingerprint.view) m =
         in
         node_pairs 0 m.node_map
 
-let verify ~sub g1 g2 m =
-  Result.map ignore (verify_cost ~sub (Fingerprint.view_of g1) (Fingerprint.view_of g2) m)
+let verify ~sub g1 g2 m = Result.map ignore (verify_cost ~sub g1 g2 m)
 
 let cost_of g1 g2 m =
   let node_cost =

@@ -38,13 +38,10 @@ val is_injective : t -> bool
     Returns an error message naming the violated condition. *)
 val verify : sub:bool -> Pgraph.Graph.t -> Pgraph.Graph.t -> t -> (unit, string) result
 
-(** [verify_cost ~sub v1 v2 m], over the views of [g1] and [g2]
-    ({!Pgraph.Fingerprint.view_of}), is [Ok (cost_of g1 g2 m)] when
+(** [verify_cost ~sub g1 g2 m] is [Ok (cost_of g1 g2 m)] when
     [verify ~sub g1 g2 m] succeeds and its error otherwise, in one pass
-    over the maps with hashed id lookups.  [verify] is this on freshly
-    built views; a caller holding the views already passes them. *)
-val verify_cost :
-  sub:bool -> Pgraph.Fingerprint.view -> Pgraph.Fingerprint.view -> t -> (int, string) result
+    over the maps with hashed id lookups. *)
+val verify_cost : sub:bool -> Pgraph.Graph.t -> Pgraph.Graph.t -> t -> (int, string) result
 
 (** Recompute the Listing-4 cost of a matching (left properties without an
     equal right counterpart). *)

@@ -42,8 +42,8 @@ exception Budget
    refinement never merges classes, barring collisions), so the
    fixpoint is reached in at most [n] rounds.  The colours one round
    past the last split are the ones branched and ordered on. *)
-let refine_fix view colours =
-  let _, _, next = Fingerprint.settle view colours in
+let refine_fix s colours =
+  let _, _, next = Fingerprint.settle s colours in
   next
 
 let indiv_mark = H.string H.seed "individualized"
@@ -82,13 +82,13 @@ let non_singleton_cell colours =
    order (length-prefixed tokens, so no label can alias a separator):
    [g<nodes>,<edges>|], one [<len>:<label>;] per node, [|], then per
    edge in (source, target, label, index) order [<s>><t>,<len>:<label>;]. *)
-let certificate view colours =
+let certificate (g : Graph.t) colours =
   let n = Array.length colours in
   let order = Array.init n (fun i -> i) in
   Array.stable_sort (fun a b -> Int64.compare colours.(a) colours.(b)) order;
   let pos = Array.make n 0 in
   Array.iteri (fun p i -> pos.(i) <- p) order;
-  let edges = view.Fingerprint.edges in
+  let edges = g.Graph.edges in
   let buf = Buffer.create 256 in
   let int i = Buffer.add_string buf (string_of_int i) in
   let token s =
@@ -102,9 +102,9 @@ let certificate view colours =
   Buffer.add_char buf ',';
   int (Array.length edges);
   Buffer.add_char buf '|';
-  Array.iter (fun i -> token view.Fingerprint.nodes.(i).Graph.node_label) order;
+  Array.iter (fun i -> token g.Graph.nodes.(i).Graph.node_label) order;
   Buffer.add_char buf '|';
-  let src ei = pos.(view.Fingerprint.esrc.(ei)) and tgt ei = pos.(view.Fingerprint.etgt.(ei)) in
+  let src ei = pos.(g.Graph.src.(ei)) and tgt ei = pos.(g.Graph.tgt.(ei)) in
   let eorder = Array.init (Array.length edges) Fun.id in
   Array.stable_sort
     (fun a b ->
@@ -131,7 +131,6 @@ let certificate view colours =
 (* The root of the tree is the settled label colouring; every branch
    individualizes one member of the chosen cell and refines again. *)
 let search (s : Fingerprint.settled) =
-  let view = s.Fingerprint.view in
   let leaves = ref 0 in
   let best = ref None in
   let rec go colours =
@@ -139,7 +138,7 @@ let search (s : Fingerprint.settled) =
     | None ->
         incr leaves;
         if !leaves > leaf_budget then raise Budget;
-        let cert, order, eorder = certificate view colours in
+        let cert, order, eorder = certificate s.Fingerprint.graph colours in
         (match !best with
         | Some (bcert, _, _) when String.compare bcert cert <= 0 -> ()
         | _ -> best := Some (cert, order, eorder))
@@ -148,7 +147,7 @@ let search (s : Fingerprint.settled) =
           (fun v ->
             let colours' = Array.copy colours in
             colours'.(v) <- H.int64 colours'.(v) indiv_mark;
-            go (refine_fix view colours'))
+            go (refine_fix s colours'))
           members
   in
   match go s.Fingerprint.next with () -> !best | exception Budget -> None
@@ -185,13 +184,13 @@ let reset_stats () =
 
 (* One [n<id>\x00<label>\n] line per node, then one
    [e<id>\x00<src>\x00<tgt>\x00<label>\n] line per edge, in id order. *)
-let cache_key g =
-  let nodes = Graph.nodes g and edges = Graph.edges g in
+let cache_key (g : Graph.t) =
+  let nodes = g.Graph.nodes and edges = g.Graph.edges in
   let size =
-    List.fold_left
+    Array.fold_left
       (fun acc (n : Graph.node) -> acc + String.length n.Graph.node_id + String.length n.Graph.node_label + 3)
       0 nodes
-    + List.fold_left
+    + Array.fold_left
         (fun acc (e : Graph.edge) ->
           acc + String.length e.Graph.edge_id + String.length e.Graph.edge_src
           + String.length e.Graph.edge_tgt + String.length e.Graph.edge_label + 5)
@@ -202,14 +201,14 @@ let cache_key g =
     Buffer.add_char buf '\x00';
     Buffer.add_string buf s
   in
-  List.iter
+  Array.iter
     (fun (n : Graph.node) ->
       Buffer.add_char buf 'n';
       Buffer.add_string buf n.Graph.node_id;
       field n.Graph.node_label;
       Buffer.add_char buf '\n')
     nodes;
-  List.iter
+  Array.iter
     (fun (e : Graph.edge) ->
       Buffer.add_char buf 'e';
       Buffer.add_string buf e.Graph.edge_id;
@@ -227,15 +226,15 @@ let with_lock f =
 let clear () = with_lock (fun () -> Hashtbl.reset cache)
 
 let compute_form (s : Fingerprint.settled) =
-  let view = s.Fingerprint.view in
+  let g = s.Fingerprint.graph in
   match search s with
   | None -> None
   | Some (cert, order, eorder) ->
       Some
         {
           digest = Digest.to_hex (Digest.string cert);
-          node_order = Array.map (fun i -> view.Fingerprint.nodes.(i).Graph.node_id) order;
-          edge_order = Array.map (fun ei -> view.Fingerprint.edges.(ei).Graph.edge_id) eorder;
+          node_order = Array.map (fun i -> g.Graph.nodes.(i).Graph.node_id) order;
+          edge_order = Array.map (fun ei -> g.Graph.edges.(ei).Graph.edge_id) eorder;
         }
 
 let form_with g settled =

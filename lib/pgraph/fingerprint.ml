@@ -56,84 +56,6 @@ end
    this deep; Canon continues the same refinement to a fixpoint. *)
 let default_rounds = 3
 
-(* ------------------------------------------------------------------ *)
-(* Graph view: arrays indexed by position in the id-sorted node/edge
-   lists, with per-node adjacency, so a refinement round touches each
-   edge twice instead of scanning the edge list once per node.         *)
-
-module Stbl = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash = Hashtbl.hash
-end)
-
-type view = {
-  nodes : Graph.node array;
-  edges : Graph.edge array;
-  outs : (int64 * int) list array;
-  ins : (int64 * int) list array;
-  esrc : int array;
-  etgt : int array;
-  labels : string array;
-  elabel : int array;
-  index : index;
-}
-
-and index = int Stbl.t
-
-let node_index view id =
-  match Stbl.find_opt view.index id with Some i when i >= 0 -> Some i | _ -> None
-
-let edge_index view id =
-  match Stbl.find_opt view.index id with Some i when i < 0 -> Some (lnot i) | _ -> None
-
-let view_of g =
-  let nodes = Array.of_list (Graph.nodes g) in
-  let edges = Array.of_list (Graph.edges g) in
-  (* Node and edge ids are disjoint in a graph, so one table holds both:
-     node [i] as [i], edge [ei] as [lnot ei]. *)
-  let index = Stbl.create (Array.length nodes + Array.length edges) in
-  Array.iteri (fun i (n : Graph.node) -> Stbl.replace index n.Graph.node_id i) nodes;
-  Array.iteri (fun ei (e : Graph.edge) -> Stbl.replace index e.Graph.edge_id (lnot ei)) edges;
-  let node_idx id = Stbl.find index id in
-  let ids = Stbl.create 8 and named = ref [] in
-  let elabel =
-    Array.map
-      (fun (e : Graph.edge) ->
-        match Stbl.find_opt ids e.Graph.edge_label with
-        | Some l -> l
-        | None ->
-            let l = Stbl.length ids in
-            Stbl.add ids e.Graph.edge_label l;
-            named := e.Graph.edge_label :: !named;
-            l)
-      edges
-  in
-  let labels = Array.of_list (List.rev !named) in
-  let in_seed = hash_string fnv_offset "in" in
-  let out_hash = Array.map (hash_string fnv_offset) labels
-  and in_hash = Array.map (hash_string in_seed) labels in
-  let outs = Array.make (Array.length nodes) [] in
-  let ins = Array.make (Array.length nodes) [] in
-  let esrc = Array.make (Array.length edges) 0 in
-  let etgt = Array.make (Array.length edges) 0 in
-  Array.iteri
-    (fun ei (e : Graph.edge) ->
-      let s = node_idx e.Graph.edge_src and t = node_idx e.Graph.edge_tgt in
-      esrc.(ei) <- s;
-      etgt.(ei) <- t;
-      outs.(s) <- (out_hash.(elabel.(ei)), t) :: outs.(s);
-      ins.(t) <- (in_hash.(elabel.(ei)), s) :: ins.(t))
-    edges;
-  { nodes; edges; outs; ins; esrc; etgt; labels; elabel; index }
-
-(* Round 0 colours a node by its label alone; each further round folds in
-   the sorted multisets of (edge label, neighbour colour) pairs over
-   outgoing and incoming edges — standard Weisfeiler–Leman refinement. *)
-let label_colours view =
-  Array.map (fun (n : Graph.node) -> hash_string fnv_offset n.Graph.node_label) view.nodes
-
 (* Unboxed int64 scratch space: a refinement round sorts each node's
    neighbour hashes here instead of in freshly allocated lists.  Plain
    bytes on the OCaml heap, read and written 8 at a time. *)
@@ -183,16 +105,34 @@ let sort_prefix b n =
     done
   else heapsort b n
 
-let rec fill_side b colours k = function
-  | [] -> k
-  | (lab, j) :: rest ->
-      set b k (hash_int64 lab colours.(j));
-      fill_side b colours (k + 1) rest
+(* Round 0 colours a node by its label alone; each further round folds in
+   the sorted multisets of (edge label, neighbour colour) pairs over
+   outgoing and incoming edges — standard Weisfeiler–Leman refinement. *)
+let label_colours (g : Graph.t) =
+  Array.map (fun (n : Graph.node) -> hash_string fnv_offset n.Graph.node_label) g.Graph.nodes
+
+(* Each edge's label hash as its source sees it ([out_h]) and as its
+   target does ([in_h]), 8 bytes per edge. *)
+type edge_hashes = { out_h : scratch; in_h : scratch }
+
+let edge_hashes (g : Graph.t) =
+  let in_seed = hash_string fnv_offset "in" in
+  let out_h = scratch (Array.length g.Graph.edges) and in_h = scratch (Array.length g.Graph.edges) in
+  Array.iteri
+    (fun ei (e : Graph.edge) ->
+      set out_h ei (hash_string fnv_offset e.Graph.edge_label);
+      set in_h ei (hash_string in_seed e.Graph.edge_label))
+    g.Graph.edges;
+  { out_h; in_h }
 
 (* [combine_sorted] of one side's (edge label, neighbour colour)
-   hashes. *)
-let fold_side b colours side =
-  let n = fill_side b colours 0 side in
+   hashes: edges [eis], label hashes [lab], neighbours [ends]. *)
+let fold_side b colours eis lab ends =
+  let n = Array.length eis in
+  for k = 0 to n - 1 do
+    let ei = eis.(k) in
+    set b k (hash_int64 (get lab ei) colours.(ends.(ei)))
+  done;
   sort_prefix b n;
   let h = ref fnv_offset in
   for k = 0 to n - 1 do
@@ -200,23 +140,23 @@ let fold_side b colours side =
   done;
   !h
 
-(* Scratch space for the rounds over [view]: room for any node's
+(* Scratch space for the rounds over [g]: room for any node's
    neighbourhood. *)
-let view_scratch view = scratch (Array.length view.edges)
+let graph_scratch (g : Graph.t) = scratch (Array.length g.Graph.edges)
 
-let refine_once b view colours =
+let refine_once b (g : Graph.t) hs colours =
   Array.mapi
     (fun i c ->
-      let h = hash_int64 c (fold_side b colours view.outs.(i)) in
-      hash_int64 h (fold_side b colours view.ins.(i)))
+      let h = hash_int64 c (fold_side b colours g.Graph.outs.(i) hs.out_h g.Graph.tgt) in
+      hash_int64 h (fold_side b colours g.Graph.ins.(i) hs.in_h g.Graph.src))
     colours
 
-let refine view rounds colours =
-  let b = view_scratch view in
-  let rec go rounds colours = if rounds <= 0 then colours else go (rounds - 1) (refine_once b view colours) in
+let refine_with g hs rounds colours =
+  let b = graph_scratch g in
+  let rec go rounds colours = if rounds <= 0 then colours else go (rounds - 1) (refine_once b g hs colours) in
   go rounds colours
 
-let colours_at view rounds = refine view rounds (label_colours view)
+let colours_at g rounds = refine_with g (edge_hashes g) rounds (label_colours g)
 
 (* Distinct colours of a colouring, counted in an open-addressing set:
    [slots] holds the values, [used] flags the occupied slots; both are
@@ -245,16 +185,16 @@ let distinct slots used colours =
    collision shrinking it.  Returns the splitting rounds applied, the
    colours after them, and the colours one round further (the same
    partition, different hash values). *)
-let settle view colours =
-  let cap = Array.length view.nodes in
-  let b = view_scratch view in
+let settle_with g hs colours =
+  let cap = Array.length g.Graph.nodes in
+  let b = graph_scratch g in
   let size = ref 2 in
   while !size < 2 * cap do
     size := 2 * !size
   done;
   let slots = scratch !size and used = Bytes.create !size in
   let rec loop r colours k =
-    let next = refine_once b view colours in
+    let next = refine_once b g hs colours in
     if r >= cap then (r, colours, next)
     else
       let k' = distinct slots used next in
@@ -262,39 +202,45 @@ let settle view colours =
   in
   loop 0 colours (distinct slots used colours)
 
-type settled = { view : view; rounds : int; colours : int64 array; next : int64 array }
+type settled = {
+  graph : Graph.t;
+  hashes : edge_hashes;
+  rounds : int;
+  colours : int64 array;
+  next : int64 array;
+}
 
 let settled g =
-  let view = view_of g in
-  let rounds, colours, next = settle view (label_colours view) in
-  { view; rounds; colours; next }
+  let hashes = edge_hashes g in
+  let rounds, colours, next = settle_with g hashes (label_colours g) in
+  { graph = g; hashes; rounds; colours; next }
+
+let refine s rounds colours = refine_with s.graph s.hashes rounds colours
+let settle s colours = settle_with s.graph s.hashes colours
 
 let stable_rounds g = (settled g).rounds
 
-let node_colours ?(rounds = 0) g =
-  let view = view_of g in
-  let colours = colours_at view rounds in
-  Array.to_list (Array.mapi (fun i (n : Graph.node) -> (n.Graph.node_id, colours.(i))) view.nodes)
+let node_colours ?(rounds = 0) (g : Graph.t) =
+  let colours = colours_at g rounds in
+  Array.to_list (Array.mapi (fun i (n : Graph.node) -> (n.Graph.node_id, colours.(i))) g.Graph.nodes)
 
-let edge_colours ?(rounds = 0) g =
-  let view = view_of g in
-  let colours = colours_at view rounds in
+let edge_colours ?(rounds = 0) (g : Graph.t) =
+  let colours = colours_at g rounds in
   Array.to_list
     (Array.mapi
        (fun ei (e : Graph.edge) ->
          let c = hash_string fnv_offset e.Graph.edge_label in
-         let c = hash_int64 c colours.(view.esrc.(ei)) in
-         (e.Graph.edge_id, hash_int64 c colours.(view.etgt.(ei))))
-       view.edges)
+         let c = hash_int64 c colours.(g.Graph.src.(ei)) in
+         (e.Graph.edge_id, hash_int64 c colours.(g.Graph.tgt.(ei))))
+       g.Graph.edges)
 
-let of_graph g =
-  let view = view_of g in
-  let node_part = combine_sorted (Array.to_list (colours_at view default_rounds)) in
+let of_graph (g : Graph.t) =
+  let node_part = combine_sorted (Array.to_list (colours_at g default_rounds)) in
   let edge_part =
     combine_sorted
-      (List.map
-         (fun (e : Graph.edge) -> hash_string fnv_offset e.Graph.edge_label)
-         (Array.to_list view.edges))
+      (Array.fold_right
+         (fun (e : Graph.edge) acc -> hash_string fnv_offset e.Graph.edge_label :: acc)
+         g.Graph.edges [])
   in
   hash_int64 (hash_int64 (hash_int64 fnv_offset node_part) edge_part)
     (Int64.of_int (Graph.size g))

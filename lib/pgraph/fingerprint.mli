@@ -66,79 +66,55 @@ val compare : t -> t -> int
 
     The one Weisfeiler–Leman implementation in the library: the
     functions above, {!Canon}'s fixpoint and [Summarize]'s quotients and
-    segment plans all run it over an int-indexed {!view}.  A round
-    costs O(E log E) — each edge is hashed once per direction and each
-    node sorts its own neighbour multisets.
+    segment plans all run it over the graph's own index arrays
+    ([Graph.outs], [Graph.ins], [Graph.src], [Graph.tgt]).  The only
+    state it adds is each edge's label hash, as seen from either end.
+    A round costs O(E log E) — each edge is hashed once per direction
+    and each node sorts its own neighbour multisets.  Colour arrays are
+    indexed like [Graph.nodes].
 
     The hash values are pinned by the test suite: they feed store keys
     ([Provmark.Artifact_store.graph_digest]), canonical digests and
     witnesses, quotient digests and the solver's fault-site names, so a
     change to any of them would orphan every artifact store on disk. *)
 
-(** A graph as arrays indexed by position in the id-sorted node and
-    edge lists.  [outs.(i)] lists [(edge label hash, target index)] for
-    node [i]'s outgoing edges, [ins.(i)] [(marked edge label hash,
-    source index)] for its incoming ones (a self-loop appears in both);
-    [esrc]/[etgt] give each edge's endpoint indices; [labels] lists the
-    distinct edge labels in first-use order and [elabel] numbers each
-    edge's label by its position there; [index] finds an element's
-    index by id ({!node_index}, {!edge_index}). *)
-type view = private {
-  nodes : Graph.node array;
-  edges : Graph.edge array;
-  outs : (int64 * int) list array;
-  ins : (int64 * int) list array;
-  esrc : int array;
-  etgt : int array;
-  labels : string array;
-  elabel : int array;
-  index : index;
-}
+(** Round-0 colours: each node label's hash. *)
+val label_colours : Graph.t -> int64 array
 
-and index
-
-val view_of : Graph.t -> view
-
-(** The position of a node id in [view.nodes], by a hashed lookup. *)
-val node_index : view -> string -> int option
-
-(** The position of an edge id in [view.edges], by a hashed lookup. *)
-val edge_index : view -> string -> int option
-
-(** Round-0 colours, indexed like [view.nodes]: the node label's hash. *)
-val label_colours : view -> int64 array
-
-(** [refine view n colours] applies [n] more refinement rounds.  A
-    round gives each node a new colour hashing its old one with the
-    sorted (edge label, neighbour colour) multisets of its outgoing and
-    then its incoming edges. *)
-val refine : view -> int -> int64 array -> int64 array
-
-(** [colours_at view rounds] are the colours after [rounds] rounds from
+(** [colours_at g rounds] are the colours after [rounds] rounds from
     {!label_colours} — [node_colours ~rounds] as an array. *)
-val colours_at : view -> int -> int64 array
+val colours_at : Graph.t -> int -> int64 array
 
-(** [settle view colours] refines [colours] until one more round no
-    longer splits a colour class (at most the node count of splitting
-    rounds).  It returns [(r, at, next)]: the [r] splitting rounds
-    applied, the colours after them, and the colours one round further
-    — the same partition under different hash values.  From
-    {!label_colours}, [r] is {!stable_rounds}. *)
-val settle : view -> int64 array -> int * int64 array * int64 array
-
-(** A graph's view with its colouring settled from {!label_colours}:
-    [rounds] is {!stable_rounds}, [colours] the colours after it and
-    [next] those one round further (see {!settle}).  {!Canon} branches
-    from [next], [Summarize] groups by [colours]; a caller that needs
-    both builds it once and passes it to each. *)
+(** A graph with its colouring settled from {!label_colours}: [rounds]
+    is {!stable_rounds}, [colours] the colours after it and [next] those
+    one round further — the same partition under different hash values.
+    {!Canon} branches from [next], [Summarize] groups by [colours]; a
+    caller that needs both builds it once and passes it to each.
+    [hashes] holds the per-edge label hashes the rounds fold in. *)
 type settled = private {
-  view : view;
+  graph : Graph.t;
+  hashes : edge_hashes;
   rounds : int;
   colours : int64 array;
   next : int64 array;
 }
 
+and edge_hashes
+
 val settled : Graph.t -> settled
+
+(** [refine s n colours] applies [n] more refinement rounds over
+    [s.graph].  A round gives each node a new colour hashing its old
+    one with the sorted (edge label, neighbour colour) multisets of its
+    outgoing and then its incoming edges. *)
+val refine : settled -> int -> int64 array -> int64 array
+
+(** [settle s colours] refines [colours] over [s.graph] until one more
+    round no longer splits a colour class (at most the node count of
+    splitting rounds).  It returns [(r, at, next)]: the [r] splitting
+    rounds applied, the colours after them, and the colours one round
+    further.  From {!label_colours}, [r] is {!stable_rounds}. *)
+val settle : settled -> int64 array -> int * int64 array * int64 array
 
 (** The FNV-1a hash combinators the colours are built from, exposed so
     {!Canon} can individualize nodes with the same hashing and

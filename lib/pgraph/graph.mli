@@ -19,19 +19,59 @@ type edge = {
   edge_props : Props.t;
 }
 
-type t
+(** A frozen graph.  Nodes and edges sit in arrays sorted by id
+    ([String.compare] order), and positions in them are the int indices
+    the matching and refinement code works on: [src.(ei)]/[tgt.(ei)]
+    are edge [ei]'s endpoint indices, [outs.(i)]/[ins.(i)] node [i]'s
+    outgoing and incoming edge indices in ascending order (a self-loop
+    is in both), and [index] finds an element by id.  The arrays are
+    shared between a graph and the graphs derived from it: read them,
+    never write them. *)
+type t = private {
+  nodes : node array;
+  edges : edge array;
+  src : int array;
+  tgt : int array;
+  outs : int array array;
+  ins : int array array;
+  index : index;
+}
+
+and index
+
+(** {2 Building}
+
+    Every graph is built by one validating builder, which checks each
+    element as it is added and raises [Invalid_argument] naming the
+    first fault: ["Pgraph.Graph.add_node: duplicate identifier <id>"]
+    for a node, and for an edge ["Pgraph.Graph.add_edge: <fault> <id>"]
+    with fault [duplicate identifier], else [unknown source], else
+    [unknown target].  {!Builder.freeze} then sorts the elements by id
+    and builds the incidence arrays in O((N + E) log (N + E)). *)
+
+module Builder : sig
+  type graph := t
+  type t
+
+  val create : unit -> t
+  val add_node : t -> id:string -> label:string -> props:Props.t -> unit
+
+  val add_edge :
+    t -> id:string -> src:string -> tgt:string -> label:string -> props:Props.t -> unit
+
+  val mem_node : t -> string -> bool
+  val mem_edge : t -> string -> bool
+  val find_node : t -> string -> node option
+
+  (** The graph built so far.  The builder cannot be used afterwards. *)
+  val freeze : t -> graph
+end
 
 val empty : t
 
-(** [add_node g ~id ~label ~props] adds a node.  Raises [Invalid_argument]
-    if a node or edge with the same identifier already exists. *)
-val add_node : t -> id:string -> label:string -> props:Props.t -> t
-
-(** [add_edge g ~id ~src ~tgt ~label ~props] adds an edge.  Raises
-    [Invalid_argument] if the identifier is taken or if either endpoint is
-    not a node of the graph. *)
-val add_edge :
-  t -> id:string -> src:string -> tgt:string -> label:string -> props:Props.t -> t
+(** [make ~nodes ~edges] adds [nodes], then [edges], in list order, to
+    a fresh builder and freezes it. *)
+val make : nodes:node list -> edges:edge list -> t
 
 val node_count : t -> int
 val edge_count : t -> int
@@ -53,10 +93,9 @@ val edge_ids : t -> string list
 
 (** {2 Incidence queries}
 
-    Each call scans the whole edge list: O(E) per query, in edge-id
-    order.  They suit one-off lookups; code that visits every node's
-    neighbours should build an adjacency index once instead (as
-    {!Fingerprint.view_of} does for the refinement). *)
+    O(degree) per query, in edge-id order; an id that is not a node has
+    no edges.  Code that walks neighbourhoods by index reads [outs] and
+    [ins] directly. *)
 
 (** Edges whose source or target is the given node. *)
 val incident_edges : t -> string -> edge list
@@ -67,22 +106,20 @@ val out_edges : t -> string -> edge list
 (** Edges whose target is the given node. *)
 val in_edges : t -> string -> edge list
 
-val set_node_props : t -> string -> Props.t -> t
-val set_edge_props : t -> string -> Props.t -> t
+(** {2 Whole-graph operations} *)
 
-(** [remove_edge g id] removes an edge; removing a missing edge is a no-op. *)
-val remove_edge : t -> string -> t
+(** [map_props ~node ~edge g] replaces every node's properties by
+    [node n] and every edge's by [edge e]; ids, labels and incidences
+    are shared with [g]. *)
+val map_props : node:(node -> Props.t) -> edge:(edge -> Props.t) -> t -> t
 
-(** [remove_node g id] removes a node and all its incident edges. *)
-val remove_node : t -> string -> t
+(** [filter ~node ~edge g] keeps the nodes [node] accepts, and the edges
+    [edge] accepts whose endpoints are both kept. *)
+val filter : node:(node -> bool) -> edge:(edge -> bool) -> t -> t
 
 (** [map_ids f g] renames every node and edge identifier through [f],
     which must be injective on the identifiers of [g]. *)
 val map_ids : (string -> string) -> t -> t
-
-(** [disjoint_union a b] unions two graphs whose identifier sets must be
-    disjoint (raises [Invalid_argument] otherwise). *)
-val disjoint_union : t -> t -> t
 
 (** [equal_structure a b] holds when the graphs are identical up to
     property dictionaries (same identifiers, labels and incidences). *)
@@ -113,3 +150,24 @@ val pp : Format.formatter -> t -> unit
 
 (** Deterministic human-readable summary such as ["3 nodes, 2 edges"]. *)
 val summary : t -> string
+
+(** {2 Conveniences}
+
+    Each of these rebuilds (or copies) the whole graph: O(N + E) per
+    call.  Code that makes many changes collects them and builds once.
+    [add_node] and [add_edge] raise as the builder does, [set_*_props]
+    on an unknown id. *)
+
+val add_node : t -> id:string -> label:string -> props:Props.t -> t
+
+val add_edge :
+  t -> id:string -> src:string -> tgt:string -> label:string -> props:Props.t -> t
+
+val set_node_props : t -> string -> Props.t -> t
+val set_edge_props : t -> string -> Props.t -> t
+
+(** [remove_edge g id] removes an edge; removing a missing edge is a no-op. *)
+val remove_edge : t -> string -> t
+
+(** [remove_node g id] removes a node and all its incident edges. *)
+val remove_node : t -> string -> t

@@ -194,7 +194,7 @@ let generate ?(run = 1) ~seed spec =
   let node_id i = Printf.sprintf "n%d" i in
   (* Nodes: label and persistent properties depend on (seed, site)
      only; the transient token also folds in [run]. *)
-  let g = ref Graph.empty in
+  let b = Graph.Builder.create () in
   for i = 0 to n - 1 do
     let site = Printf.sprintf "node/%d" i in
     let label = draw_weighted seed (site ^ "/label") 0 spec.node_types in
@@ -206,7 +206,7 @@ let generate ?(run = 1) ~seed spec =
         ("token", hex_token seed (Printf.sprintf "%s/run%d" site run) 2) :: persistent
       else persistent
     in
-    g := Graph.add_node !g ~id:(node_id i) ~label ~props:(Props.of_list props)
+    Graph.Builder.add_node b ~id:(node_id i) ~label ~props:(Props.of_list props)
   done;
   (* Edges: motif blocks over consecutive indices, a connector from
      each block start into the earlier graph, then the extra density
@@ -222,10 +222,9 @@ let generate ?(run = 1) ~seed spec =
         ("t", hex_token seed (Printf.sprintf "%s/run%d" site run) 2) :: persistent
       else persistent
     in
-    g :=
-      Graph.add_edge !g
-        ~id:(Printf.sprintf "e%d" !eid)
-        ~src:(node_id src) ~tgt:(node_id tgt) ~label ~props:(Props.of_list props);
+    Graph.Builder.add_edge b
+      ~id:(Printf.sprintf "e%d" !eid)
+      ~src:(node_id src) ~tgt:(node_id tgt) ~label ~props:(Props.of_list props);
     incr eid
   in
   let i = ref 1 in
@@ -256,7 +255,7 @@ let generate ?(run = 1) ~seed spec =
       add_edge ~src:v ~tgt:(draw_int seed site k v)
     done
   done;
-  !g
+  Graph.Builder.freeze b
 
 let pair ~seed spec = (generate ~run:1 ~seed spec, generate ~run:2 ~seed spec)
 

@@ -17,31 +17,23 @@ let histogram labels =
   in
   Smap.bindings m
 
-(* Union-find over node identifiers for weak connectivity. *)
+(* Union-find over node indices. *)
+let component_roots (g : Graph.t) =
+  let parent = Array.init (Graph.node_count g) Fun.id in
+  let rec find i =
+    if parent.(i) = i then i
+    else begin
+      let r = find parent.(i) in
+      parent.(i) <- r;
+      r
+    end
+  in
+  Array.iteri (fun ei s -> parent.(find s) <- find g.Graph.tgt.(ei)) g.Graph.src;
+  Array.init (Array.length parent) find
+
 let components g =
-  let module Smap = Map.Make (String) in
-  let parent = Hashtbl.create 16 in
-  let rec find x =
-    match Hashtbl.find_opt parent x with
-    | None | Some "" -> x
-    | Some p when String.equal p x -> x
-    | Some p ->
-        let r = find p in
-        Hashtbl.replace parent x r;
-        r
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if not (String.equal ra rb) then Hashtbl.replace parent ra rb
-  in
-  List.iter (fun (n : Graph.node) -> Hashtbl.replace parent n.Graph.node_id n.Graph.node_id) (Graph.nodes g);
-  List.iter (fun (e : Graph.edge) -> union e.Graph.edge_src e.Graph.edge_tgt) (Graph.edges g);
-  let roots =
-    List.fold_left
-      (fun s (n : Graph.node) -> Smap.add (find n.Graph.node_id) () s)
-      Smap.empty (Graph.nodes g)
-  in
-  Smap.cardinal roots
+  let roots = component_roots g in
+  Array.fold_left ( + ) 0 (Array.mapi (fun i r -> Bool.to_int (r = i)) roots)
 
 let of_graph g =
   let ns = Graph.nodes g and es = Graph.edges g in

@@ -13,6 +13,11 @@ type t = {
 
 val of_graph : Graph.t -> t
 
+(** [component_roots g] names each node's weakly connected component by
+    one member's index: nodes [i] and [j] (indices into [g.nodes]) are
+    connected exactly when [.(i)] and [.(j)] are equal. *)
+val component_roots : Graph.t -> int array
+
 (** [shape_line s] renders e.g. ["4n/3e (2 components)"] for table cells. *)
 val shape_line : t -> string
 

@@ -11,7 +11,7 @@ let is_anchor_label l =
 
 let anchor_label counterpart = anchor_prefix ^ counterpart
 
-let node_id (view : Fingerprint.view) i = view.Fingerprint.nodes.(i).Graph.node_id
+let node_id (g : Graph.t) i = g.Graph.nodes.(i).Graph.node_id
 
 (* ------------------------------------------------------------------ *)
 (* Grouping on int arrays                                              *)
@@ -65,28 +65,28 @@ let classes_of colours =
   (cls, class_of)
 
 (* Each edge's label as a rank in [String.compare] order over the
-   distinct labels of all the views given, so comparing ranks orders
-   labels as strings do, across the views. *)
-let label_ranks (views : Fingerprint.view list) =
+   distinct edge labels of all the graphs given, so comparing ranks
+   orders labels as strings do, across the graphs. *)
+let label_ranks (graphs : Graph.t list) =
   let rank = Hashtbl.create 16 in
   List.iter
-    (fun (v : Fingerprint.view) -> Array.iter (fun l -> Hashtbl.replace rank l 0) v.Fingerprint.labels)
-    views;
+    (fun (g : Graph.t) ->
+      Array.iter (fun (e : Graph.edge) -> Hashtbl.replace rank e.Graph.edge_label 0) g.Graph.edges)
+    graphs;
   List.sort String.compare (Hashtbl.fold (fun l _ acc -> l :: acc) rank [])
   |> List.iteri (fun r l -> Hashtbl.replace rank l r);
   List.map
-    (fun (v : Fingerprint.view) ->
-      let of_label = Array.map (Hashtbl.find rank) v.Fingerprint.labels in
-      Array.map (fun l -> of_label.(l)) v.Fingerprint.elabel)
-    views
+    (fun (g : Graph.t) ->
+      Array.map (fun (e : Graph.edge) -> Hashtbl.find rank e.Graph.edge_label) g.Graph.edges)
+    graphs
 
 (* Edges [eis] (ascending) keyed by (source, target, label rank) in
    [ends]' numbering of their endpoints, grouped into runs in key order.
    A counting pass buckets them by source, so only each source's own
    edges are compared; buckets keep index order among equal keys. *)
-let edge_runs (view : Fingerprint.view) ranks ends eis =
-  let src ei = ends.(view.Fingerprint.esrc.(ei)) and tgt ei = ends.(view.Fingerprint.etgt.(ei)) in
-  let n = Array.length view.Fingerprint.nodes in
+let edge_runs (g : Graph.t) ranks ends eis =
+  let src ei = ends.(g.Graph.src.(ei)) and tgt ei = ends.(g.Graph.tgt.(ei)) in
+  let n = Array.length g.Graph.nodes in
   let start = Array.make (n + 1) 0 in
   Array.iter (fun ei -> start.(src ei + 1) <- start.(src ei + 1) + 1) eis;
   for s = 1 to n do
@@ -114,15 +114,15 @@ let edge_runs (view : Fingerprint.view) ranks ends eis =
   cut_runs key order
 
 (* The same key read in two graphs' runs. *)
-let cross_key (v1 : Fingerprint.view) r1 e1 (v2 : Fingerprint.view) r2 e2 a b =
-  match Int.compare e1.(v1.Fingerprint.esrc.(a)) e2.(v2.Fingerprint.esrc.(b)) with
+let cross_key (g1 : Graph.t) r1 e1 (g2 : Graph.t) r2 e2 a b =
+  match Int.compare e1.(g1.Graph.src.(a)) e2.(g2.Graph.src.(b)) with
   | 0 -> (
-      match Int.compare e1.(v1.Fingerprint.etgt.(a)) e2.(v2.Fingerprint.etgt.(b)) with
+      match Int.compare e1.(g1.Graph.tgt.(a)) e2.(g2.Graph.tgt.(b)) with
       | 0 -> Int.compare r1.(a) r2.(b)
       | c -> c)
   | c -> c
 
-let all_edges (view : Fingerprint.view) = Array.init (Array.length view.Fingerprint.edges) Fun.id
+let all_edges (g : Graph.t) = Array.init (Array.length g.Graph.edges) Fun.id
 
 (* ------------------------------------------------------------------ *)
 (* Quotient graphs                                                     *)
@@ -136,46 +136,38 @@ type quotient = {
 let qid i = "q" ^ string_of_int i
 
 let quotient ?rounds g =
-  let view, rounds, colours =
+  let rounds, colours =
     match rounds with
-    | Some r ->
-        let view = Fingerprint.view_of g in
-        (view, r, Fingerprint.colours_at view r)
+    | Some r -> (r, Fingerprint.colours_at g r)
     | None ->
         let s = Fingerprint.settled g in
-        (s.Fingerprint.view, s.Fingerprint.rounds, s.Fingerprint.colours)
+        (s.Fingerprint.rounds, s.Fingerprint.colours)
   in
   let cls, class_of = classes_of colours in
   let classes =
     List.init (run_count cls) (fun k ->
-        (colours.(run_head cls k), List.map (node_id view) (run_members cls k)))
+        (colours.(run_head cls k), List.map (node_id g) (run_members cls k)))
   in
-  let qg =
-    List.fold_left
-      (fun qg k ->
-        Graph.add_node qg ~id:(qid k)
-          ~label:(Fingerprint.Hash.hex colours.(run_head cls k) ^ "*" ^ string_of_int (run_size cls k))
-          ~props:Props.empty)
-      Graph.empty
-      (List.init (run_count cls) Fun.id)
-  in
-  let ranks = List.hd (label_ranks [ view ]) in
-  let bundles = edge_runs view ranks class_of (all_edges view) in
-  let qg =
-    List.fold_left
-      (fun qg j ->
-        let e = view.Fingerprint.edges.(run_head bundles j) in
-        Graph.add_edge qg ~id:("qe" ^ string_of_int j)
-          ~src:(qid class_of.(view.Fingerprint.esrc.(run_head bundles j)))
-          ~tgt:(qid class_of.(view.Fingerprint.etgt.(run_head bundles j)))
-          ~label:(e.Graph.edge_label ^ "*" ^ string_of_int (run_size bundles j))
-          ~props:Props.empty)
-      qg
-      (List.init (run_count bundles) Fun.id)
-  in
-  { qgraph = qg; classes; rounds }
+  let qb = Graph.Builder.create () in
+  for k = 0 to run_count cls - 1 do
+    Graph.Builder.add_node qb ~id:(qid k)
+      ~label:(Fingerprint.Hash.hex colours.(run_head cls k) ^ "*" ^ string_of_int (run_size cls k))
+      ~props:Props.empty
+  done;
+  let ranks = List.hd (label_ranks [ g ]) in
+  let bundles = edge_runs g ranks class_of (all_edges g) in
+  for j = 0 to run_count bundles - 1 do
+    let ei = run_head bundles j in
+    Graph.Builder.add_edge qb ~id:("qe" ^ string_of_int j)
+      ~src:(qid class_of.(g.Graph.src.(ei)))
+      ~tgt:(qid class_of.(g.Graph.tgt.(ei)))
+      ~label:(g.Graph.edges.(ei).Graph.edge_label ^ "*" ^ string_of_int (run_size bundles j))
+      ~props:Props.empty
+  done;
+  { qgraph = Graph.Builder.freeze qb; classes; rounds }
 
-let render_graph b g =
+(* Elements in id order, as the graph holds them. *)
+let render_graph b (g : Graph.t) =
   let render_props p =
     List.iter
       (fun (k, v) ->
@@ -185,7 +177,7 @@ let render_graph b g =
         Buffer.add_char b ';')
       (Props.to_list p)
   in
-  List.iter
+  Array.iter
     (fun (n : Graph.node) ->
       Buffer.add_string b n.Graph.node_id;
       Buffer.add_char b '\x00';
@@ -193,10 +185,8 @@ let render_graph b g =
       Buffer.add_char b '\x00';
       render_props n.Graph.node_props;
       Buffer.add_char b '\n')
-    (List.sort
-       (fun (a : Graph.node) b -> String.compare a.Graph.node_id b.Graph.node_id)
-       (Graph.nodes g));
-  List.iter
+    g.Graph.nodes;
+  Array.iter
     (fun (e : Graph.edge) ->
       Buffer.add_string b e.Graph.edge_id;
       Buffer.add_char b '\x00';
@@ -208,9 +198,7 @@ let render_graph b g =
       Buffer.add_char b '\x00';
       render_props e.Graph.edge_props;
       Buffer.add_char b '\n')
-    (List.sort
-       (fun (a : Graph.edge) b -> String.compare a.Graph.edge_id b.Graph.edge_id)
-       (Graph.edges g))
+    g.Graph.edges
 
 let quotient_digest q =
   let b = Buffer.create 256 in
@@ -248,7 +236,7 @@ let digest_pair l r =
 (* Weakly connected components of the subgraph induced by the nodes
    flagged in [amb], as sorted member index lists in ascending-seed
    order (index order is id order). *)
-let components (view : Fingerprint.view) amb =
+let components (g : Graph.t) amb =
   let visited = Array.make (Array.length amb) false in
   let comps = ref [] in
   Array.iteri
@@ -266,8 +254,8 @@ let components (view : Fingerprint.view) amb =
         while not (Queue.is_empty queue) do
           let u = Queue.pop queue in
           comp := u :: !comp;
-          List.iter (fun (_, v) -> visit v) view.Fingerprint.outs.(u);
-          List.iter (fun (_, v) -> visit v) view.Fingerprint.ins.(u)
+          Array.iter (fun ei -> visit g.Graph.tgt.(ei)) g.Graph.outs.(u);
+          Array.iter (fun ei -> visit g.Graph.src.(ei)) g.Graph.ins.(u)
         done;
         comps := List.sort Int.compare !comp :: !comps
       end)
@@ -280,11 +268,11 @@ let components (view : Fingerprint.view) amb =
    exactly one ambiguous endpoint (the other forced), each ascending.
    Forced-forced edges ([comp_of] is -1 at both ends) are handled
    separately and never reach a segment. *)
-let classify_edges (view : Fingerprint.view) comp_of ncomps =
+let classify_edges (g : Graph.t) comp_of ncomps =
   let intra = Array.make (max 1 ncomps) [] in
   let frontier = Array.make (max 1 ncomps) [] in
-  for ei = Array.length view.Fingerprint.edges - 1 downto 0 do
-    match (comp_of.(view.Fingerprint.esrc.(ei)), comp_of.(view.Fingerprint.etgt.(ei))) with
+  for ei = Array.length g.Graph.edges - 1 downto 0 do
+    match (comp_of.(g.Graph.src.(ei)), comp_of.(g.Graph.tgt.(ei))) with
     | -1, -1 -> ()
     | i, -1 | -1, i -> frontier.(i) <- ei :: frontier.(i)
     | i, _ -> intra.(i) <- ei :: intra.(i)
@@ -299,10 +287,10 @@ let classify_edges (view : Fingerprint.view) comp_of ncomps =
    label-isomorphism maps a component onto one with an equal signature,
    so unequal per-signature counts refute the pair, and equal-signature
    components are interchangeable only among themselves. *)
-let comp_signature (view : Fingerprint.view) colours amb counterpart members intra frontier =
+let comp_signature (g : Graph.t) colours amb counterpart members intra frontier =
   let hex i = Fingerprint.Hash.hex colours.(i) in
-  let label ei = view.Fingerprint.edges.(ei).Graph.edge_label in
-  let src ei = view.Fingerprint.esrc.(ei) and tgt ei = view.Fingerprint.etgt.(ei) in
+  let label ei = g.Graph.edges.(ei).Graph.edge_label in
+  let src ei = g.Graph.src.(ei) and tgt ei = g.Graph.tgt.(ei) in
   let b = Buffer.create 128 in
   let add_sorted sep strings =
     List.iter
@@ -328,65 +316,51 @@ let comp_signature (view : Fingerprint.view) colours amb counterpart members int
        frontier);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let add_edges (view : Fingerprint.view) side eis =
-  List.fold_left
-    (fun acc ei ->
-      let e = view.Fingerprint.edges.(ei) in
-      Graph.add_edge acc ~id:e.Graph.edge_id ~src:e.Graph.edge_src ~tgt:e.Graph.edge_tgt
-        ~label:e.Graph.edge_label ~props:e.Graph.edge_props)
-    side eis
+let anchor (g : Graph.t) counterpart i =
+  { Graph.node_id = node_id g i; node_label = anchor_label (counterpart i); node_props = Props.empty }
 
-let add_anchor (view : Fingerprint.view) counterpart side i =
-  Graph.add_node side ~id:(node_id view i) ~label:(anchor_label (counterpart i)) ~props:Props.empty
+let edges_at (g : Graph.t) eis = List.map (fun ei -> g.Graph.edges.(ei)) eis
 
 (* Builds one side of a segment instance from a group of components.
    Members keep their labels and properties; forced neighbours (the
    endpoints of the components' edges that are not ambiguous) become
    anchors — original id, [anchor_label] of their g2 counterpart, empty
    properties — and only edges with at least one ambiguous endpoint are
-   included.  Insertion happens in index (hence id) order so the
-   instance is a deterministic value. *)
-let build_side (view : Fingerprint.view) amb counterpart comp_members comp_edges =
+   included. *)
+let build_side (g : Graph.t) amb counterpart comp_members comp_edges =
   let members = List.sort Int.compare (List.concat comp_members) in
   let edges = List.sort Int.compare (List.concat comp_edges) in
   let anchors =
-    List.concat_map (fun ei -> [ view.Fingerprint.esrc.(ei); view.Fingerprint.etgt.(ei) ]) edges
+    List.concat_map (fun ei -> [ g.Graph.src.(ei); g.Graph.tgt.(ei) ]) edges
     |> List.filter (fun i -> not amb.(i))
     |> List.sort_uniq Int.compare
   in
-  let side =
-    List.fold_left
-      (fun acc i ->
-        let n = view.Fingerprint.nodes.(i) in
-        Graph.add_node acc ~id:n.Graph.node_id ~label:n.Graph.node_label ~props:n.Graph.node_props)
-      Graph.empty members
-  in
-  add_edges view (List.fold_left (add_anchor view counterpart) side anchors) edges
+  Graph.make
+    ~nodes:(List.map (fun i -> g.Graph.nodes.(i)) members @ List.map (anchor g counterpart) anchors)
+    ~edges:(edges_at g edges)
 
 (* One side of a parallel bundle between two forced endpoints: the
    edges are interchangeable up to property cost, so they form a mini
    assignment instance between the two anchored endpoints. *)
-let bundle_side (view : Fingerprint.view) counterpart eis =
+let bundle_side (g : Graph.t) counterpart eis =
   let e0 = List.hd eis in
-  let s = view.Fingerprint.esrc.(e0) and t = view.Fingerprint.etgt.(e0) in
-  let side = add_anchor view counterpart Graph.empty s in
-  let side = if s = t then side else add_anchor view counterpart side t in
-  add_edges view side eis
+  let s = g.Graph.src.(e0) and t = g.Graph.tgt.(e0) in
+  Graph.make ~nodes:(List.map (anchor g counterpart) (if s = t then [ s ] else [ s; t ])) ~edges:(edges_at g eis)
 
 let plan_settled (s1 : Fingerprint.settled) (s2 : Fingerprint.settled) =
-  let v1 = s1.Fingerprint.view and v2 = s2.Fingerprint.view in
-  let n = Array.length v1.Fingerprint.nodes in
+  let v1 = s1.Fingerprint.graph and v2 = s2.Fingerprint.graph in
+  let n = Array.length v1.Graph.nodes in
   try
     if
-      n <> Array.length v2.Fingerprint.nodes
-      || Array.length v1.Fingerprint.edges <> Array.length v2.Fingerprint.edges
+      n <> Array.length v2.Graph.nodes
+      || Array.length v1.Graph.edges <> Array.length v2.Graph.edges
     then raise (Bail Mismatch);
     (* One colouring per graph, at the pair's common depth: colour
        hashes are only comparable at equal rounds, so the shallower
        graph refines on from its own stable point. *)
     let rounds = max s1.Fingerprint.rounds s2.Fingerprint.rounds in
-    let c1 = Fingerprint.refine v1 (rounds - s1.Fingerprint.rounds) s1.Fingerprint.colours
-    and c2 = Fingerprint.refine v2 (rounds - s2.Fingerprint.rounds) s2.Fingerprint.colours in
+    let c1 = Fingerprint.refine s1 (rounds - s1.Fingerprint.rounds) s1.Fingerprint.colours
+    and c2 = Fingerprint.refine s2 (rounds - s2.Fingerprint.rounds) s2.Fingerprint.colours in
     let cls1, class_of1 = classes_of c1 and cls2, class_of2 = classes_of c2 in
     let r1, r2 =
       match label_ranks [ v1; v2 ] with [ r1; r2 ] -> (r1, r2) | _ -> assert false
@@ -422,8 +396,7 @@ let plan_settled (s1 : Fingerprint.settled) (s2 : Fingerprint.settled) =
       (fun (a, b) ->
         if
           not
-            (String.equal v1.Fingerprint.nodes.(a).Graph.node_label
-               v2.Fingerprint.nodes.(b).Graph.node_label)
+            (String.equal v1.Graph.nodes.(a).Graph.node_label v2.Graph.nodes.(b).Graph.node_label)
         then raise (Bail Whole))
       forced;
     let partner = Array.make n (-1) in
@@ -439,10 +412,10 @@ let plan_settled (s1 : Fingerprint.settled) (s2 : Fingerprint.settled) =
        order is g2 id order), each an ascending edge-index run.  An
        isomorphism maps each bundle bijectively onto its counterpart, so
        the sizes must agree in both directions. *)
-    let forced_edges_of (view : Fingerprint.view) is_forced =
+    let forced_edges_of (g : Graph.t) is_forced =
       let kept = ref [] in
-      for ei = Array.length view.Fingerprint.edges - 1 downto 0 do
-        if is_forced view.Fingerprint.esrc.(ei) && is_forced view.Fingerprint.etgt.(ei) then
+      for ei = Array.length g.Graph.edges - 1 downto 0 do
+        if is_forced g.Graph.src.(ei) && is_forced g.Graph.tgt.(ei) then
           kept := ei :: !kept
       done;
       Array.of_list !kept
@@ -451,7 +424,7 @@ let plan_settled (s1 : Fingerprint.settled) (s2 : Fingerprint.settled) =
     let fb1 = edge_runs v1 r1 partner (forced_edges_of v1 (fun i -> partner.(i) >= 0)) in
     let fb2 = edge_runs v2 r2 same (forced_edges_of v2 (fun i -> forced2.(i))) in
     if not (same_runs (cross_key v1 r1 partner v2 r2 same) fb1 fb2) then raise (Bail Mismatch);
-    let edge_id (view : Fingerprint.view) ei = view.Fingerprint.edges.(ei).Graph.edge_id in
+    let edge_id (g : Graph.t) ei = g.Graph.edges.(ei).Graph.edge_id in
     let forced_edges, bundle_segments =
       List.fold_left
         (fun (fe, segs) k ->
@@ -476,11 +449,11 @@ let plan_settled (s1 : Fingerprint.settled) (s2 : Fingerprint.settled) =
     let intra1, frontier1 = classify_edges v1 (comp_of comps1) (List.length comps1) in
     let intra2, frontier2 = classify_edges v2 (comp_of comps2) (List.length comps2) in
     let comps1 = Array.of_list comps1 and comps2 = Array.of_list comps2 in
-    let group view colours amb counterpart comps intra frontier =
+    let group g colours amb counterpart comps intra frontier =
       let sigs =
         Array.mapi
           (fun i members ->
-            comp_signature view colours amb counterpart members intra.(i) frontier.(i))
+            comp_signature g colours amb counterpart members intra.(i) frontier.(i))
           comps
       in
       let m = ref Smap.empty in

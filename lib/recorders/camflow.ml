@@ -16,7 +16,7 @@ type session = (string, unit) Hashtbl.t
 let new_session () : session = Hashtbl.create 32
 
 type builder = {
-  mutable g : Graph.t;
+  g : Graph.Builder.t;
   mutable next : int;
   boot_id : string;
   tasks : (int, string) Hashtbl.t;  (* pid -> current task vertex *)
@@ -38,7 +38,7 @@ let fresh b =
    any edge touching it) is withheld from the serialized graph. *)
 let add_node b ~stable_key ~label ~props =
   let id = fresh b in
-  b.g <- Graph.add_node b.g ~id ~label ~props:(Props.of_list props);
+  Graph.Builder.add_node b.g ~id ~label ~props:(Props.of_list props);
   (match b.session with
   | Some session when Hashtbl.mem session stable_key -> Hashtbl.replace b.suppressed id ()
   | Some session -> Hashtbl.replace session stable_key ()
@@ -49,7 +49,7 @@ let add_edge b ~src ~tgt ~label ~props =
   if Hashtbl.mem b.suppressed src || Hashtbl.mem b.suppressed tgt then ()
   else
     let id = fresh b in
-    b.g <- Graph.add_edge b.g ~id ~src ~tgt ~label ~props:(Props.of_list props)
+    Graph.Builder.add_edge b.g ~id ~src ~tgt ~label ~props:(Props.of_list props)
 
 let base_props b time =
   [ ("cf:boot_id", b.boot_id); ("cf:date", string_of_int time) ]
@@ -288,9 +288,6 @@ let self_activity b (trace : Trace.t) =
       ~props:(("cf:type", "read") :: base_props b time)
   done
 
-let strip_suppressed b =
-  Hashtbl.fold (fun id () g -> Graph.remove_node g id) b.suppressed b.g
-
 let build ?(config = default_config) ?session ?drop_edge_index (trace : Trace.t) =
   (match (config.reserialize, session) with
   | false, None ->
@@ -298,7 +295,7 @@ let build ?(config = default_config) ?session ?drop_edge_index (trace : Trace.t)
   | _ -> ());
   let b =
     {
-      g = Graph.empty;
+      g = Graph.Builder.create ();
       next = 0;
       boot_id = trace.Trace.boot_id;
       tasks = Hashtbl.create 8;
@@ -313,16 +310,13 @@ let build ?(config = default_config) ?session ?drop_edge_index (trace : Trace.t)
   in
   if config.track_self then self_activity b trace;
   List.iter (fun s -> handle b s) trace.Trace.lsm;
-  let g = strip_suppressed b in
-  (* Capture filters: drop nodes of the filtered types (and with them
-     their incident edges). *)
+  (* Withheld vertices go, and so do capture filters' node types, each
+     with its incident edges. *)
   let g =
-    List.fold_left
-      (fun g (n : Graph.node) ->
-        if List.mem n.Graph.node_label config.filter_types then
-          Graph.remove_node g n.Graph.node_id
-        else g)
-      g (Graph.nodes g)
+    Graph.filter
+      ~node:(fun n ->
+        not (Hashtbl.mem b.suppressed n.Graph.node_id || List.mem n.Graph.node_label config.filter_types))
+      ~edge:(fun _ -> true) (Graph.Builder.freeze b.g)
   in
   match drop_edge_index with
   | None -> g

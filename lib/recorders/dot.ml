@@ -222,30 +222,27 @@ let type_attr = "type"
 
 let to_pgraph_unsafe g =
   let open Pgraph in
-  let graph =
-    List.fold_left
-      (fun acc n ->
-        let label = Option.value (List.assoc_opt type_attr n.n_attrs) ~default:"Unknown" in
-        let props = Props.of_list (List.remove_assoc type_attr n.n_attrs) in
-        Graph.add_node acc ~id:n.n_id ~label ~props)
-      Graph.empty g.g_nodes
-  in
-  let graph, _ =
-    List.fold_left
-      (fun (acc, i) e ->
-        let label = Option.value (List.assoc_opt type_attr e.e_attrs) ~default:"Unknown" in
-        let props = Props.of_list (List.remove_assoc type_attr e.e_attrs) in
-        (* Offset 0: a hand-built [graph] value has no source text to
-           point into; parsed text was already endpoint-checked with
-           real offsets in [of_string]. *)
-        if not (Graph.mem_node acc e.e_src) then
-          parse_fail 0 "edge references undeclared node %s" e.e_src;
-        if not (Graph.mem_node acc e.e_tgt) then
-          parse_fail 0 "edge references undeclared node %s" e.e_tgt;
-        (Graph.add_edge acc ~id:(Printf.sprintf "e%d" i) ~src:e.e_src ~tgt:e.e_tgt ~label ~props, i + 1))
-      (graph, 0) g.g_edges
-  in
-  graph
+  let b = Graph.Builder.create () in
+  List.iter
+    (fun n ->
+      let label = Option.value (List.assoc_opt type_attr n.n_attrs) ~default:"Unknown" in
+      let props = Props.of_list (List.remove_assoc type_attr n.n_attrs) in
+      Graph.Builder.add_node b ~id:n.n_id ~label ~props)
+    g.g_nodes;
+  List.iteri
+    (fun i e ->
+      let label = Option.value (List.assoc_opt type_attr e.e_attrs) ~default:"Unknown" in
+      let props = Props.of_list (List.remove_assoc type_attr e.e_attrs) in
+      (* Offset 0: a hand-built [graph] value has no source text to
+         point into; parsed text was already endpoint-checked with
+         real offsets in [of_string]. *)
+      if not (Graph.Builder.mem_node b e.e_src) then
+        parse_fail 0 "edge references undeclared node %s" e.e_src;
+      if not (Graph.Builder.mem_node b e.e_tgt) then
+        parse_fail 0 "edge references undeclared node %s" e.e_tgt;
+      Graph.Builder.add_edge b ~id:(Printf.sprintf "e%d" i) ~src:e.e_src ~tgt:e.e_tgt ~label ~props)
+    g.g_edges;
+  Graph.Builder.freeze b
 
 let to_pgraph g =
   (* Duplicate declarations (or a node id clashing with a synthetic

@@ -23,27 +23,25 @@ let expected_endpoints = function
   | "named" -> Some (`Entity, `Entity)
   | _ -> None
 
-let check g =
-  List.filter_map
-    (fun (e : Graph.edge) ->
-      match expected_endpoints e.Graph.edge_label with
-      | None -> None
-      | Some (want_src, want_tgt) -> (
-          match (Graph.find_node g e.Graph.edge_src, Graph.find_node g e.Graph.edge_tgt) with
-          | Some src, Some tgt ->
-              let src_cat = category_of_label src.Graph.node_label in
-              let tgt_cat = category_of_label tgt.Graph.node_label in
-              if src_cat = want_src && tgt_cat = want_tgt then None
-              else
-                Some
-                  {
-                    edge_id = e.Graph.edge_id;
-                    rule =
-                      Printf.sprintf "%s: %s -> %s (found %s -> %s)" e.Graph.edge_label
-                        (category_name want_src) (category_name want_tgt)
-                        (category_name src_cat) (category_name tgt_cat);
-                  }
-          | _ -> Some { edge_id = e.Graph.edge_id; rule = "edge endpoints missing" }))
-    (Graph.edges g)
+let check (g : Graph.t) =
+  List.filter_map Fun.id
+    (List.mapi
+       (fun ei (e : Graph.edge) ->
+         match expected_endpoints e.Graph.edge_label with
+         | None -> None
+         | Some (want_src, want_tgt) ->
+             let src_cat = category_of_label g.Graph.nodes.(g.Graph.src.(ei)).Graph.node_label in
+             let tgt_cat = category_of_label g.Graph.nodes.(g.Graph.tgt.(ei)).Graph.node_label in
+             if src_cat = want_src && tgt_cat = want_tgt then None
+             else
+               Some
+                 {
+                   edge_id = e.Graph.edge_id;
+                   rule =
+                     Printf.sprintf "%s: %s -> %s (found %s -> %s)" e.Graph.edge_label
+                       (category_name want_src) (category_name want_tgt) (category_name src_cat)
+                       (category_name tgt_cat);
+                 })
+       (Graph.edges g))
 
 let violation_to_string v = Printf.sprintf "%s violates %s" v.edge_id v.rule

@@ -116,70 +116,66 @@ let to_pgraph_unsafe json =
   in
   let node_fields id = function Json.Object m -> m | _ -> fail "node %s not an object" id in
   let edge_fields id = function Json.Object m -> m | _ -> fail "edge %s not an object" id in
+  let b = Graph.Builder.create () in
   (* Nodes first. *)
-  let g =
-    List.fold_left
-      (fun g (section, value) ->
-        if not (is_node_section section) then g
-        else
-          List.fold_left
-            (fun g (id, body) ->
-              let fields = node_fields id body in
-              let label =
-                match field "prov:type" fields with Some (Json.String t) -> t | _ -> section
-              in
-              Graph.add_node g ~id ~label
-                ~props:(props_of_fields fields ~dropped:(String.equal "prov:type")))
-            g (members section value))
-      Graph.empty sections
-  in
+  List.iter
+    (fun (section, value) ->
+      if is_node_section section then
+        List.iter
+          (fun (id, body) ->
+            let fields = node_fields id body in
+            let label =
+              match field "prov:type" fields with Some (Json.String t) -> t | _ -> section
+            in
+            Graph.Builder.add_node b ~id ~label
+              ~props:(props_of_fields fields ~dropped:(String.equal "prov:type")))
+          (members section value))
+    sections;
   (* Then relations. *)
-  let edge g id fields (label, src_key, tgt_key) ~dropped =
+  let edge id fields (label, src_key, tgt_key) ~dropped =
     let endpoint key =
       match field key fields with
       | Some (Json.String s) -> s
       | _ -> fail "edge %s lacks endpoint %s" id key
     in
     let src = endpoint src_key and tgt = endpoint tgt_key in
-    (* [Graph.add_edge] looks both endpoints up anyway, so they are only
+    (* [add_edge] looks both endpoints up anyway, so they are only
        looked up again when something failed: an unknown endpoint is
        reported first, ahead of a bad property or a duplicate id. *)
     match
-      Graph.add_edge g ~id ~src ~tgt ~label
+      Graph.Builder.add_edge b ~id ~src ~tgt ~label
         ~props:
           (props_of_fields fields ~dropped:(fun k ->
                String.equal k src_key || String.equal k tgt_key || dropped k))
     with
-    | g -> g
+    | () -> ()
     | exception ((Format_error _ | Invalid_argument _) as e) ->
-        if not (Graph.mem_node g src) then fail "edge %s references unknown node %s" id src;
-        if not (Graph.mem_node g tgt) then fail "edge %s references unknown node %s" id tgt;
+        if not (Graph.Builder.mem_node b src) then fail "edge %s references unknown node %s" id src;
+        if not (Graph.Builder.mem_node b tgt) then fail "edge %s references unknown node %s" id tgt;
         raise e
   in
-  List.fold_left
-    (fun g (section, value) ->
-      if String.equal section "prefix" || is_node_section section then g
-      else
+  List.iter
+    (fun (section, value) ->
+      if not (String.equal section "prefix" || is_node_section section) then
         let members = members section value in
         match edge_spec section with
         | Some spec ->
-            List.fold_left
-              (fun g (id, body) -> edge g id (edge_fields id body) spec ~dropped:(fun _ -> false))
-              g members
+            List.iter (fun (id, body) -> edge id (edge_fields id body) spec ~dropped:(fun _ -> false)) members
         | None ->
             if String.equal section generic_section then
-              List.fold_left
-                (fun g (id, body) ->
+              List.iter
+                (fun (id, body) ->
                   let fields = edge_fields id body in
                   let label =
                     match field "rel:type" fields with
                     | Some (Json.String t) -> t
                     | _ -> fail "relation %s lacks rel:type" id
                   in
-                  edge g id fields (label, "rel:from", "rel:to") ~dropped:(String.equal "rel:type"))
-                g members
+                  edge id fields (label, "rel:from", "rel:to") ~dropped:(String.equal "rel:type"))
+                members
             else fail "unknown section %s" section)
-    g sections
+    sections;
+  Graph.Builder.freeze b
 
 let to_pgraph json =
   try to_pgraph_unsafe json

@@ -23,7 +23,7 @@ let default_config =
   }
 
 type builder = {
-  mutable g : Graph.t;
+  g : Graph.Builder.t;
   mutable next : int;
   procs : (int, string) Hashtbl.t;  (* pid -> current process vertex *)
   artifacts : (string, string) Hashtbl.t;  (* path -> current artifact vertex *)
@@ -37,12 +37,12 @@ let fresh b prefix =
 
 let add_node b ~label ~props =
   let id = fresh b "v" in
-  b.g <- Graph.add_node b.g ~id ~label ~props:(Props.of_list props);
+  Graph.Builder.add_node b.g ~id ~label ~props:(Props.of_list props);
   id
 
 let add_edge b ~src ~tgt ~label ~props =
   let id = fresh b "r" in
-  b.g <- Graph.add_edge b.g ~id ~src ~tgt ~label ~props:(Props.of_list props);
+  Graph.Builder.add_edge b.g ~id ~src ~tgt ~label ~props:(Props.of_list props);
   id
 
 let process_props ?(config = default_config) (r : Event.audit_record) =
@@ -140,7 +140,7 @@ let handle_record b ~config (r : Event.audit_record) =
   (if not explicit_cred_change then
      match Hashtbl.find_opt b.procs r.Event.a_pid with
      | Some id -> (
-         match Graph.find_node b.g id with
+         match Graph.Builder.find_node b.g id with
          | Some node ->
              let differs key v =
                match Props.find key node.Graph.node_props with
@@ -316,37 +316,36 @@ let io_runs_filter ~fixed g =
     | Some ("read" | "write" | "pread" | "pwrite") -> true
     | Some _ | None -> false
   in
-  let edges = Graph.edges g in
-  let seen = Hashtbl.create 16 in
-  List.fold_left
-    (fun acc e ->
-      if not (is_io e) then acc
-      else
-        let group_key =
-          ( e.Graph.edge_src,
-            e.Graph.edge_tgt,
-            e.Graph.edge_label,
-            Option.value (Props.find key e.Graph.edge_props) ~default:"" )
-        in
-        match Hashtbl.find_opt seen group_key with
-        | None ->
-            Hashtbl.replace seen group_key (e.Graph.edge_id, 1);
-            acc
-        | Some (first_id, n) ->
-            Hashtbl.replace seen group_key (first_id, n + 1);
-            (* Fold this edge into the first one of the run. *)
-            let acc = Graph.remove_edge acc e.Graph.edge_id in
-            (match Graph.find_edge acc first_id with
-            | Some first ->
-                Graph.set_edge_props acc first_id
-                  (Props.add "count" (string_of_int (n + 1)) first.Graph.edge_props)
-            | None -> acc))
-    g edges
+  (* A run is the io edges of one group; its first edge in id order
+     stays, with a [count] of the run when it has company. *)
+  let runs = Hashtbl.create 16 in
+  let run e =
+    if not (is_io e) then None
+    else
+      let group =
+        (e.Graph.edge_src, e.Graph.edge_tgt, e.Graph.edge_label, Props.find key e.Graph.edge_props)
+      in
+      match Hashtbl.find_opt runs group with
+      | Some r -> Some r
+      | None ->
+          let r = (e.Graph.edge_id, ref 0) in
+          Hashtbl.replace runs group r;
+          Some r
+  in
+  List.iter (fun e -> Option.iter (fun (_, size) -> incr size) (run e)) (Graph.edges g);
+  let first e = match run e with Some (id, _) -> String.equal id e.Graph.edge_id | None -> true in
+  Graph.filter ~node:(fun _ -> true) ~edge:first g
+  |> Graph.map_props
+       ~node:(fun n -> n.Graph.node_props)
+       ~edge:(fun e ->
+         match run e with
+         | Some (_, size) when !size > 1 -> Props.add "count" (string_of_int !size) e.Graph.edge_props
+         | _ -> e.Graph.edge_props)
 
 let build ?(config = default_config) (trace : Trace.t) =
   let b =
     {
-      g = Graph.empty;
+      g = Graph.Builder.create ();
       next = 0;
       procs = Hashtbl.create 8;
       artifacts = Hashtbl.create 8;
@@ -358,7 +357,8 @@ let build ?(config = default_config) (trace : Trace.t) =
     (fun (r : Event.audit_record) ->
       if r.Event.a_success || not config.success_only then handle_record b ~config r)
     trace.Trace.audit;
-  if config.io_runs then io_runs_filter ~fixed:config.io_runs_fixed b.g else b.g
+  let g = Graph.Builder.freeze b.g in
+  if config.io_runs then io_runs_filter ~fixed:config.io_runs_fixed g else g
 
 (* Edge identifiers are r<k> with k increasing in insertion order; a
    truncated flush drops the numerically largest ones. *)
@@ -370,15 +370,10 @@ let truncate g truncate_edges =
       | Some n -> n
       | None -> 0
     in
-    let edge_ids =
-      List.sort (fun a b -> Int.compare (numeric b) (numeric a)) (Graph.edge_ids g)
-    in
-    let rec drop g ids k =
-      match (ids, k) with
-      | _, 0 | [], _ -> g
-      | id :: rest, k -> drop (Graph.remove_edge g id) rest (k - 1)
-    in
-    drop g edge_ids truncate_edges
+    let dropped = Hashtbl.create truncate_edges in
+    List.sort (fun a b -> Int.compare (numeric b) (numeric a)) (Graph.edge_ids g)
+    |> List.iteri (fun k id -> if k < truncate_edges then Hashtbl.replace dropped id ());
+    Graph.filter ~node:(fun _ -> true) ~edge:(fun e -> not (Hashtbl.mem dropped e.Graph.edge_id)) g
 
 let record ?(config = default_config) ?(truncate_edges = 0) trace =
   Dot.to_string (Dot.of_pgraph ~name:"spade" (truncate (build ~config trace) truncate_edges))

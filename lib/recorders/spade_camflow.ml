@@ -3,7 +3,7 @@ module Event = Oskernel.Event
 module Trace = Oskernel.Trace
 
 type builder = {
-  mutable g : Graph.t;
+  g : Graph.Builder.t;
   mutable next : int;
   procs : (int, string) Hashtbl.t;
   artifacts : (int, string) Hashtbl.t;  (* keyed by inode number *)
@@ -15,12 +15,12 @@ let fresh b prefix =
 
 let add_node b ~label ~props =
   let id = fresh b "v" in
-  b.g <- Graph.add_node b.g ~id ~label ~props:(Props.of_list props);
+  Graph.Builder.add_node b.g ~id ~label ~props:(Props.of_list props);
   id
 
 let add_edge b ~src ~tgt ~label ~props =
   let id = fresh b "r" in
-  b.g <- Graph.add_edge b.g ~id ~src ~tgt ~label ~props:(Props.of_list props)
+  Graph.Builder.add_edge b.g ~id ~src ~tgt ~label ~props:(Props.of_list props)
 
 let time_prop (s : Event.lsm_record) = ("time", string_of_int s.Event.s_time)
 
@@ -145,8 +145,8 @@ let handle b (s : Event.lsm_record) =
     | _ -> ()
 
 let build (trace : Trace.t) =
-  let b = { g = Graph.empty; next = 0; procs = Hashtbl.create 8; artifacts = Hashtbl.create 8 } in
+  let b = { g = Graph.Builder.create (); next = 0; procs = Hashtbl.create 8; artifacts = Hashtbl.create 8 } in
   List.iter (handle b) trace.Trace.lsm;
-  b.g
+  Graph.Builder.freeze b.g
 
 let record trace = Dot.to_string (Dot.of_pgraph ~name:"spade_camflow" (build trace))

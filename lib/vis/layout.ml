@@ -27,9 +27,7 @@ let acyclic_out_edges g =
         | None ->
             Hashtbl.replace kept e.Graph.edge_id ();
             dfs tgt)
-      (List.sort
-         (fun (a : Graph.edge) b -> String.compare a.Graph.edge_id b.Graph.edge_id)
-         (Graph.out_edges g id));
+      (Graph.out_edges g id);
     Hashtbl.replace state id 2
   in
   List.iter

@@ -152,16 +152,6 @@ let test_decode_errors () =
       "n1(n1,\"a\",\"extra\",\"args\").";
     ]
 
-let test_distinct_gids_do_not_mix () =
-  let g = sample_graph () in
-  let base =
-    Base.union (Encode.graph_to_base ~gid:"1" g) (Encode.graph_to_base ~gid:"2" Graph.empty)
-  in
-  let g1 = Encode.graph_of_base ~gid:"1" base in
-  let g2 = Encode.graph_of_base ~gid:"2" base in
-  check_bool "gid 1 intact" true (Graph.equal g g1);
-  check_int "gid 2 empty" 0 (Graph.size g2)
-
 let arb = Helpers.graph_arbitrary ()
 
 let prop_roundtrip =
@@ -178,9 +168,97 @@ let prop_fact_count =
 (* ------------------------------------------------------------------ *)
 
 (* [graph_to_string]/[graph_of_string] render and read fact text
-   directly; the path through [Fact.t] values and [Base] is the oracle. *)
+   directly; the path through [Fact.t] values and [Base] is the oracle.
+   Its decoder adds one fact at a time to a persistent graph, in [Base]
+   order: nodes, then edges, then each property through
+   [set_*_props]. *)
+let graph_of_base ~gid b =
+  let fail fmt = Printf.ksprintf (fun s -> raise (Encode.Decode_error s)) fmt in
+  let id_of = Fact.string_of_term in
+  let g =
+    List.fold_left
+      (fun g f ->
+        match f.Fact.args with
+        | [ id; label ] ->
+            Graph.add_node g ~id:(id_of id) ~label:(Fact.string_of_term label) ~props:Props.empty
+        | _ -> fail "node fact %s has wrong shape" (Fact.to_string f))
+      Graph.empty
+      (Base.facts_with_pred b ("n" ^ gid))
+  in
+  let g =
+    List.fold_left
+      (fun g f ->
+        match f.Fact.args with
+        | [ id; src; tgt; label ] ->
+            let src = id_of src and tgt = id_of tgt in
+            if not (Graph.mem_node g src) then
+              fail "edge %s refers to unknown source %s" (Fact.to_string f) src;
+            if not (Graph.mem_node g tgt) then
+              fail "edge %s refers to unknown target %s" (Fact.to_string f) tgt;
+            Graph.add_edge g ~id:(id_of id) ~src ~tgt ~label:(Fact.string_of_term label)
+              ~props:Props.empty
+        | _ -> fail "edge fact %s has wrong shape" (Fact.to_string f))
+      g
+      (Base.facts_with_pred b ("e" ^ gid))
+  in
+  List.fold_left
+    (fun g f ->
+      match f.Fact.args with
+      | [ id; key; value ] -> (
+          let id = id_of id in
+          let key = Fact.string_of_term key and value = Fact.string_of_term value in
+          match (Graph.find_node g id, Graph.find_edge g id) with
+          | Some n, _ -> Graph.set_node_props g id (Props.add key value n.Graph.node_props)
+          | None, Some e -> Graph.set_edge_props g id (Props.add key value e.Graph.edge_props)
+          | None, None -> fail "property fact %s refers to unknown element" (Fact.to_string f))
+      | _ -> fail "property fact %s has wrong shape" (Fact.to_string f))
+    g
+    (Base.facts_with_pred b ("p" ^ gid))
+
 let oracle_render ~gid g = Base.to_string (Encode.graph_to_base ~gid g)
-let oracle_decode ~gid s = Encode.graph_of_base ~gid (Parser.parse_base s)
+let oracle_decode ~gid s = graph_of_base ~gid (Parser.parse_base s)
+
+(* [graph_of_string]'s reject texts: a dangling endpoint is a decode
+   error naming the fact, a repeated id the builder's own text. *)
+let test_decode_error_texts () =
+  let verdict s =
+    match Encode.graph_of_string ~gid:"1" s with
+    | exception Encode.Decode_error m -> "decode: " ^ m
+    | exception Invalid_argument m -> "invalid: " ^ m
+    | _ -> "accepted"
+  in
+  List.iter
+    (fun (name, s, expected) -> check_string name expected (verdict s))
+    [
+      ( "dangling source",
+        "e1(e1,a,b,\"x\").\nn1(b,\"y\").\n",
+        "decode: edge e1(e1,a,b,\"x\"). refers to unknown source a" );
+      ( "dangling target",
+        "e1(e1,a,b,\"x\").\nn1(a,\"y\").\n",
+        "decode: edge e1(e1,a,b,\"x\"). refers to unknown target b" );
+      ( "duplicate node",
+        "n1(a,\"x\").\nn1(a,\"y\").\n",
+        "invalid: Pgraph.Graph.add_node: duplicate identifier a" );
+      ( "edge id clashes with a node id",
+        "e1(a,a,a,\"x\").\nn1(a,\"y\").\n",
+        "invalid: Pgraph.Graph.add_edge: duplicate identifier a" );
+      ( "duplicate edge",
+        "e1(e,a,a,\"x\").\ne1(e,a,a,\"z\").\nn1(a,\"y\").\n",
+        "invalid: Pgraph.Graph.add_edge: duplicate identifier e" );
+      ( "property of an unknown element",
+        "n1(a,\"y\").\np1(b,\"k\",\"v\").\n",
+        "decode: property fact p1(b,\"k\",\"v\"). refers to unknown element" );
+    ]
+
+let test_distinct_gids_do_not_mix () =
+  let g = sample_graph () in
+  let base =
+    Base.union (Encode.graph_to_base ~gid:"1" g) (Encode.graph_to_base ~gid:"2" Graph.empty)
+  in
+  let g1 = graph_of_base ~gid:"1" base in
+  let g2 = graph_of_base ~gid:"2" base in
+  check_bool "gid 1 intact" true (Graph.equal g g1);
+  check_int "gid 2 empty" 0 (Graph.size g2)
 
 (* A decode's verdict: the graph, or the exception with its message. *)
 let verdict decode =
@@ -355,6 +433,7 @@ let () =
           Alcotest.test_case "matches listing format" `Quick test_encode_matches_listing_format;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
+          Alcotest.test_case "decode error texts" `Quick test_decode_error_texts;
           Alcotest.test_case "graph ids are independent" `Quick test_distinct_gids_do_not_mix;
           Alcotest.test_case "malformed text decodes as the oracle" `Quick test_decode_malformed_table;
         ] );

@@ -100,15 +100,6 @@ let test_map_ids () =
   let e = Option.get (Graph.find_edge g' "p_e1") in
   check_string "edge src renamed" "p_n2" e.Graph.edge_src
 
-let test_disjoint_union () =
-  let g = two_node_graph () in
-  let h = Graph.map_ids (fun id -> "h_" ^ id) g in
-  let u = Graph.disjoint_union g h in
-  check_int "union nodes" 4 (Graph.node_count u);
-  Alcotest.check_raises "clash rejected"
-    (Invalid_argument "Pgraph.Graph.disjoint_union: identifier clash") (fun () ->
-      ignore (Graph.disjoint_union g g))
-
 let test_equality () =
   let g = two_node_graph () in
   let h = two_node_graph () in
@@ -237,8 +228,21 @@ let prop_hash_string_reference =
    replaced: each side's (edge label, neighbour colour) hashes sorted
    and folded.  Dense graphs on few nodes give degrees past the
    insertion-sort cut-off, so both sorting paths are compared. *)
-let reference_refine (view : Fingerprint.view) colours =
+let reference_refine g colours =
   let module H = Fingerprint.Hash in
+  let index = Hashtbl.create 16 in
+  List.iteri (fun i id -> Hashtbl.replace index id i) (Graph.node_ids g);
+  let out_side id =
+    List.map
+      (fun (e : Graph.edge) -> (H.string H.seed e.Graph.edge_label, Hashtbl.find index e.Graph.edge_tgt))
+      (List.filter (fun (e : Graph.edge) -> e.Graph.edge_src = id) (Graph.edges g))
+  and in_side id =
+    List.map
+      (fun (e : Graph.edge) ->
+        (H.string (H.string H.seed "in") e.Graph.edge_label, Hashtbl.find index e.Graph.edge_src))
+      (List.filter (fun (e : Graph.edge) -> e.Graph.edge_tgt = id) (Graph.edges g))
+  in
+  let ids = Array.of_list (Graph.node_ids g) in
   Array.mapi
     (fun i c ->
       let fold side =
@@ -246,7 +250,7 @@ let reference_refine (view : Fingerprint.view) colours =
         |> List.sort Int64.compare
         |> List.fold_left H.int64 H.seed
       in
-      H.int64 (H.int64 c (fold view.Fingerprint.outs.(i))) (fold view.Fingerprint.ins.(i)))
+      H.int64 (H.int64 c (fold (out_side ids.(i)))) (fold (in_side ids.(i))))
     colours
 
 let prop_refine_reference =
@@ -255,12 +259,106 @@ let prop_refine_reference =
     (fun (dense, sparse) ->
       List.for_all
         (fun g ->
-          let view = Fingerprint.view_of g in
-          let c0 = Fingerprint.label_colours view in
-          let c1 = reference_refine view c0 in
-          Fingerprint.refine view 1 c0 = c1
-          && Fingerprint.refine view 2 c0 = reference_refine view c1)
+          let s = Fingerprint.settled g in
+          let c0 = Fingerprint.label_colours g in
+          let c1 = reference_refine g c0 in
+          Fingerprint.refine s 1 c0 = c1
+          && Fingerprint.refine s 2 c0 = reference_refine g c1)
         [ dense; sparse ])
+
+(* ------------------------------------------------------------------ *)
+(* Element order and incidence against whole-list definitions          *)
+
+(* The definitions the frozen graph replaced, kept as the oracle: [g]
+   built from [nodes] and [edges] lists them in id order, and each
+   incidence query is a filter of the whole id-ordered edge list (an id
+   that is no node gets nothing). *)
+let matches_list_definitions ~nodes ~edges g =
+  let by_id id = List.sort (fun a b -> String.compare (id a) (id b)) in
+  let edges = by_id (fun (e : Graph.edge) -> e.Graph.edge_id) edges in
+  let ids = "no such node" :: List.map (fun (n : Graph.node) -> n.Graph.node_id) nodes in
+  let query q keep = List.for_all (fun id -> q g id = List.filter (keep id) edges) ids in
+  Graph.nodes g = by_id (fun (n : Graph.node) -> n.Graph.node_id) nodes
+  && Graph.edges g = edges
+  && query Graph.out_edges (fun id e -> String.equal e.Graph.edge_src id)
+  && query Graph.in_edges (fun id e -> String.equal e.Graph.edge_tgt id)
+  && query Graph.incident_edges (fun id e ->
+         String.equal e.Graph.edge_src id || String.equal e.Graph.edge_tgt id)
+
+(* The elements added to a builder in a shuffled order, nodes first. *)
+let build_shuffled st nodes edges =
+  let shuffle l =
+    List.map (fun x -> (Random.State.bits st, x)) l
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+  in
+  let b = Graph.Builder.create () in
+  List.iter
+    (fun (n : Graph.node) ->
+      Graph.Builder.add_node b ~id:n.Graph.node_id ~label:n.Graph.node_label ~props:n.Graph.node_props)
+    (shuffle nodes);
+  List.iter
+    (fun (e : Graph.edge) ->
+      Graph.Builder.add_edge b ~id:e.Graph.edge_id ~src:e.Graph.edge_src ~tgt:e.Graph.edge_tgt
+        ~label:e.Graph.edge_label ~props:e.Graph.edge_props)
+    (shuffle edges);
+  Graph.Builder.freeze b
+
+let check_list_definitions st g =
+  let nodes = Graph.nodes g and edges = Graph.edges g in
+  matches_list_definitions ~nodes ~edges g
+  && matches_list_definitions ~nodes ~edges (build_shuffled st nodes edges)
+
+(* ProvGen graphs with self-loops and parallel copies of edges added. *)
+let prop_incidence_provgen =
+  Helpers.qcheck ~count:60 "incidence equals whole-edge-list filters (ProvGen, loops, parallels)"
+    QCheck.(triple (int_range 1 80) small_nat int)
+    (fun (n, extra, seed) ->
+      let st = Random.State.make [| seed |] in
+      let g = Provgen.generate ~seed (Provgen.default_spec ~nodes:n) in
+      let node_ids = Array.of_list (Graph.node_ids g) and edges = Array.of_list (Graph.edges g) in
+      let pick a = a.(Random.State.int st (Array.length a)) in
+      let added =
+        List.init extra (fun k ->
+            if k mod 2 = 0 || Array.length edges = 0 then
+              let v = pick node_ids in
+              {
+                Graph.edge_id = Printf.sprintf "loop%d" k;
+                edge_src = v;
+                edge_tgt = v;
+                edge_label = "self";
+                edge_props = Props.empty;
+              }
+            else { (pick edges) with Graph.edge_id = Printf.sprintf "par%d" k })
+      in
+      let nodes = Graph.nodes g and edges = Graph.edges g @ added in
+      matches_list_definitions ~nodes ~edges (build_shuffled st nodes edges))
+
+(* Graphs from every recorder, as built and as read back from their
+   output formats, including the recorders' filtering paths. *)
+let test_incidence_recorders () =
+  let st = Random.State.make [| 29 |] in
+  let programs = List.filteri (fun i _ -> i mod 4 = 0) Provmark.Bench_registry.all in
+  List.iter
+    (fun prog ->
+      let trace = Oskernel.Kernel.run ~run_id:1 prog Oskernel.Program.Foreground in
+      let spade_io = { Recorders.Spade.default_config with io_runs = true; io_runs_fixed = true } in
+      let camflow_filtered = { Recorders.Camflow.default_config with filter_types = [ "path" ] } in
+      List.iter
+        (fun (name, g) ->
+          check_bool (prog.Oskernel.Program.name ^ " " ^ name) true (check_list_definitions st g))
+        [
+          ("spade", Recorders.Spade.build trace);
+          ("spade io runs", Recorders.Spade.build ~config:spade_io trace);
+          ( "spade dot",
+            Recorders.Dot.to_pgraph (Recorders.Dot.of_string (Recorders.Spade.record ~truncate_edges:1 trace)) );
+          ("camflow", Recorders.Camflow.build ~drop_edge_index:3 trace);
+          ("camflow filtered", Recorders.Camflow.build ~config:camflow_filtered trace);
+          ("camflow json", Recorders.Provjson.of_string (Recorders.Camflow.record trace));
+          ("opus", Recorders.Opus.of_dump (Graphstore.Store.dump (Recorders.Opus.record trace)));
+          ("spade-camflow", Recorders.Spade_camflow.build trace);
+        ])
+    programs
 
 let prop_subtract_never_raises =
   Helpers.qcheck "subtract_matched total on arbitrary subsets" arb (fun g ->
@@ -389,9 +487,9 @@ let () =
           Alcotest.test_case "dangling edge rejected" `Quick test_graph_dangling_edge;
           Alcotest.test_case "edge/node id clash rejected" `Quick test_graph_edge_id_clash_with_node;
           Alcotest.test_case "incidence queries" `Quick test_incidence;
+          Alcotest.test_case "incidence on recorder graphs" `Quick test_incidence_recorders;
           Alcotest.test_case "remove node cascades" `Quick test_remove_node_cascades;
           Alcotest.test_case "map_ids renames consistently" `Quick test_map_ids;
-          Alcotest.test_case "disjoint union" `Quick test_disjoint_union;
           Alcotest.test_case "equality" `Quick test_equality;
         ] );
       ( "subtract",
@@ -420,5 +518,6 @@ let () =
           prop_components_bounds;
           prop_hash_string_reference;
           prop_refine_reference;
+          prop_incidence_provgen;
         ] );
     ]

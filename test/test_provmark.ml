@@ -722,6 +722,41 @@ let test_nondet_empty_threads () =
     (Provmark.Nondet.benchmark (config_for Recorder.Spade) spec
     = Error Provmark.Nondet.No_behaviour)
 
+(* The [graph parse error: ...] line [provmark match] prints and serve
+   returns for a graph that does not build. *)
+let test_match_parse_errors () =
+  let module M = Provmark.Match_op in
+  let verdict format text = match M.parse_graph format text with Ok _ -> "ok" | Error m -> m in
+  let nodes = {|"entity": {"n1": {"prov:type": "file"}, "n2": {}}|} in
+  List.iter
+    (fun (name, format, text, expected) -> check_string name expected (verdict format text))
+    [
+      ( "DOT duplicate node",
+        M.Dot,
+        "digraph g {\n  a [type=\"x\"];\n  a [type=\"y\"];\n}\n",
+        {|graph parse error: Recorders.Dot.Parse_error(0, "Pgraph.Graph.add_node: duplicate identifier a")|} );
+      ( "DOT node/edge id clash",
+        M.Dot,
+        "digraph g {\n  a [type=\"x\"];\n  e0 [type=\"y\"];\n  a -> e0;\n}\n",
+        {|graph parse error: Recorders.Dot.Parse_error(0, "Pgraph.Graph.add_edge: duplicate identifier e0")|} );
+      ( "DOT dangling edge",
+        M.Dot,
+        "digraph g {\n  a;\n  a -> b;\n}\n",
+        {|graph parse error: Recorders.Dot.Parse_error(19, "edge references undeclared node b")|} );
+      ( "PROV-JSON node in two sections",
+        M.Provjson,
+        {|{"entity": {"n1": {}}, "activity": {"n1": {}}}|},
+        {|graph parse error: Recorders.Provjson.Format_error(0, "Pgraph.Graph.add_node: duplicate identifier n1")|} );
+      ( "PROV-JSON node/edge id clash",
+        M.Provjson,
+        Printf.sprintf {|{%s, "used": {"n1": {"prov:activity": "n1", "prov:entity": "n2"}}}|} nodes,
+        {|graph parse error: Recorders.Provjson.Format_error(0, "Pgraph.Graph.add_edge: duplicate identifier n1")|} );
+      ( "PROV-JSON dangling edge",
+        M.Provjson,
+        Printf.sprintf {|{%s, "used": {"u": {"prov:activity": "zz", "prov:entity": "n2"}}}|} nodes,
+        {|graph parse error: Recorders.Provjson.Format_error(0, "edge u references unknown node zz")|} );
+    ]
+
 let () =
   Alcotest.run "provmark"
     [
@@ -746,6 +781,7 @@ let () =
           Alcotest.test_case "filter drops non-modal" `Quick test_generalize_filter_drops_nonmodal;
           Alcotest.test_case "pair choice" `Quick test_generalize_pair_choice;
         ] );
+      ("match", [ Alcotest.test_case "graph parse errors are pinned" `Quick test_match_parse_errors ]);
       ( "compare",
         [
           Alcotest.test_case "subtraction with dummies" `Quick test_compare_subtracts;

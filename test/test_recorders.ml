@@ -95,6 +95,17 @@ let test_dot_lexical_error_first () =
   check_dot_verdict "later lexical error wins" (Error (28, "unexpected character '@'"))
     "digraph g {\n  \"a\" = ;\n  \"b\" @\n}\n"
 
+(* Graph construction faults, rewrapped at offset 0 with the builder's
+   text: a node declared twice, and a node whose id clashes with a
+   synthetic edge id ([e<k>] for the k-th edge). *)
+let test_dot_construction_errors () =
+  check_dot_verdict "duplicate node"
+    (Error (0, "Pgraph.Graph.add_node: duplicate identifier a"))
+    "digraph g {\n  a [type=\"x\"];\n  a [type=\"y\"];\n}\n";
+  check_dot_verdict "node id clashes with an edge id"
+    (Error (0, "Pgraph.Graph.add_edge: duplicate identifier e0"))
+    "digraph g {\n  a [type=\"x\"];\n  e0 [type=\"y\"];\n  a -> e0;\n}\n"
+
 (* ------------------------------------------------------------------ *)
 (* PROV-JSON                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -181,6 +192,14 @@ let test_provjson_error_reasons () =
       ( "duplicate id",
         Printf.sprintf {|{%s, "used": {"n1": {"prov:activity": "n1", "prov:entity": "n2"}}}|} nodes,
         "Pgraph.Graph.add_edge: duplicate identifier n1" );
+      ( "node repeated across sections",
+        {|{"entity": {"n1": {}}, "activity": {"n1": {}}}|},
+        "Pgraph.Graph.add_node: duplicate identifier n1" );
+      ( "edge repeated across sections",
+        Printf.sprintf
+          {|{%s, "used": {"u": {"prov:activity": "n1", "prov:entity": "n2"}}, "wasGeneratedBy": {"u": {"prov:entity": "n1", "prov:activity": "n2"}}}|}
+          nodes,
+        "Pgraph.Graph.add_edge: duplicate identifier u" );
       ( "unknown endpoint before a duplicate id",
         Printf.sprintf {|{%s, "used": {"n1": {"prov:activity": "n1", "prov:entity": "zz"}}}|} nodes,
         "edge n1 references unknown node zz" );
@@ -616,6 +635,7 @@ let () =
           Alcotest.test_case "undeclared edge endpoint" `Quick test_dot_undeclared_edge_node;
           Alcotest.test_case "edge before node declaration" `Quick test_dot_forward_reference;
           Alcotest.test_case "lexical error outranks grammar" `Quick test_dot_lexical_error_first;
+          Alcotest.test_case "graph construction errors" `Quick test_dot_construction_errors;
         ] );
       ( "provjson",
         [
