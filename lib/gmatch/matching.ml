@@ -20,7 +20,7 @@ let of_pairs g1 pairs cost =
 let of_canon (f1 : Canon.form) (f2 : Canon.form) =
   if not (String.equal f1.Canon.digest f2.Canon.digest) then
     invalid_arg "Matching.of_canon: forms have different digests";
-  let pairs a b = Array.to_list (Array.map2 (fun x y -> (x, y)) a b) in
+  let pairs a b = List.init (Array.length a) (fun i -> (a.(i), b.(i))) in
   {
     node_map = pairs f1.Canon.node_order f2.Canon.node_order;
     edge_map = pairs f1.Canon.edge_order f2.Canon.edge_order;

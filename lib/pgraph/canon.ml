@@ -230,11 +230,17 @@ let compute_form (s : Fingerprint.settled) =
   match search s with
   | None -> None
   | Some (cert, order, eorder) ->
+      (* Filled in place, not [Array.map]: the graph's ids may be young. *)
+      let ids order id =
+        let a = Array.make (Array.length order) "" in
+        Array.iteri (fun r i -> a.(r) <- id i) order;
+        a
+      in
       Some
         {
           digest = Digest.to_hex (Digest.string cert);
-          node_order = Array.map (fun i -> g.Graph.nodes.(i).Graph.node_id) order;
-          edge_order = Array.map (fun ei -> g.Graph.edges.(ei).Graph.edge_id) eorder;
+          node_order = ids order (fun i -> g.Graph.nodes.(i).Graph.node_id);
+          edge_order = ids eorder (fun ei -> g.Graph.edges.(ei).Graph.edge_id);
         }
 
 let form_with g settled =

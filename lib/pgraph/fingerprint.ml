@@ -105,11 +105,22 @@ let sort_prefix b n =
     done
   else heapsort b n
 
+(* Colourings are arrays of boxed [int64]s, so they start from the
+   static [0L] and are filled in place: an [Array.map] starting from a
+   fresh (young) box would force a minor collection past 256 nodes. *)
+let colouring n f =
+  let c = Array.make n 0L in
+  for i = 0 to n - 1 do
+    c.(i) <- f i
+  done;
+  c
+
 (* Round 0 colours a node by its label alone; each further round folds in
    the sorted multisets of (edge label, neighbour colour) pairs over
    outgoing and incoming edges — standard Weisfeiler–Leman refinement. *)
 let label_colours (g : Graph.t) =
-  Array.map (fun (n : Graph.node) -> hash_string fnv_offset n.Graph.node_label) g.Graph.nodes
+  colouring (Array.length g.Graph.nodes) (fun i ->
+      hash_string fnv_offset g.Graph.nodes.(i).Graph.node_label)
 
 (* Each edge's label hash as its source sees it ([out_h]) and as its
    target does ([in_h]), 8 bytes per edge. *)
@@ -145,11 +156,9 @@ let fold_side b colours eis lab ends =
 let graph_scratch (g : Graph.t) = scratch (Array.length g.Graph.edges)
 
 let refine_once b (g : Graph.t) hs colours =
-  Array.mapi
-    (fun i c ->
-      let h = hash_int64 c (fold_side b colours g.Graph.outs.(i) hs.out_h g.Graph.tgt) in
+  colouring (Array.length colours) (fun i ->
+      let h = hash_int64 colours.(i) (fold_side b colours g.Graph.outs.(i) hs.out_h g.Graph.tgt) in
       hash_int64 h (fold_side b colours g.Graph.ins.(i) hs.in_h g.Graph.src))
-    colours
 
 let refine_with g hs rounds colours =
   let b = graph_scratch g in

@@ -137,21 +137,29 @@ module Builder = struct
     end
 
   (* The first [len] elements of [a] in [order], and each insertion
-     position's index among them. *)
+     position's index among them.  The elements are young when a
+     graph was just built, so the result is an [Array.sub] filled in
+     place, never an [Array.map] (see the note in graph.mli). *)
   let permute order a len =
     match order with
     | None -> (Array.sub a 0 len, Fun.id)
     | Some order ->
         let rank = Array.make len 0 in
-        Array.iteri (fun r k -> rank.(k) <- r) order;
-        (Array.map (fun k -> a.(k)) order, fun k -> rank.(k))
+        let out = Array.sub a 0 len in
+        Array.iteri
+          (fun r k ->
+            rank.(k) <- r;
+            out.(r) <- a.(k))
+          order;
+        (out, fun k -> rank.(k))
 
   (* Per-node incident edge indices in ascending (edge-id) order: a
      counting pass sizes each node's array, a second fills it. *)
   let adjacency n ends =
     let deg = Array.make n 0 in
     Array.iter (fun i -> deg.(i) <- deg.(i) + 1) ends;
-    let adj = Array.map (fun d -> Array.make d 0) deg in
+    let adj = Array.make n [||] in
+    Array.iteri (fun i d -> adj.(i) <- Array.make d 0) deg;
     Array.fill deg 0 n 0;
     Array.iteri
       (fun ei i ->
@@ -238,10 +246,12 @@ let incident_edges g id =
       in
       merge (Array.length outs - 1) (Array.length ins - 1) []
 
-(* Nodes first, then edges, each in id order. *)
+(* Nodes first, then edges, each in id order, into copies of the
+   arrays (not [Array.map], whose first element would be young). *)
 let map_props ~node ~edge g =
-  let nodes = Array.map (fun n -> { n with node_props = node n }) g.nodes in
-  let edges = Array.map (fun e -> { e with edge_props = edge e }) g.edges in
+  let nodes = Array.copy g.nodes and edges = Array.copy g.edges in
+  Array.iteri (fun i n -> nodes.(i) <- { n with node_props = node n }) g.nodes;
+  Array.iteri (fun ei e -> edges.(ei) <- { e with edge_props = edge e }) g.edges;
   { g with nodes; edges }
 
 let set_node_props g id props =

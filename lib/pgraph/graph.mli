@@ -47,7 +47,16 @@ and index
     for a node, and for an edge ["Pgraph.Graph.add_edge: <fault> <id>"]
     with fault [duplicate identifier], else [unknown source], else
     [unknown target].  {!Builder.freeze} then sorts the elements by id
-    and builds the incidence arrays in O((N + E) log (N + E)). *)
+    and builds the incidence arrays in O((N + E) log (N + E)).
+
+    In OCaml 5, [Array.make] of more than 256 words whose initial
+    element is in the minor heap empties the minor heap first, which
+    stops every domain; [Array.map], [Array.mapi], [Array.map2] and
+    [Array.init] start from their first result, so over freshly built
+    records, strings or boxed [int64]s each call forces a collection.
+    [freeze] and {!map_props} start such arrays from an [Array.sub] (or
+    from a static element) and fill them in place; code on the match
+    path does the same. *)
 
 module Builder : sig
   type graph := t

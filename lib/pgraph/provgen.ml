@@ -128,42 +128,90 @@ let spec_of_string s =
   Ok spec
 
 (* ------------------------------------------------------------------ *)
-(* Site-keyed splitmix64 draws (the PR 4 fault-injector idiom)         *)
+(* Site-keyed splitmix64 draws (the fault injector's idiom)            *)
 (* ------------------------------------------------------------------ *)
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let state seed key =
-  let h = ref (Int64.add (Int64.of_int seed) 0x9E3779B97F4A7C15L) in
-  String.iter (fun c -> h := mix (Int64.add !h (Int64.of_int (Char.code c)))) key;
-  mix !h
+(* A key's state is [mix] folded left over the key's bytes from
+   [origin seed], then mixed once more.  [absorb h s] continues a fold
+   by [s], so keys that share a prefix fold it once: "node/17/label"
+   and "node/17/transient?" both start from the fold of "node/17",
+   which starts from the fold of "node/".  The accumulator stays
+   unboxed inside the loop. *)
+let absorb h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := mix (Int64.add !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+  done;
+  !h
 
-let unit_float seed key i =
-  let v = mix (Int64.add (state seed key) (Int64.of_int (i * 0x5851F42D))) in
+let origin seed = Int64.add (Int64.of_int seed) 0x9E3779B97F4A7C15L
+
+(* Draw [i] at the state [st] of a key, as a float in [0, 1). *)
+let unit_float st i =
+  let v = mix (Int64.add st (Int64.of_int (i * 0x5851F42D))) in
   Int64.to_float (Int64.shift_right_logical v 11) /. 9007199254740992.
 
-let draw_int seed key i bound =
-  if bound <= 0 then 0 else int_of_float (unit_float seed key i *. float_of_int bound)
+let draw_int st i bound = if bound <= 0 then 0 else int_of_float (unit_float st i *. float_of_int bound)
 
-let hex_token seed key i =
-  Printf.sprintf "%08Lx"
-    (Int64.logand (mix (Int64.add (state seed key) (Int64.of_int (i * 0x2545F491)))) 0xFFFFFFFFL)
+let hex_digits = "0123456789abcdef"
 
-let draw_weighted seed key i weights =
+(* [Printf.sprintf "%08Lx"] of the low 32 bits of token draw [i] at
+   [st], written into [b] at [off]. *)
+let put_hex_token b off st i =
+  let v = Int64.to_int (Int64.logand (mix (Int64.add st (Int64.of_int (i * 0x2545F491)))) 0xFFFFFFFFL) in
+  for k = 0 to 7 do
+    Bytes.unsafe_set b (off + k) hex_digits.[(v lsr (4 * (7 - k))) land 0xf]
+  done
+
+let hex_token st i =
+  let b = Bytes.create 8 in
+  put_hex_token b 0 st i;
+  Bytes.unsafe_to_string b
+
+(* [Printf.sprintf "%s_%s" label (hex_token st 1)] in one allocation. *)
+let name_token label st =
+  let n = String.length label in
+  let b = Bytes.create (n + 9) in
+  Bytes.blit_string label 0 b 0 n;
+  Bytes.unsafe_set b n '_';
+  put_hex_token b (n + 1) st 1;
+  Bytes.unsafe_to_string b
+
+(* [string_of_int i] for [i >= 0], without parsing a format. *)
+let decimal i =
+  let digits = ref 1 and r = ref (i / 10) in
+  while !r > 0 do
+    incr digits;
+    r := !r / 10
+  done;
+  let b = Bytes.create !digits in
+  let r = ref i in
+  for k = !digits - 1 downto 0 do
+    Bytes.unsafe_set b k (Char.unsafe_chr (48 + (!r mod 10)));
+    r := !r / 10
+  done;
+  Bytes.unsafe_to_string b
+
+(* [weighted ws st] picks a key of [ws] by weight with draw 0 at
+   [st]; the total is summed once per [weighted ws]. *)
+let weighted weights =
   let total = List.fold_left (fun acc (_, w) -> acc + max 0 w) 0 weights in
-  if total <= 0 then fst (List.hd weights)
-  else
-    let target = draw_int seed key i total in
-    let rec pick acc = function
-      | [] -> fst (List.hd weights)
-      | (k, w) :: rest ->
-          let acc = acc + max 0 w in
-          if target < acc then k else pick acc rest
-    in
-    pick 0 weights
+  fun st ->
+    if total <= 0 then fst (List.hd weights)
+    else
+      let target = draw_int st 0 total in
+      let rec pick acc = function
+        | [] -> fst (List.hd weights)
+        | (k, w) :: rest ->
+            let acc = acc + max 0 w in
+            if target < acc then k else pick acc rest
+      in
+      pick 0 weights
 
 (* ------------------------------------------------------------------ *)
 (* Generation                                                          *)
@@ -191,47 +239,57 @@ let motif_edges motif ~start ~size =
 let generate ?(run = 1) ~seed spec =
   (match validate spec with Ok () -> () | Error m -> invalid_arg ("Provgen.generate: " ^ m));
   let n = spec.nodes in
-  let node_id i = Printf.sprintf "n%d" i in
-  (* Nodes: label and persistent properties depend on (seed, site)
-     only; the transient token also folds in [run]. *)
+  let root = origin seed in
+  let run_key = "/run" ^ string_of_int run in
+  (* Element [k] of a kind, from [kind], the fold of the kind's prefix
+     ("node/" or "edge/"): its index digits, the state of its site
+     (say "node/17"), its label, and its transient token when it draws
+     one.  Labels and persistent tokens depend on (seed, site) only;
+     the transient token also folds in [run]. *)
+  let element kind labels k =
+    let digits = decimal k in
+    let site = absorb kind digits in
+    let label = labels (mix (absorb site "/label")) in
+    let transient =
+      if unit_float (mix (absorb site "/transient?")) 0 < spec.transient_ratio then
+        Some (hex_token (mix (absorb site run_key)) 2)
+      else None
+    in
+    (digits, mix site, label, transient)
+  in
+  let with_transient key transient persistent =
+    Props.of_list (match transient with Some t -> (key, t) :: persistent | None -> persistent)
+  in
+  let node_site = absorb root "node/" and node_label = weighted spec.node_types in
+  let node_ids = Array.make n "" in
   let b = Graph.Builder.create () in
   for i = 0 to n - 1 do
-    let site = Printf.sprintf "node/%d" i in
-    let label = draw_weighted seed (site ^ "/label") 0 spec.node_types in
-    let persistent =
-      [ ("seq", string_of_int i); ("name", Printf.sprintf "%s_%s" label (hex_token seed site 1)) ]
-    in
-    let props =
-      if unit_float seed (site ^ "/transient?") 0 < spec.transient_ratio then
-        ("token", hex_token seed (Printf.sprintf "%s/run%d" site run) 2) :: persistent
-      else persistent
-    in
-    Graph.Builder.add_node b ~id:(node_id i) ~label ~props:(Props.of_list props)
+    let digits, st, label, transient = element node_site node_label i in
+    let id = "n" ^ digits in
+    node_ids.(i) <- id;
+    Graph.Builder.add_node b ~id ~label
+      ~props:(with_transient "token" transient [ ("seq", digits); ("name", name_token label st) ])
   done;
   (* Edges: motif blocks over consecutive indices, a connector from
      each block start into the earlier graph, then the extra density
      draws.  All decisions are keyed on stable sites, so edge [k]'s
      labels and endpoints never depend on other draws. *)
+  let edge_site = absorb root "edge/" and edge_label = weighted spec.edge_types in
   let eid = ref 0 in
   let add_edge ~src ~tgt =
-    let site = Printf.sprintf "edge/%d" !eid in
-    let label = draw_weighted seed (site ^ "/label") 0 spec.edge_types in
-    let persistent = [ ("op", hex_token seed site 1) ] in
-    let props =
-      if unit_float seed (site ^ "/transient?") 0 < spec.transient_ratio then
-        ("t", hex_token seed (Printf.sprintf "%s/run%d" site run) 2) :: persistent
-      else persistent
-    in
-    Graph.Builder.add_edge b
-      ~id:(Printf.sprintf "e%d" !eid)
-      ~src:(node_id src) ~tgt:(node_id tgt) ~label ~props:(Props.of_list props);
+    let digits, st, label, transient = element edge_site edge_label !eid in
+    Graph.Builder.add_edge b ~id:("e" ^ digits) ~src:node_ids.(src) ~tgt:node_ids.(tgt) ~label
+      ~props:(with_transient "t" transient [ ("op", hex_token st 1) ]);
     incr eid
   in
+  let motif_site = absorb root "motif/" and motif_of = weighted spec.motif_weights in
+  let connect_site = absorb root "connect/" in
   let i = ref 1 in
   let block = ref 0 in
   while !i < n do
     let start = !i in
-    let motif = draw_weighted seed (Printf.sprintf "motif/%d" !block) 0 spec.motif_weights in
+    let digits = decimal !block in
+    let motif = motif_of (mix (absorb motif_site digits)) in
     let size = min (motif_size motif) (n - start + 1) in
     (* The block reuses index [start - 1] as its first node so blocks
        overlap by one element and the graph stays connected even
@@ -240,19 +298,20 @@ let generate ?(run = 1) ~seed spec =
       (motif_edges motif ~start:0 ~size);
     (* Connector from the block start back into the earlier graph. *)
     if start > 1 then
-      add_edge ~src:(start - 1)
-        ~tgt:(draw_int seed (Printf.sprintf "connect/%d" !block) 0 (start - 1));
+      add_edge ~src:(start - 1) ~tgt:(draw_int (mix (absorb connect_site digits)) 0 (start - 1));
     i := start + size - 1;
     incr block
   done;
   (* Density: expected [density] extra backward edges per node. *)
+  let density_site = absorb root "density/" in
+  let whole = int_of_float spec.density in
+  let frac = spec.density -. float_of_int whole in
   for v = 1 to n - 1 do
-    let site = Printf.sprintf "density/%d" v in
-    let whole = int_of_float spec.density in
-    let frac = spec.density -. float_of_int whole in
-    let extra = whole + (if unit_float seed (site ^ "/frac") 0 < frac then 1 else 0) in
+    let site = absorb density_site (decimal v) in
+    let extra = whole + if unit_float (mix (absorb site "/frac")) 0 < frac then 1 else 0 in
+    let st = mix site in
     for k = 1 to extra do
-      add_edge ~src:v ~tgt:(draw_int seed site k v)
+      add_edge ~src:v ~tgt:(draw_int st k v)
     done
   done;
   Graph.Builder.freeze b
@@ -266,15 +325,15 @@ let match_pair ~seed spec =
      against the first exercises rename invariance at scale. *)
   let permute kind ids =
     let arr = Array.of_list ids in
-    let key = "perm/" ^ kind in
+    let st = mix (absorb (origin seed) ("perm/" ^ kind)) in
     for i = Array.length arr - 1 downto 1 do
-      let j = draw_int seed key i (i + 1) in
+      let j = draw_int st i (i + 1) in
       let t = arr.(i) in
       arr.(i) <- arr.(j);
       arr.(j) <- t
     done;
     let tbl = Hashtbl.create (Array.length arr) in
-    Array.iteri (fun i id -> Hashtbl.add tbl id (Printf.sprintf "%s%d" kind i)) arr;
+    Array.iteri (fun i id -> Hashtbl.add tbl id (kind ^ decimal i)) arr;
     tbl
   in
   let node_map = permute "m" (Graph.node_ids g2) in

@@ -17,7 +17,10 @@
     [i] does not depend on how many values other nodes drew, on
     evaluation order, or on which worker domain generated the graph.
     Two runs — or a [-j1] and a [-j4] corpus materialization — produce
-    byte-identical output.
+    byte-identical output.  A key's state is a left fold over its
+    bytes, so [generate] resumes it from the fold of a shared prefix
+    (["node/"], then ["node/17"], then the draw's suffix); the values
+    are those of folding the whole key.
 
     [run] selects the trial: persistent structure and persistent
     property values depend only on [(spec, seed)], transient property

@@ -81,23 +81,48 @@ let of_pgraph g =
            | Some r -> Some (s, Json.Object (List.rev !r)))
          section_order)
 
-let scalar k = function
-  | Json.String s -> s
-  | Json.Number f -> Printf.sprintf "%.0f" f
-  | Json.Bool b -> string_of_bool b
-  | _ -> fail "property %s has non-scalar value" k
+(* One member's fields, read in one walk.  Keys in [claimed] are not
+   properties: the walk leaves the first binding of [claimed.(j)] in
+   [first.(j)].  Every other field is a property, in field order (a
+   later duplicate key wins); the first non-scalar one is left in
+   [bad] rather than raised, so the caller's own faults can outrank
+   it.  One [fields] serves every member of a section in turn. *)
+type fields = { claimed : string array; first : Json.t option array; mutable bad : string option }
 
-(* The first binding of [key] among a member's fields. *)
-let rec field key = function
-  | [] -> None
-  | (k, v) :: rest -> if String.equal k key then Some v else field key rest
+let fields claimed = { claimed; first = Array.make (Array.length claimed) None; bad = None }
 
-(* A member's properties: every field whose key [dropped] does not
-   claim, in field order (a later duplicate key wins). *)
-let props_of_fields fields ~dropped =
-  List.fold_left
-    (fun props (k, v) -> if dropped k then props else Pgraph.Props.add k (scalar k v) props)
-    Pgraph.Props.empty fields
+let rec claim f k v j =
+  j < Array.length f.claimed
+  && (if String.equal k f.claimed.(j) then begin
+        if Option.is_none f.first.(j) then f.first.(j) <- Some v;
+        true
+      end
+      else claim f k v (j + 1))
+
+let rec props_of f props = function
+  | [] -> props
+  | (k, v) :: rest ->
+      if claim f k v 0 then props_of f props rest
+      else
+        let props =
+          match v with
+          | Json.String s -> Pgraph.Props.add k s props
+          | Json.Number x -> Pgraph.Props.add k (Printf.sprintf "%.0f" x) props
+          | Json.Bool b -> Pgraph.Props.add k (string_of_bool b) props
+          | _ ->
+              if Option.is_none f.bad then f.bad <- Some k;
+              props
+        in
+        props_of f props rest
+
+(* The properties of a member with fields [members]; [f.first] and
+   [f.bad] describe it until the next [walk f]. *)
+let walk f members =
+  Array.fill f.first 0 (Array.length f.first) None;
+  f.bad <- None;
+  props_of f Pgraph.Props.empty members
+
+let non_scalar k = fail "property %s has non-scalar value" k
 
 let is_node_section = function "entity" | "activity" | "agent" -> true | _ -> false
 
@@ -121,57 +146,62 @@ let to_pgraph_unsafe json =
   List.iter
     (fun (section, value) ->
       if is_node_section section then
+        let f = fields [| "prov:type" |] in
         List.iter
           (fun (id, body) ->
-            let fields = node_fields id body in
-            let label =
-              match field "prov:type" fields with Some (Json.String t) -> t | _ -> section
-            in
-            Graph.Builder.add_node b ~id ~label
-              ~props:(props_of_fields fields ~dropped:(String.equal "prov:type")))
+            let props = walk f (node_fields id body) in
+            let label = match f.first.(0) with Some (Json.String t) -> t | _ -> section in
+            Option.iter non_scalar f.bad;
+            Graph.Builder.add_node b ~id ~label ~props)
           (members section value))
     sections;
-  (* Then relations. *)
-  let edge id fields (label, src_key, tgt_key) ~dropped =
-    let endpoint key =
-      match field key fields with
+  (* Then relations: [f] has just walked edge [id]'s fields, and
+     [f.first.(0)] and [f.first.(1)] are its endpoints. *)
+  let edge id f props label =
+    let endpoint j =
+      match f.first.(j) with
       | Some (Json.String s) -> s
-      | _ -> fail "edge %s lacks endpoint %s" id key
+      | _ -> fail "edge %s lacks endpoint %s" id f.claimed.(j)
     in
-    let src = endpoint src_key and tgt = endpoint tgt_key in
+    let src = endpoint 0 and tgt = endpoint 1 in
     (* [add_edge] looks both endpoints up anyway, so they are only
        looked up again when something failed: an unknown endpoint is
        reported first, ahead of a bad property or a duplicate id. *)
-    match
-      Graph.Builder.add_edge b ~id ~src ~tgt ~label
-        ~props:
-          (props_of_fields fields ~dropped:(fun k ->
-               String.equal k src_key || String.equal k tgt_key || dropped k))
-    with
-    | () -> ()
-    | exception ((Format_error _ | Invalid_argument _) as e) ->
-        if not (Graph.Builder.mem_node b src) then fail "edge %s references unknown node %s" id src;
-        if not (Graph.Builder.mem_node b tgt) then fail "edge %s references unknown node %s" id tgt;
-        raise e
+    let unknown_endpoint () =
+      if not (Graph.Builder.mem_node b src) then fail "edge %s references unknown node %s" id src;
+      if not (Graph.Builder.mem_node b tgt) then fail "edge %s references unknown node %s" id tgt
+    in
+    match f.bad with
+    | Some k ->
+        unknown_endpoint ();
+        non_scalar k
+    | None -> (
+        match Graph.Builder.add_edge b ~id ~src ~tgt ~label ~props with
+        | () -> ()
+        | exception (Invalid_argument _ as e) ->
+            unknown_endpoint ();
+            raise e)
   in
   List.iter
     (fun (section, value) ->
       if not (String.equal section "prefix" || is_node_section section) then
         let members = members section value in
         match edge_spec section with
-        | Some spec ->
-            List.iter (fun (id, body) -> edge id (edge_fields id body) spec ~dropped:(fun _ -> false)) members
+        | Some (label, src_key, tgt_key) ->
+            let f = fields [| src_key; tgt_key |] in
+            List.iter (fun (id, body) -> edge id f (walk f (edge_fields id body)) label) members
         | None ->
             if String.equal section generic_section then
+              let f = fields [| "rel:from"; "rel:to"; "rel:type" |] in
               List.iter
                 (fun (id, body) ->
-                  let fields = edge_fields id body in
+                  let props = walk f (edge_fields id body) in
                   let label =
-                    match field "rel:type" fields with
+                    match f.first.(2) with
                     | Some (Json.String t) -> t
                     | _ -> fail "relation %s lacks rel:type" id
                   in
-                  edge id fields (label, "rel:from", "rel:to") ~dropped:(String.equal "rel:type"))
+                  edge id f props label)
                 members
             else fail "unknown section %s" section)
     sections;

@@ -260,6 +260,43 @@ let test_suite_identical_across_canon_and_jobs () =
     "canon off equals default" reference
     (suite_views ~jobs:1 { config with Config.opts = canon_opts false } progs)
 
+(* ------------------------------------------------------------------ *)
+(* Forced minor collections                                            *)
+
+(* In OCaml 5, [Array.make] of more than 256 words whose initial
+   element is in the minor heap empties the minor heap first, stopping
+   every domain; [Array.map], [Array.mapi], [Array.map2] and
+   [Array.init] start that way.  Freezing a fresh graph, pairing a
+   canonical witness and colouring a graph must not.  The minor-words
+   delta shows the work allocated in the minor heap (its records are
+   young) and fits in it (no collection was due anyway). *)
+let test_no_forced_minor_collections () =
+  let g = Provgen.generate ~seed:3 (Provgen.default_spec ~nodes:300) in
+  let form = match Canon.form g with Some f -> f | None -> Alcotest.fail "no canonical form" in
+  let n = 300 and m = 600 in
+  let node_ids = Array.init n (fun i -> Printf.sprintf "n%03d" (n - 1 - i)) in
+  let edge_ids = Array.init m (fun k -> Printf.sprintf "e%03d" (k * 7 mod m)) in
+  Gc.minor ();
+  let before = Gc.quick_stat () and words_before = Gc.minor_words () in
+  let b = Graph.Builder.create () in
+  Array.iter (fun id -> Graph.Builder.add_node b ~id ~label:"file" ~props:Props.empty) node_ids;
+  Array.iteri
+    (fun k id ->
+      Graph.Builder.add_edge b ~id ~src:node_ids.(k mod n) ~tgt:node_ids.(k * 13 mod n) ~label:"used"
+        ~props:Props.empty)
+    edge_ids;
+  let frozen = Graph.Builder.freeze b in
+  let witness = Matching.of_canon form form in
+  let colours = Fingerprint.colours_at g 3 in
+  let after = Gc.quick_stat () and words = Gc.minor_words () -. words_before in
+  check_int "frozen edges" m (Graph.edge_count frozen);
+  check_int "witness pairs" n (List.length witness.Matching.node_map);
+  check_int "colours" n (Array.length colours);
+  if words < float_of_int (5 * (n + m)) then Alcotest.failf "only %.0f minor words allocated" words;
+  if words >= float_of_int (Gc.get ()).Gc.minor_heap_size then
+    Alcotest.failf "%.0f minor words outgrow the minor heap" words;
+  check_int "minor collections" before.Gc.minor_collections after.Gc.minor_collections
+
 let () =
   Alcotest.run "canon"
     [
@@ -283,6 +320,11 @@ let () =
           Alcotest.test_case "run_pair never deadlocks at size 1" `Quick test_run_pair_no_deadlock;
           Alcotest.test_case "run_pair propagates exceptions" `Quick
             test_run_pair_propagates_exceptions;
+        ] );
+      ( "gc",
+        [
+          Alcotest.test_case "no forced minor collections" `Quick
+            test_no_forced_minor_collections;
         ] );
       ( "suite",
         [

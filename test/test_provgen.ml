@@ -41,6 +41,197 @@ let equal_mod_edge_ids a b =
   nodes a = nodes b && edges a = edges b
 
 (* ------------------------------------------------------------------ *)
+(* Generator oracle                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The generator as first written: every draw re-derives its splitmix64
+   state from the whole site string, and every string goes through
+   [Printf].  [Provgen.generate] derives the same states from shared
+   prefixes; this copy pins that every graph, and every byte of its
+   PROV-JSON, stays what this straightforward version produces. *)
+module Oracle = struct
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let state seed key =
+    let h = ref (Int64.add (Int64.of_int seed) 0x9E3779B97F4A7C15L) in
+    String.iter (fun c -> h := mix (Int64.add !h (Int64.of_int (Char.code c)))) key;
+    mix !h
+
+  let unit_float seed key i =
+    let v = mix (Int64.add (state seed key) (Int64.of_int (i * 0x5851F42D))) in
+    Int64.to_float (Int64.shift_right_logical v 11) /. 9007199254740992.
+
+  let draw_int seed key i bound =
+    if bound <= 0 then 0 else int_of_float (unit_float seed key i *. float_of_int bound)
+
+  let hex_token seed key i =
+    Printf.sprintf "%08Lx"
+      (Int64.logand (mix (Int64.add (state seed key) (Int64.of_int (i * 0x2545F491)))) 0xFFFFFFFFL)
+
+  let draw_weighted seed key i weights =
+    let total = List.fold_left (fun acc (_, w) -> acc + max 0 w) 0 weights in
+    if total <= 0 then fst (List.hd weights)
+    else
+      let target = draw_int seed key i total in
+      let rec pick acc = function
+        | [] -> fst (List.hd weights)
+        | (k, w) :: rest ->
+            let acc = acc + max 0 w in
+            if target < acc then k else pick acc rest
+      in
+      pick 0 weights
+
+  let motif_size = function Provgen.Chain -> 3 | Provgen.Fan -> 4 | Provgen.Diamond -> 4
+
+  let motif_edges motif ~start ~size =
+    let full = motif_size motif in
+    if size < full then List.init (max 0 (size - 1)) (fun i -> (start + i + 1, start + i))
+    else
+      match motif with
+      | Provgen.Chain -> [ (start + 1, start); (start + 2, start + 1) ]
+      | Provgen.Fan -> [ (start + 3, start); (start + 3, start + 1); (start + 3, start + 2) ]
+      | Provgen.Diamond ->
+          [ (start + 1, start); (start + 2, start); (start + 3, start + 1); (start + 3, start + 2) ]
+
+  let generate ?(run = 1) ~seed (spec : Provgen.spec) =
+    let n = spec.Provgen.nodes in
+    let node_id i = Printf.sprintf "n%d" i in
+    let b = Graph.Builder.create () in
+    for i = 0 to n - 1 do
+      let site = Printf.sprintf "node/%d" i in
+      let label = draw_weighted seed (site ^ "/label") 0 spec.Provgen.node_types in
+      let persistent =
+        [ ("seq", string_of_int i); ("name", Printf.sprintf "%s_%s" label (hex_token seed site 1)) ]
+      in
+      let props =
+        if unit_float seed (site ^ "/transient?") 0 < spec.Provgen.transient_ratio then
+          ("token", hex_token seed (Printf.sprintf "%s/run%d" site run) 2) :: persistent
+        else persistent
+      in
+      Graph.Builder.add_node b ~id:(node_id i) ~label ~props:(Props.of_list props)
+    done;
+    let eid = ref 0 in
+    let add_edge ~src ~tgt =
+      let site = Printf.sprintf "edge/%d" !eid in
+      let label = draw_weighted seed (site ^ "/label") 0 spec.Provgen.edge_types in
+      let persistent = [ ("op", hex_token seed site 1) ] in
+      let props =
+        if unit_float seed (site ^ "/transient?") 0 < spec.Provgen.transient_ratio then
+          ("t", hex_token seed (Printf.sprintf "%s/run%d" site run) 2) :: persistent
+        else persistent
+      in
+      Graph.Builder.add_edge b
+        ~id:(Printf.sprintf "e%d" !eid)
+        ~src:(node_id src) ~tgt:(node_id tgt) ~label ~props:(Props.of_list props);
+      incr eid
+    in
+    let i = ref 1 in
+    let block = ref 0 in
+    while !i < n do
+      let start = !i in
+      let motif =
+        draw_weighted seed (Printf.sprintf "motif/%d" !block) 0 spec.Provgen.motif_weights
+      in
+      let size = min (motif_size motif) (n - start + 1) in
+      List.iter
+        (fun (s, t) -> add_edge ~src:(start - 1 + s) ~tgt:(start - 1 + t))
+        (motif_edges motif ~start:0 ~size);
+      if start > 1 then
+        add_edge ~src:(start - 1)
+          ~tgt:(draw_int seed (Printf.sprintf "connect/%d" !block) 0 (start - 1));
+      i := start + size - 1;
+      incr block
+    done;
+    for v = 1 to n - 1 do
+      let site = Printf.sprintf "density/%d" v in
+      let whole = int_of_float spec.Provgen.density in
+      let frac = spec.Provgen.density -. float_of_int whole in
+      let extra = whole + if unit_float seed (site ^ "/frac") 0 < frac then 1 else 0 in
+      for k = 1 to extra do
+        add_edge ~src:v ~tgt:(draw_int seed site k v)
+      done
+    done;
+    Graph.Builder.freeze b
+
+  let match_pair ~seed spec =
+    let g1 = generate ~run:1 ~seed spec in
+    let g2 = generate ~run:2 ~seed spec in
+    let permute kind ids =
+      let arr = Array.of_list ids in
+      let key = "perm/" ^ kind in
+      for i = Array.length arr - 1 downto 1 do
+        let j = draw_int seed key i (i + 1) in
+        let t = arr.(i) in
+        arr.(i) <- arr.(j);
+        arr.(j) <- t
+      done;
+      let tbl = Hashtbl.create (Array.length arr) in
+      Array.iteri (fun i id -> Hashtbl.add tbl id (Printf.sprintf "%s%d" kind i)) arr;
+      tbl
+    in
+    let node_map = permute "m" (Graph.node_ids g2) in
+    let edge_map = permute "f" (Graph.edge_ids g2) in
+    let lookup tbl id = match Hashtbl.find_opt tbl id with Some x -> x | None -> id in
+    (g1, Graph.map_ids (fun id -> lookup node_map (lookup edge_map id)) g2)
+end
+
+(* Random valid specs over the whole parameter space: weights may be
+   zero as long as one is positive, density runs past 2 so some nodes
+   draw several extra edges, and the label vocabularies vary. *)
+let spec_arb =
+  let weights st names =
+    let ws = List.map (fun k -> (k, Random.State.int st 4)) names in
+    if List.exists (fun (_, w) -> w > 0) ws then ws
+    else List.mapi (fun i (k, w) -> if i = 0 then (k, 1) else (k, w)) ws
+  in
+  let vocabulary st pool =
+    let k = 1 + Random.State.int st (Array.length pool) in
+    Array.to_list (Array.sub pool 0 k)
+  in
+  let gen st =
+    let spec =
+      {
+        Provgen.nodes = 1 + Random.State.int st 600;
+        density = Random.State.float st 2.5;
+        motif_weights = weights st [ Provgen.Chain; Provgen.Fan; Provgen.Diamond ];
+        node_types =
+          weights st
+            (vocabulary st [| "task"; "process_memory"; "file"; "path"; "pipe"; "machine" |]);
+        edge_types =
+          weights st
+            (vocabulary st
+               [| "used"; "wasGeneratedBy"; "wasInformedBy"; "wasDerivedFrom"; "wasTriggeredBy" |]);
+        transient_ratio =
+          (match Random.State.int st 4 with 0 -> 0. | 1 -> 1. | _ -> Random.State.float st 1.);
+      }
+    in
+    (spec, Random.State.int st 1_000_000, 1 + Random.State.int st 3)
+  in
+  QCheck.make
+    ~print:(fun (spec, seed, run) ->
+      Printf.sprintf "%s seed=%d run=%d" (Provgen.spec_to_string spec) seed run)
+    gen
+
+let generator_matches_oracle =
+  Helpers.qcheck ~count:150 "generate equals the oracle, graph and PROV-JSON bytes" spec_arb
+    (fun (spec, seed, run) ->
+      match Provgen.validate spec with
+      | Error e -> QCheck.Test.fail_reportf "spec_arb made an invalid spec: %s" e
+      | Ok () ->
+          let g = Provgen.generate ~run ~seed spec and o = Oracle.generate ~run ~seed spec in
+          Graph.equal g o
+          && String.equal (Recorders.Provjson.to_string g) (Recorders.Provjson.to_string o))
+
+let match_pair_matches_oracle =
+  Helpers.qcheck ~count:40 "match_pair equals the oracle" coord_arb (fun (seed, nodes) ->
+      let spec = Provgen.default_spec ~nodes in
+      let g1, g2 = Provgen.match_pair ~seed spec and o1, o2 = Oracle.match_pair ~seed spec in
+      Graph.equal g1 o1 && Graph.equal g2 o2)
+
+(* ------------------------------------------------------------------ *)
 (* Determinism                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -290,6 +481,8 @@ let () =
     [
       ( "determinism",
         [
+          generator_matches_oracle;
+          match_pair_matches_oracle;
           generation_is_deterministic;
           seeds_decorrelate;
           Alcotest.test_case "generate defaults to run 1" `Quick generate_defaults_to_run1;

@@ -189,6 +189,13 @@ let test_provjson_error_reasons () =
         Printf.sprintf {|{%s, "used": {"u": {"prov:activity": "zz", "prov:entity": "n2", "k": []}}}|}
           nodes,
         "edge u references unknown node zz" );
+      ( "unknown endpoint after a bad property",
+        Printf.sprintf {|{%s, "used": {"u": {"k": [], "prov:activity": "zz", "prov:entity": "n2"}}}|}
+          nodes,
+        "edge u references unknown node zz" );
+      ( "missing endpoint after a bad property",
+        Printf.sprintf {|{%s, "used": {"u": {"k": [], "prov:activity": "n1"}}}|} nodes,
+        "edge u lacks endpoint prov:entity" );
       ( "duplicate id",
         Printf.sprintf {|{%s, "used": {"n1": {"prov:activity": "n1", "prov:entity": "n2"}}}|} nodes,
         "Pgraph.Graph.add_edge: duplicate identifier n1" );
